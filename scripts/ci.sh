@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: tier-1 tests, a serving-layer smoke scenario, and the
-# tracked perf bench (regression-gated against the committed baseline).
+# Repo CI gate: static analysis, tier-1 tests, the pipeline, serving,
+# loadtest, obs and real-plane smokes, and the benchmark's own smoke test
+# (perfbench/smoke.py, which tier-1 does not collect).
 #
 #   bash scripts/ci.sh            # full gate
 #   bash scripts/ci.sh --fast     # tier-1 tests only
@@ -54,7 +55,7 @@ echo "==> tier-1 pytest"
 python -m pytest -x -q
 
 if [[ "${1:-}" == "--fast" ]]; then
-    echo "==> done (fast mode: skipped serve-sim + bench)"
+    echo "==> done (fast mode: skipped the smokes and perfbench)"
     exit 0
 fi
 
@@ -168,7 +169,9 @@ grep -Eq 'repro_gateway_http_requests_total\{[^}]*code="200"[^}]*\} [1-9]' \
 python -m repro obs "$SERVE_REAL_DIR" > /dev/null \
     || { echo "repro obs failed to render the serve-real run dir"; exit 1; }
 
-echo "==> perf bench smoke (gated on benchmarks/perf/baseline.json)"
-python -m repro bench --scale smoke
+echo "==> perfbench smoke (every workload runs, checks its outputs, prints its metrics)"
+# perfbench imports src/ itself and checks it refuses to run without it,
+# which an inherited PYTHONPATH pointing at src/ would defeat.
+env -u PYTHONPATH python -m pytest -q perfbench/smoke.py
 
 echo "==> CI gate passed"

@@ -1,11 +1,10 @@
-"""Command-line entry point: experiments, perf bench, serving, pipeline.
+"""Command-line entry point: experiments, serving, pipeline.
 
 Usage::
 
     python -m repro list
     python -m repro run table1 --scale smoke --seed 0
     python -m repro run all --scale default
-    python -m repro bench --scale smoke
     python -m repro serve-sim --scenario bursty --policy all --scale smoke
     python -m repro serve-real --scenario bursty --policy all --compare
     python -m repro loadtest --config examples/loadtest_smoke.json --obs --slo
@@ -45,16 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="table1..table4, fig2..fig7, or all")
     run.add_argument("--scale", default="smoke", choices=choices("scales"))
     run.add_argument("--seed", type=int, default=0)
-
-    from .bench.perf import add_arguments as add_bench_arguments
-
-    add_bench_arguments(
-        sub.add_parser(
-            "bench",
-            help="run the tracked perf suite and write BENCH_perf.json",
-            description="run the tracked perf suite and write BENCH_perf.json",
-        )
-    )
 
     serve = sub.add_parser(
         "serve-sim",
@@ -728,10 +717,6 @@ def main(argv=None) -> int:
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "bench":
-        from .bench.perf import run_from_args
-
-        return run_from_args(args)
     if args.command == "serve-sim":
         return _cmd_serve_sim(args)
     if args.command == "serve-real":

@@ -7,8 +7,7 @@ machine-checks that:
 
 * **banned everywhere** outside the real-plane allowlist
   (``repro.serving`` — real sockets and processes, ``repro.obs.console``
-  and ``repro.obs.wallclock`` — the sanctioned seams, ``repro.bench`` —
-  a wall-clock benchmark harness *is* the product): any reference to a
+  and ``repro.obs.wallclock`` — the sanctioned seams): any reference to a
   wall-clock callable (``time.time``, ``time.monotonic``,
   ``time.perf_counter``, ``datetime.now``, ...), the stdlib ``random``
   module's global-singleton functions, numpy's legacy global RNG
@@ -75,7 +74,6 @@ DEFAULT_ALLOWLIST = (
     "repro.serving",
     "repro.obs.console",
     "repro.obs.wallclock",
-    "repro.bench",
     "repro.analysis",
 )
 

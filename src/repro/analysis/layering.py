@@ -4,7 +4,7 @@ The repo is layered: foundation (tensor/data/api manifest/obs core)
 under the model zoo (nn/optim/quant/hardware), under training and
 baselines (core/baselines), under the serving simulator (serve), under
 the lab planes (workload/serving/obs.views/analysis), under the
-orchestrators (api.pipeline/bench), with experiments and the CLI as
+orchestrator (api.pipeline), with experiments and the CLI as
 leaves nothing else may import.  A ``core`` module importing
 ``serving`` — or anything importing ``experiments`` — couples a
 deterministic plane to a real one and breaks the "simulator imports
@@ -41,7 +41,7 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("core", "baselines"),
     ("serve",),
     ("workload", "serving", "analysis", "obs.views"),
-    ("api.pipeline", "bench"),
+    ("api.pipeline",),
     ("experiments", "__main__"),
 )
 

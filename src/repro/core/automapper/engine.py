@@ -23,7 +23,7 @@ evolution-vs-random ablation the paper motivates via [Real et al. 2018].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -305,8 +305,11 @@ class AutoMapper:
 
         ``pipeline=None`` explores both execution styles (the space's
         pipeline/multi-cycle axis) and returns the better under the
-        configured metric.
+        configured metric.  ``evaluations`` on the result counts only the
+        cost-model evaluations made by this call (both styles for
+        ``pipeline=None``); :attr:`evaluations` keeps the running total.
         """
+        start = self.evaluations
         if pipeline is None:
             multi = self.search_network(workloads, pipeline=False)
             pipe = self.search_network(workloads, pipeline=True)
@@ -315,7 +318,8 @@ class AutoMapper:
                             "energy_pj" if key == "energy" else "latency_s")
             p_val = getattr(pipe.network_cost, "edp" if key == "edp" else
                             "energy_pj" if key == "energy" else "latency_s")
-            return multi if m_val <= p_val else pipe
+            best = multi if m_val <= p_val else pipe
+            return replace(best, evaluations=self.evaluations - start)
 
         flows: List[Dataflow] = []
         costs: List[LayerCost] = []
@@ -339,7 +343,7 @@ class AutoMapper:
             network_cost=network_cost,
             layer_costs=costs,
             pipeline=pipeline,
-            evaluations=self.evaluations,
+            evaluations=self.evaluations - start,
         )
 
     def _cache_key(self, workload: ConvWorkload, pe_fraction, buffer_fraction):

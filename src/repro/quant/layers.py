@@ -22,8 +22,8 @@ quantised array keyed on ``(weight_bits, weight.version)`` (see
 :attr:`repro.tensor.Tensor.version`): the array is recomputed exactly
 once per optimiser step per bit-width, while the straight-through op is
 still rebuilt every forward so gradients keep flowing to the shared
-float weight.  :func:`weight_cache` disables the cache for A/B
-benchmarking and equivalence tests.
+float weight.  :func:`weight_cache` disables the cache for equivalence
+tests.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ def weight_cache(enabled: bool):
     """Temporarily enable/disable the quantised-weight cache.
 
     The disabled path recomputes the quantised array on every forward —
-    the pre-caching behaviour — and is what the perf bench uses as its
-    reference timing, and the equivalence tests as their reference
-    numerics.
+    the pre-caching behaviour — and is what the equivalence tests use as
+    their reference numerics.
     """
     global _WEIGHT_CACHE_ENABLED
     previous = _WEIGHT_CACHE_ENABLED

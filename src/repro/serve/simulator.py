@@ -399,11 +399,9 @@ def prepare_simulation(
 ) -> SimFixture:
     """Build (or adopt) the model, price it, and generate the traffic.
 
-    The single setup path shared by :func:`run_serve_sim`, the pipeline
-    ``serve`` stage, and the perf bench, so the tracked
-    ``serve_sim_bursty_slo`` op measures exactly what ``repro
-    serve-sim`` runs.  A ``config`` alone customises the freshly built
-    model; an existing ``sp_net`` requires its :class:`SPNetConfig`
+    The single setup path shared by :func:`run_serve_sim` and the
+    pipeline ``serve`` stage.  A ``config`` alone customises the freshly
+    built model; an existing ``sp_net`` requires its :class:`SPNetConfig`
     alongside.  Either way the config overrides the scale's model fields
     (image size, class count, bit-widths) so the traffic and the latency
     oracle match the served model.  Pass ``latency_model`` to price the

@@ -29,8 +29,7 @@ Three execution strategies share one differentiable ``conv2d`` surface:
   implementation for every layout and used for exotic group counts.
 
 :func:`fast_conv` toggles the fast paths off, forcing everything through
-the grouped reference path — used by the equivalence tests and as the
-perf bench's reference timing.
+the grouped reference path — used by the equivalence tests.
 """
 
 from __future__ import annotations

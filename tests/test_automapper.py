@@ -123,6 +123,20 @@ class TestNetworkSearch:
         pipe = am.search_network(wls, pipeline=True)
         assert both.edp <= min(multi.edp, pipe.edp) + 1e-12
 
+    def test_result_counts_only_its_own_evaluations(self):
+        """Per-bit searches on one mapper must not report a running total."""
+        am = AutoMapper(DEV, AutoMapperConfig(generations=4, seed_key="per-call"))
+        wls = alexnet_workloads()[:3]
+        counts = [
+            am.search_network([w.with_bits(bits) for w in wls]).evaluations
+            for bits in (4, 8, 16)
+        ]
+        # Same shapes and budget at every bit-width: equal, nonzero counts.
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+        assert sum(counts) == am.evaluations
+        # A repeat is served from the layer cache and evaluates nothing.
+        assert am.search_network([w.with_bits(4) for w in wls]).evaluations == 0
+
     def test_repeated_layers_searched_once(self):
         am = AutoMapper(DEV, AutoMapperConfig(generations=4))
         wls = [WL, WL, WL]

@@ -53,16 +53,7 @@ class TestHelp:
             main(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        assert "serve-sim" in out and "bench" in out
-
-    def test_bench_help_renders_options(self, capsys):
-        """`repro bench --help` must go through argparse, options included."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--update-baseline" in out
-        assert "--factor" in out
+        assert "serve-sim" in out
 
     def test_serve_sim_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
