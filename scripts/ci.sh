@@ -51,8 +51,15 @@ if touched != ["scripts/check_baseline.json"]:
     sys.exit(1)
 PY
 
-echo "==> tier-1 pytest"
+echo "==> tier-1 pytest (must leave the tree as it found it)"
+TREE_BEFORE="$(git status --porcelain)"
 python -m pytest -x -q
+TREE_AFTER="$(git status --porcelain)"
+if [[ "$TREE_BEFORE" != "$TREE_AFTER" ]]; then
+    echo "tier-1 changed the tree:"
+    diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") || true
+    exit 1
+fi
 
 if [[ "${1:-}" == "--fast" ]]; then
     echo "==> done (fast mode: skipped the smokes and perfbench)"

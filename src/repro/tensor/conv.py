@@ -10,7 +10,7 @@ and the loop-nest nomenclature used by the hardware cost model
 
 Fast paths
 ----------
-Three execution strategies share one differentiable ``conv2d`` surface:
+Four execution strategies share one differentiable ``conv2d`` surface:
 
 * **pointwise** — 1x1 / stride-1 / pad-0 / dense convolutions skip im2col
   entirely: the layer is a batched BLAS matmul over a reshape of the
@@ -20,11 +20,19 @@ Three execution strategies share one differentiable ``conv2d`` surface:
   the im2col columns instead of ``einsum`` (lower dispatch overhead,
   direct BLAS).
 * **depthwise** — ``groups == C_in == C_out`` convolutions (MobileNetV2's
-  other workhorse) window the input once and contract each channel's
-  taps with a batched matvec, skipping the grouped einsum and the
-  ``(N, C*KH*KW, L)`` column blow-up entirely; the stride-1 input
-  gradient is itself computed as a depthwise correlation (pad + flipped
-  filter), so no scatter-add fold is needed.
+  other workhorse), at any stride, copy the input once into a
+  zero-padded channels-last (N, H, W, C) buffer and accumulate KH*KW
+  strided tap products into an (N, OH, OW, C) accumulator.  Channels
+  last is the point: on the 2x2-8x8 maps that dominate MobileNetV2's
+  call count an NCHW tap slice leaves NumPy an innermost loop of 2-4
+  elements, while an NHWC tap's innermost contiguous run is W*C
+  elements.  The backward rebuilds the padded copy (holding it from
+  the forward raises peak memory), reduces the weight gradient per tap
+  with one fused ``einsum`` and scatter-adds the input gradient through
+  a padded NHWC buffer.  Output and input gradient are returned as
+  C-contiguous NCHW arrays, so the ops that follow (batch norm's
+  reductions in particular) see the same memory order as on every
+  other path.
 * **grouped** — the general ``einsum`` path, kept as the reference
   implementation for every layout and used for exotic group counts.
 
@@ -89,6 +97,14 @@ def _pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
         (n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype
     )
     out[:, :, padding:-padding, padding:-padding] = x
+    return out
+
+
+def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-padded channels-last (N, H, W, C) copy of ``x`` (N, C, H, W)."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+    out[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
     return out
 
 
@@ -226,88 +242,32 @@ def conv2d(
             return gx, gw
 
         backward = backward_pointwise
-    elif _FAST_CONV and groups == c_in and c_out == c_in and c_in_g == 1 and stride == 1:
-        # Depthwise stride-1 conv by padding-free tap accumulation:
-        # KH*KW fully-vectorised multiply-adds over (N, C, OH, OW),
-        # with tap slices clipped at the borders instead of copying the
-        # input into a zero-padded buffer (the halo products are zero,
-        # so clipping is exact).  No im2col, no grouped einsum, and the
-        # backward scatters straight into an unpadded gx.
-        xd = x.data
-        w2 = weight.data.reshape(c_out, kh, kw)
-        out = np.zeros((n, c_out, oh, ow), dtype=x.data.dtype)
-        taps = []
-        for i in range(kh):
-            a0, a1 = max(0, padding - i), min(oh, h + padding - i)
-            if a1 <= a0:
-                continue
-            for j in range(kw):
-                b0, b1 = max(0, padding - j), min(ow, w + padding - j)
-                if b1 <= b0:
-                    continue
-                dst = (
-                    slice(None), slice(None), slice(a0, a1), slice(b0, b1)
-                )
-                src = (
-                    slice(None), slice(None),
-                    slice(a0 + i - padding, a1 + i - padding),
-                    slice(b0 + j - padding, b1 + j - padding),
-                )
-                wc = w2[:, i, j].reshape(1, c_out, 1, 1)
-                taps.append((i, j, dst, src, wc))
-                out[dst] += xd[src] * wc
-
-        def backward_depthwise_s1(grad):
-            gw = np.zeros_like(weight.data)
-            gx = np.zeros_like(xd)
-            for i, j, dst, src, wc in taps:
-                # einsum fuses multiply+reduce in one pass (no temp);
-                # notably faster than (grad * x).sum(...) here.
-                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", grad[dst], xd[src])
-                gx[src] += grad[dst] * wc
-            if bias is not None:
-                return gx, gw, grad.sum(axis=(0, 2, 3))
-            return gx, gw
-
-        backward = backward_depthwise_s1
     elif _FAST_CONV and groups == c_in and c_out == c_in and c_in_g == 1:
-        # Strided depthwise conv: tap accumulation over a zero-padded
-        # copy (clipping strided taps at the borders is not worth the
-        # index gymnastics; stride > 1 depthwise layers are rare).
-        xp = x.data
-        if padding > 0:
-            xp = _pad_nchw(xp, padding)
-        w4 = weight.data.reshape(1, c_out, kh, kw, 1, 1)
-        out = None
-        for i in range(kh):
-            i_end = i + stride * oh
-            for j in range(kw):
-                j_end = j + stride * ow
-                tap = xp[:, :, i:i_end:stride, j:j_end:stride] * w4[:, :, i, j]
-                if out is None:
-                    out = tap  # first tap owns the accumulator
-                else:
-                    out += tap
+        # Depthwise conv, any stride: KH*KW strided multiply-adds over a
+        # zero-padded channels-last copy (see the module docstring).
+        w2 = weight.data.reshape(c_out, kh, kw)
+        taps = [
+            (i, j, (slice(None), slice(i, i + stride * oh, stride),
+                    slice(j, j + stride * ow, stride)))
+            for i in range(kh) for j in range(kw)
+        ]
+        xp = _pad_nhwc(x.data, padding)
+        acc = np.zeros((n, oh, ow, c_out), dtype=xp.dtype)
+        for i, j, tap in taps:
+            acc += xp[tap] * w2[:, i, j]
+        del xp  # rebuilt by the backward rather than held until then
+        out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
         def backward_depthwise(grad):
+            xp = _pad_nhwc(x.data, padding)
+            g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
             gw = np.empty_like(weight.data)
             gxp = np.zeros_like(xp)
-            buf = np.empty_like(grad)  # reused per-tap product buffer
-            for i in range(kh):
-                i_end = i + stride * oh
-                for j in range(kw):
-                    j_end = j + stride * ow
-                    tap = (
-                        slice(None), slice(None),
-                        slice(i, i_end, stride), slice(j, j_end, stride),
-                    )
-                    gw[:, 0, i, j] = np.einsum("nchw,nchw->c", grad, xp[tap])
-                    np.multiply(grad, w4[:, :, i, j], out=buf)
-                    gxp[tap] += buf
-            if padding > 0:
-                gx = gxp[:, :, padding:-padding, padding:-padding]
-            else:
-                gx = gxp
+            for i, j, tap in taps:
+                gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, xp[tap])
+                gxp[tap] += g * w2[:, i, j]
+            gx = gxp[:, padding:padding + h, padding:padding + w]
+            gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
             if bias is not None:
                 return gx, gw, grad.sum(axis=(0, 2, 3))
             return gx, gw

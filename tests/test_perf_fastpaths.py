@@ -1,11 +1,13 @@
 """Equivalence tests for the fast execution engine.
 
-Two families of guarantees:
+Three families of guarantees:
 
 * the conv2d fast paths (pointwise matmul, dense matmul, depthwise tap
   accumulation) produce the same outputs AND gradients as the grouped
   einsum reference path (``fast_conv(False)``), including against the
   numerical gradient checker;
+* a quantised depthwise conv's straight-through gradients equal the
+  reference conv's gradients at the quantised weight and input;
 * the quantised-weight cache is invalidated exactly when weights change
   (``SGD.step``, ``load_state_dict``) and never between consecutive
   forwards.
@@ -51,6 +53,9 @@ CASES = [
     ("depthwise_3x3", (2, 6, 8, 8), (6, 1, 3, 3), dict(stride=1, padding=1, groups=6)),
     ("depthwise_strided", (2, 6, 9, 9), (6, 1, 3, 3), dict(stride=2, padding=1, groups=6)),
     ("depthwise_5x5", (2, 4, 11, 11), (4, 1, 5, 5), dict(stride=1, padding=2, groups=4)),
+    # MobileNetV2's last-stage map size: every tap but the centre hangs
+    # over the border.
+    ("depthwise_2x2_bias", (2, 8, 2, 2), (8, 1, 3, 3), dict(stride=1, padding=1, groups=8)),
     ("grouped", (2, 8, 6, 6), (8, 2, 3, 3), dict(stride=1, padding=1, groups=4)),
 ]
 
@@ -76,7 +81,13 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize(
         "name,x_shape,w_shape,kwargs",
-        [c for c in CASES if c[0] in ("pointwise", "dense_3x3", "depthwise_3x3")],
+        [
+            c for c in CASES
+            if c[0] in (
+                "pointwise", "dense_3x3", "depthwise_3x3",
+                "depthwise_strided", "depthwise_5x5",
+            )
+        ],
     )
     def test_fast_paths_pass_numerical_gradcheck(
         self, name, x_shape, w_shape, kwargs
@@ -91,6 +102,18 @@ class TestFastPathEquivalence:
             rtol=1e-4,
         )
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_float32_layout(self, stride):
+        # The following BatchNorm reduces in memory order, so a transposed
+        # view here would change its float32 sums.
+        x = Tensor(RNG.normal(size=(2, 8, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(RNG.normal(size=(8, 1, 3, 3)).astype(np.float32), requires_grad=True)
+        out = conv2d(x, w, stride=stride, padding=1, groups=8)
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        for arr in (out.data, x.grad):
+            assert arr.dtype == np.float32
+            assert arr.flags["C_CONTIGUOUS"]
+
     def test_toggle_restores_state(self):
         assert fast_conv_enabled()
         with fast_conv(False):
@@ -99,6 +122,33 @@ class TestFastPathEquivalence:
                 assert fast_conv_enabled()
             assert not fast_conv_enabled()
         assert fast_conv_enabled()
+
+
+class TestQuantizedConvSTE:
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_sbm_gradients_pass_straight_through(self, stride):
+        # SBM's STE is unmasked: the layer's gradients are conv2d's
+        # gradients at the quantised weight and input, passed unchanged to
+        # the float weight and input.
+        q = make_quantizer("sbm")
+        layer = QuantConv2d(
+            6, 6, 3, bit_widths=[4], quantizer=q, stride=stride, padding=1, groups=6
+        )
+        layer.set_bitwidth(4)
+        x_data = RNG.normal(size=(2, 6, 7, 7)).astype(np.float32)
+        x = Tensor(x_data, requires_grad=True)
+        out = layer(x)
+        g = RNG.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+
+        xq = Tensor(q.quantize_activation(Tensor(x_data), 4).data, requires_grad=True)
+        wq = Tensor(q.weight_values(layer.weight.data, 4), requires_grad=True)
+        with fast_conv(False):
+            ref = conv2d(xq, wq, stride=stride, padding=1, groups=6)
+            ref.backward(g)
+        assert np.allclose(out.data, ref.data, atol=1e-5)
+        assert np.allclose(layer.weight.grad, wq.grad, atol=1e-5)
+        assert np.allclose(x.grad, xq.grad, atol=1e-5)
 
 
 def _quantize_calls(layer):
