@@ -78,8 +78,15 @@ for artifact in architecture.json checkpoint.npz deploy_report.json \
         || { echo "missing pipeline artifact: $artifact"; exit 1; }
 done
 
-echo "==> serve-sim smoke (bursty scenario, all policies)"
-python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0
+echo "==> serve-sim smoke (bursty scenario, all policies; tracing must not change the report)"
+SERVE_SIM_DIR="$(mktemp -d)"
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR"' EXIT
+python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
+    --output "$SERVE_SIM_DIR/serve_sim.json"
+python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
+    --output "$SERVE_SIM_DIR/serve_sim_traced.json" --obs-dir "$SERVE_SIM_DIR/obs"
+cmp "$SERVE_SIM_DIR/serve_sim.json" "$SERVE_SIM_DIR/serve_sim_traced.json" \
+    || { echo "traced serve-sim report differs from untraced run"; exit 1; }
 
 echo "==> fleet serve-sim smoke (4 replicas behind the least_queue router)"
 python -m repro serve-sim --scenario bursty --policy slo --scale smoke \
@@ -88,7 +95,7 @@ python -m repro serve-sim --scenario bursty --policy slo --scale smoke \
 echo "==> loadtest smoke (tiny grid; report must be bit-identical across runs)"
 LOADTEST_DIR_A="$(mktemp -d)"
 LOADTEST_DIR_B="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B"' EXIT
 python -m repro loadtest --config examples/loadtest_smoke.json \
     --output-dir "$LOADTEST_DIR_A" --quiet
 python -m repro loadtest --config examples/loadtest_smoke.json \
@@ -109,7 +116,7 @@ python -m repro obs diff "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" \
 
 echo "==> obs smoke (tracing must not change the deterministic report)"
 OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR"' EXIT
 python -m repro loadtest --config examples/loadtest_smoke.json \
     --output-dir "$OBS_DIR" --obs --quiet
 cmp "$LOADTEST_DIR_A/loadtest_report.json" "$OBS_DIR/loadtest_report.json" \
@@ -135,7 +142,7 @@ python -m pytest -q -m real_plane
 
 echo "==> serve-real smoke (real gateway + workers validated vs the simulator)"
 SERVE_REAL_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR" "$SERVE_REAL_DIR"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR" "$SERVE_REAL_DIR"' EXIT
 # One worker concentrates the burst so the policies separate and the
 # --strict ordering + occupancy comparison against the simulator is
 # non-vacuous; 96 requests keep the replay to seconds.

@@ -26,13 +26,15 @@ re-activated by a later scale-up without re-materializing).
 
 Everything — routing, scaling, dispatch order — is a deterministic
 function of the request stream and the fleet configuration, so a fleet
-simulation is bit-identical across runs and machines, exactly like the
-single-engine simulator it extends.
+simulation is bit-identical across runs and machines.
+:func:`simulate_fleet` is the serving layer's one discrete-event loop:
+the single-engine :func:`~repro.serve.simulator.simulate` runs it over
+a one-replica fleet.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 from typing import (
     Callable,
@@ -45,15 +47,13 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from .. import rng as rng_mod
 from ..api.config import AutoscaleConfig
 from ..api.registry import POLICIES
 from ..obs.tracer import NULL_TRACER
 from .engine import BatchRecord, BitLatencyModel, InferenceEngine, InferenceRequest
 from .routing import ReplicaSnapshot, Router, RouterInputs, make_router
-from .stats import LatencySummary, optional_percentile_s
+from .stats import merge_engine_stats, optional_percentile_s
 
 __all__ = [
     "ScaleEvent",
@@ -538,8 +538,9 @@ def simulate_fleet(
 ) -> float:
     """Drive the fleet through the request stream on a virtual clock.
 
-    Multi-server discrete-event loop: each replica serves one micro-batch
-    at a time; arrivals are routed the instant they land; the clock
+    The serving layer's one discrete-event loop (a single engine runs
+    it as a one-replica fleet): each replica serves one micro-batch at a
+    time; arrivals are routed the instant they land; the clock
     advances to whichever comes first — the next arrival or the earliest
     batch a replica could release.  Returns the virtual completion time
     of the last batch.
@@ -694,12 +695,6 @@ class FleetReport:
         return asdict(self)
 
 
-def _bits_key(bits) -> str:
-    from .simulator import _bits_key as simulator_bits_key
-
-    return simulator_bits_key(bits)
-
-
 def build_fleet_report(
     scenario: str,
     policy: str,
@@ -709,53 +704,17 @@ def build_fleet_report(
     slo_s: float,
 ) -> FleetReport:
     """Merge per-replica engine stats into one fleet-level report."""
-    engines = fleet.engines()
-    bit_widths = engines[0].sp_net.bit_widths
-    latencies = np.asarray(
-        [lat for e in engines for lat in e.stats.latencies_s]
-    )
-    summary = LatencySummary.from_values(latencies)
-    completed = int(sum(e.stats.completed for e in engines))
-    batches = int(sum(e.stats.batches for e in engines))
-    labelled = int(sum(e.stats.labelled for e in engines))
-    correct = int(sum(e.stats.correct for e in engines))
-    energy_pj = float(sum(e.stats.energy_pj for e in engines))
-    energy_priced = int(sum(e.stats.energy_priced for e in engines))
-    duration = max(end_s, 1e-12)
-    occupancy = {
-        _bits_key(b): int(sum(e.stats.requests_per_bit[b] for e in engines))
-        for b in bit_widths
-    }
-    per_replica = []
-    for idx, engine in enumerate(engines):
-        stats = engine.stats
-        busy_s = float(sum(stats.busy_s_per_bit.values()))
-        per_replica.append({
-            "replica": idx,
-            "state": fleet.replica_states()[idx],
-            "requests": stats.completed,
-            "batches": stats.batches,
-            "mean_batch_size": stats.mean_batch_size(),
-            "switches": stats.switches,
-            "busy_s": busy_s,
-            "utilization": busy_s / duration,
-            "occupancy": {
-                _bits_key(b): stats.requests_per_bit[b] for b in bit_widths
-            },
-        })
-
     from ..obs.health import score_fleet
 
-    states: Dict[str, int] = {}
-    for state in fleet.replica_states():
-        states[state] = states.get(state, 0) + 1
-    slo_violations = (
-        int((latencies > slo_s).sum()) if latencies.size else 0
+    states = fleet.replica_states()
+    merged = merge_engine_stats(
+        [e.stats for e in fleet.engines()], end_s, slo_s, states=states
     )
     health = score_fleet(
-        states, completed=completed, slo_violations=slo_violations,
+        Counter(states),
+        completed=merged["num_requests"],
+        slo_violations=merged["slo_violations"],
     )
-
     return FleetReport(
         scenario=scenario,
         policy=policy,
@@ -764,50 +723,22 @@ def build_fleet_report(
         replicas=fleet.initial_replicas,
         max_replicas=fleet.max_replicas,
         autoscaled=fleet.autoscaler is not None,
-        num_requests=completed,
-        duration_s=float(end_s),
-        throughput_rps=completed / duration,
-        latency_p50_s=summary.p50_s,
-        latency_p95_s=summary.p95_s,
-        latency_p99_s=summary.p99_s,
-        latency_mean_s=summary.mean_s,
-        latency_max_s=summary.max_s,
-        slo_s=slo_s,
-        slo_violations=slo_violations,
-        occupancy=occupancy,
-        batches=batches,
-        mean_batch_size=(completed / batches) if batches else 0.0,
-        switches=int(sum(e.stats.switches for e in engines)),
-        accuracy=(correct / labelled) if labelled else None,
-        energy_pj=energy_pj,
-        energy_per_request_pj=(
-            energy_pj / energy_priced if energy_priced else None
-        ),
-        per_replica=per_replica,
+        **merged,
         scale_events=[e.to_json_dict() for e in fleet.scale_events],
         fault_events=list(fleet.fault_log),
         health=health.to_dict(),
     )
 
 
-def format_fleet_reports(reports: Sequence[FleetReport]) -> str:
-    """Comparison table + per-replica occupancy + scale-event log."""
-    if not reports:
-        return "(no reports)"
-    first = reports[0]
+def policy_table(title: str, reports: Sequence) -> List[str]:
+    """Title, header and one row per policy: the block both serve-sim
+    tables (single-engine and fleet) open with."""
     header = (
         f"{'policy':<8} {'reqs':>5} {'thru(r/s)':>10} {'p50(ms)':>8} "
         f"{'p95(ms)':>8} {'p99(ms)':>8} {'slo-viol':>8} {'batches':>7} "
         f"{'avg-b':>5} {'switch':>6} {'acc':>6} {'uJ/req':>8}"
     )
-    lines = [
-        f"serve-sim fleet scenario={first.scenario} scale={first.scale} "
-        f"router={first.router} replicas={first.replicas}"
-        + (f"(max {first.max_replicas})" if first.autoscaled else "")
-        + f" slo={first.slo_s * 1e3:.3f}ms",
-        header,
-        "-" * len(header),
-    ]
+    lines = [title, header, "-" * len(header)]
     for r in reports:
         acc = f"{r.accuracy:.3f}" if r.accuracy is not None else "n/a"
         energy = (
@@ -821,6 +752,21 @@ def format_fleet_reports(reports: Sequence[FleetReport]) -> str:
             f"{r.batches:>7} {r.mean_batch_size:>5.1f} {r.switches:>6} "
             f"{acc:>6} {energy:>8}"
         )
+    return lines
+
+
+def format_fleet_reports(reports: Sequence[FleetReport]) -> str:
+    """Comparison table + per-replica occupancy + scale-event log."""
+    if not reports:
+        return "(no reports)"
+    first = reports[0]
+    lines = policy_table(
+        f"serve-sim fleet scenario={first.scenario} scale={first.scale} "
+        f"router={first.router} replicas={first.replicas}"
+        + (f"(max {first.max_replicas})" if first.autoscaled else "")
+        + f" slo={first.slo_s * 1e3:.3f}ms",
+        reports,
+    )
     lines.append("")
     lines.append("per-replica occupancy (requests served at each bit-width):")
     for r in reports:
@@ -877,12 +823,14 @@ def run_fleet_sim(
 ) -> List[FleetReport]:
     """Build the model + traffic once, then fleet-simulate each policy.
 
-    The fleet counterpart of
-    :func:`~repro.serve.simulator.run_serve_sim`: same fixture setup
-    (same arrivals, same images, same latency oracle), so fleet and
-    single-engine reports are directly comparable; ``policy="all"``
-    expands from the live policy registry.  A prepared ``fixture``
-    skips setup (same contract as ``run_serve_sim``).
+    The fleet entry point beside
+    :func:`~repro.serve.simulator.run_serve_sim`: both drive
+    :func:`simulate_fleet` over the same fixture setup (same arrivals,
+    same images, same latency oracle), so fleet and single-engine
+    reports are directly comparable — a one-replica fleet serves
+    exactly the single-engine schedule.  ``policy="all"`` expands from
+    the live policy registry.  A prepared ``fixture`` skips setup (same
+    contract as ``run_serve_sim``).
     """
     from .simulator import prepare_simulation
 

@@ -32,7 +32,7 @@ from ..obs.tracer import NULL_TRACER, bits_label
 from ..quant import SwitchablePrecisionNetwork
 from ..quant.layers import BitSpec, normalize_bits
 from ..tensor import Tensor, no_grad
-from .stats import LatencySummary, optional_percentile_s, percentile_s
+from .stats import optional_percentile_s
 
 __all__ = [
     "InferenceRequest",
@@ -278,24 +278,6 @@ class EngineStats:
 
     def recent_p95_s(self) -> Optional[float]:
         return optional_percentile_s(self.recent, 95)
-
-    def percentile_s(self, q: float) -> float:
-        return percentile_s(self.latencies_s, q)
-
-    def latency_summary(self) -> LatencySummary:
-        """Percentiles/mean/max over every completed request so far."""
-        return LatencySummary.from_values(self.latencies_s)
-
-    def accuracy(self) -> Optional[float]:
-        if not self.labelled:
-            return None
-        return self.correct / self.labelled
-
-    def energy_per_request_pj(self) -> Optional[float]:
-        """Mean cost-model energy per served request; None if unpriced."""
-        if not self.energy_priced:
-            return None
-        return self.energy_pj / self.energy_priced
 
     def mean_batch_size(self) -> float:
         if not self.batches:

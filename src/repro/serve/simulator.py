@@ -23,6 +23,13 @@ The workload lab (:mod:`repro.workload.scenarios`) extends the gallery
 (flash crowds, ramps, sawtooths, on/off duty cycles, heavy tails);
 anything registered under ``SCENARIOS`` is served here by name.
 
+This module owns traffic, setup and the single-engine report; it has no
+event loop of its own.  A single engine is a one-replica fleet:
+:func:`simulate` drives it through
+:func:`~repro.serve.cluster.simulate_fleet`, and :func:`build_report`
+aggregates through the same
+:func:`~repro.serve.stats.merge_engine_stats` as the fleet report.
+
 ``python -m repro serve-sim`` runs one scenario under one or all
 policies and prints p50/p95/p99 latency, throughput, the per-bit-width
 occupancy histogram, the accuracy proxy, and — when the latency model
@@ -39,12 +46,13 @@ import numpy as np
 
 from .. import rng as rng_mod
 from ..api.registry import POLICIES, SCENARIOS, RegistryNames
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_TRACER, bits_label
 from ..data.synthetic import SyntheticSpec, make_synthetic
 from ..quant.layers import BitSpec
+from . import cluster
 from .checkpoint import SPNetConfig, build_sp_net
 from .engine import BitLatencyModel, InferenceEngine, InferenceRequest
-from .policies import make_policy
+from .stats import merge_engine_stats
 
 __all__ = [
     "ServeScale",
@@ -216,39 +224,17 @@ def simulate(
 ) -> float:
     """Drive the engine through the request stream on a virtual clock.
 
-    Single-server discrete-event loop: the engine serves one micro-batch
-    at a time; arrivals landing mid-service queue up behind it.  Returns
-    the virtual completion time of the last batch.
+    A single engine is a one-replica fleet: the engine is wrapped in a
+    :class:`~repro.serve.cluster.ReplicaFleet` (sharing its tracer) and
+    driven by :func:`~repro.serve.cluster.simulate_fleet`, the one
+    discrete-event loop.  Returns the virtual completion time of the
+    last batch.
     """
-    ordered = sorted(requests, key=lambda r: r.arrival_s)
-    n = len(ordered)
-    i = 0
-    now = 0.0
-
-    def admit(upto: float) -> int:
-        nonlocal i
-        while i < n and ordered[i].arrival_s <= upto:
-            engine.submit(ordered[i])
-            i += 1
-        return i
-
-    while i < n or engine.queue_depth:
-        if not engine.queue_depth:
-            now = max(now, ordered[i].arrival_s)
-            admit(now)
-        record = engine.dispatch(now, flush=(i >= n))
-        if record is not None:
-            now = record.finish_s
-            admit(now)
-            continue
-        # Nothing released: advance to whichever comes first, the oldest
-        # request's timeout expiry or the next arrival.
-        times = [t for t in (engine.next_release_s(),) if t is not None]
-        if i < n:
-            times.append(ordered[i].arrival_s)
-        now = max(now, min(times))
-        admit(now)
-    return now
+    # Attributes of the cluster module, looked up per call: a wrapper
+    # installed on cluster.simulate_fleet (perfbench's span timer) also
+    # sees the single-engine runs.
+    fleet = cluster.ReplicaFleet(lambda index: engine, tracer=engine.tracer)
+    return cluster.simulate_fleet(fleet, requests)
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +272,6 @@ class ServeReport:
         return asdict(self)
 
 
-def _bits_key(bits: BitSpec) -> str:
-    if isinstance(bits, tuple):
-        return f"W{bits[0]}A{bits[1]}"
-    return str(bits)
-
-
 def build_report(
     scenario: str,
     policy: str,
@@ -301,41 +281,19 @@ def build_report(
     slo_s: float,
 ) -> ServeReport:
     stats = engine.stats
-    latencies = np.asarray(stats.latencies_s)
-    summary = stats.latency_summary()
-    duration = max(end_s, 1e-12)
-    accuracy_per_bit = {
-        _bits_key(b): (
-            stats.correct_per_bit[b] / stats.labelled_per_bit[b]
-            if stats.labelled_per_bit[b]
-            else None
-        )
-        for b in stats.bit_widths
-    }
     return ServeReport(
         scenario=scenario,
         policy=policy,
         scale=scale.name,
-        num_requests=stats.completed,
-        duration_s=float(end_s),
-        throughput_rps=stats.completed / duration,
-        latency_p50_s=summary.p50_s,
-        latency_p95_s=summary.p95_s,
-        latency_p99_s=summary.p99_s,
-        latency_mean_s=summary.mean_s,
-        latency_max_s=summary.max_s,
-        slo_s=slo_s,
-        slo_violations=int((latencies > slo_s).sum()) if latencies.size else 0,
-        occupancy={
-            _bits_key(b): stats.requests_per_bit[b] for b in stats.bit_widths
+        **merge_engine_stats([stats], end_s, slo_s),
+        accuracy_per_bit={
+            bits_label(b): (
+                stats.correct_per_bit[b] / stats.labelled_per_bit[b]
+                if stats.labelled_per_bit[b]
+                else None
+            )
+            for b in stats.bit_widths
         },
-        batches=stats.batches,
-        mean_batch_size=stats.mean_batch_size(),
-        switches=stats.switches,
-        accuracy=stats.accuracy(),
-        accuracy_per_bit=accuracy_per_bit,
-        energy_pj=stats.energy_pj,
-        energy_per_request_pj=stats.energy_per_request_pj(),
     )
 
 
@@ -343,30 +301,12 @@ def format_reports(reports: Sequence[ServeReport]) -> str:
     """Aligned comparison table plus per-policy occupancy histograms."""
     if not reports:
         return "(no reports)"
-    header = (
-        f"{'policy':<8} {'reqs':>5} {'thru(r/s)':>10} {'p50(ms)':>8} "
-        f"{'p95(ms)':>8} {'p99(ms)':>8} {'slo-viol':>8} {'batches':>7} "
-        f"{'avg-b':>5} {'switch':>6} {'acc':>6} {'uJ/req':>8}"
+    first = reports[0]
+    lines = cluster.policy_table(
+        f"serve-sim scenario={first.scenario} scale={first.scale} "
+        f"slo={first.slo_s * 1e3:.3f}ms",
+        reports,
     )
-    lines = [
-        f"serve-sim scenario={reports[0].scenario} scale={reports[0].scale} "
-        f"slo={reports[0].slo_s * 1e3:.3f}ms",
-        header,
-        "-" * len(header),
-    ]
-    for r in reports:
-        acc = f"{r.accuracy:.3f}" if r.accuracy is not None else "n/a"
-        energy = (
-            f"{r.energy_per_request_pj / 1e6:.3f}"
-            if r.energy_per_request_pj is not None else "n/a"
-        )
-        lines.append(
-            f"{r.policy:<8} {r.num_requests:>5} {r.throughput_rps:>10.1f} "
-            f"{r.latency_p50_s * 1e3:>8.3f} {r.latency_p95_s * 1e3:>8.3f} "
-            f"{r.latency_p99_s * 1e3:>8.3f} {r.slo_violations:>8} "
-            f"{r.batches:>7} {r.mean_batch_size:>5.1f} {r.switches:>6} "
-            f"{acc:>6} {energy:>8}"
-        )
     lines.append("")
     lines.append("per-bit occupancy (requests served at each bit-width):")
     for r in reports:

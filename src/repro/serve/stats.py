@@ -16,20 +16,26 @@ exactly once:
   (a comparison that is always False and silently disables the signal).
 
 :class:`LatencySummary` bundles the p50/p95/p99/mean/max block every
-report repeats.
+report repeats, and :func:`merge_engine_stats` is the one aggregation
+of per-replica engine stats behind every serving report: the
+single-engine report (one replica), the simulated fleet and the real
+worker pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
+
+from ..obs.tracer import bits_label
 
 __all__ = [
     "percentile_s",
     "optional_percentile_s",
     "LatencySummary",
+    "merge_engine_stats",
 ]
 
 
@@ -81,3 +87,72 @@ class LatencySummary:
             max_s=float(arr.max()),
             count=int(arr.size),
         )
+
+
+def merge_engine_stats(
+    stats: Sequence,
+    end_s: float,
+    slo_s: float,
+    states: Optional[Sequence[str]] = None,
+) -> Dict:
+    """Report fields shared by every serving report, over replica stats.
+
+    ``stats`` holds one :class:`~repro.serve.engine.EngineStats` per
+    replica (a single engine is a one-replica sequence); ``end_s`` is
+    the virtual completion time of the run.  The returned dict holds
+    keyword arguments for a report dataclass.  With ``states`` (each
+    replica's lifecycle state) it also carries the ``per_replica`` rows.
+    """
+    bit_widths = stats[0].bit_widths
+    latencies = np.asarray([lat for s in stats for lat in s.latencies_s])
+    summary = LatencySummary.from_values(latencies)
+    completed = sum(s.completed for s in stats)
+    batches = sum(s.batches for s in stats)
+    labelled = sum(s.labelled for s in stats)
+    energy_pj = float(sum(s.energy_pj for s in stats))
+    energy_priced = sum(s.energy_priced for s in stats)
+    duration = max(end_s, 1e-12)
+    merged = dict(
+        num_requests=completed,
+        duration_s=float(end_s),
+        throughput_rps=completed / duration,
+        latency_p50_s=summary.p50_s,
+        latency_p95_s=summary.p95_s,
+        latency_p99_s=summary.p99_s,
+        latency_mean_s=summary.mean_s,
+        latency_max_s=summary.max_s,
+        slo_s=slo_s,
+        slo_violations=int((latencies > slo_s).sum()),
+        occupancy={
+            bits_label(b): sum(s.requests_per_bit[b] for s in stats)
+            for b in bit_widths
+        },
+        batches=batches,
+        mean_batch_size=(completed / batches) if batches else 0.0,
+        switches=sum(s.switches for s in stats),
+        accuracy=(
+            sum(s.correct for s in stats) / labelled if labelled else None
+        ),
+        energy_pj=energy_pj,
+        energy_per_request_pj=(
+            energy_pj / energy_priced if energy_priced else None
+        ),
+    )
+    if states is not None:
+        merged["per_replica"] = []
+        for idx, (s, state) in enumerate(zip(stats, states)):
+            busy_s = float(sum(s.busy_s_per_bit.values()))
+            merged["per_replica"].append({
+                "replica": idx,
+                "state": state,
+                "requests": s.completed,
+                "batches": s.batches,
+                "mean_batch_size": s.mean_batch_size(),
+                "switches": s.switches,
+                "busy_s": busy_s,
+                "utilization": busy_s / duration,
+                "occupancy": {
+                    bits_label(b): s.requests_per_bit[b] for b in bit_widths
+                },
+            })
+    return merged

@@ -48,7 +48,7 @@ from ..obs.tracer import NULL_TRACER
 from ..serve.cluster import FleetReport
 from ..serve.engine import EngineStats, InferenceRequest
 from ..serve.routing import ReplicaSnapshot, RouterInputs, make_router
-from ..serve.stats import LatencySummary
+from ..serve.stats import merge_engine_stats
 from .worker import VirtualClock, WorkerSpec, worker_main
 
 __all__ = [
@@ -525,21 +525,22 @@ def build_pool_report(
     """A :class:`~repro.serve.cluster.FleetReport` over the real run.
 
     Per-worker :class:`~repro.serve.engine.EngineStats` are rebuilt by
-    replaying the shipped batch records — the identical aggregation the
+    replaying the shipped batch records and merged by
+    :func:`~repro.serve.stats.merge_engine_stats` — the aggregation the
     simulated fleet runs — so every field of the report means the same
     thing in both planes and ``format_fleet_reports`` renders either.
     Times are normalised so the first arrival is t=0, matching the
     simulator's clock origin.
     """
     per_worker_records = pool.batch_records()
-    all_results = [
-        result
-        for records in per_worker_records
-        for record in records
-        for result in record.results
-    ]
     offset = min(
-        (r.arrival_s for r in all_results), default=0.0
+        (
+            result.arrival_s
+            for records in per_worker_records
+            for record in records
+            for result in record.results
+        ),
+        default=0.0,
     )
     end_s = max(
         (record.finish_s for records in per_worker_records
@@ -554,46 +555,6 @@ def build_pool_report(
             stats.record_batch(record)
         stats_per_worker.append(stats)
 
-    latencies = np.asarray([r.latency_s for r in all_results])
-    summary = LatencySummary.from_values(latencies)
-    completed = int(sum(s.completed for s in stats_per_worker))
-    batches = int(sum(s.batches for s in stats_per_worker))
-    labelled = int(sum(s.labelled for s in stats_per_worker))
-    correct = int(sum(s.correct for s in stats_per_worker))
-    energy_pj = float(sum(s.energy_pj for s in stats_per_worker))
-    energy_priced = int(sum(s.energy_priced for s in stats_per_worker))
-    duration = max(end_s, 1e-12)
-
-    def bits_key(bits) -> str:
-        from ..serve.simulator import _bits_key
-
-        return _bits_key(bits)
-
-    occupancy = {
-        bits_key(b): int(
-            sum(s.requests_per_bit[b] for s in stats_per_worker)
-        )
-        for b in pool.bit_widths
-    }
-    states = pool.worker_states()
-    per_replica = []
-    for idx, stats in enumerate(stats_per_worker):
-        busy_s = float(sum(stats.busy_s_per_bit.values()))
-        per_replica.append({
-            "replica": idx,
-            "state": states[idx],
-            "requests": stats.completed,
-            "batches": stats.batches,
-            "mean_batch_size": stats.mean_batch_size(),
-            "switches": stats.switches,
-            "busy_s": busy_s,
-            "utilization": busy_s / duration,
-            "occupancy": {
-                bits_key(b): stats.requests_per_bit[b]
-                for b in pool.bit_widths
-            },
-        })
-
     return FleetReport(
         scenario=scenario,
         policy=pool.policy,
@@ -602,28 +563,7 @@ def build_pool_report(
         replicas=pool.num_workers,
         max_replicas=pool.num_workers,
         autoscaled=False,
-        num_requests=completed,
-        duration_s=float(end_s),
-        throughput_rps=completed / duration,
-        latency_p50_s=summary.p50_s,
-        latency_p95_s=summary.p95_s,
-        latency_p99_s=summary.p99_s,
-        latency_mean_s=summary.mean_s,
-        latency_max_s=summary.max_s,
-        slo_s=slo_s,
-        slo_violations=(
-            int((latencies > slo_s).sum()) if latencies.size else 0
+        **merge_engine_stats(
+            stats_per_worker, end_s, slo_s, states=pool.worker_states()
         ),
-        occupancy=occupancy,
-        batches=batches,
-        mean_batch_size=(completed / batches) if batches else 0.0,
-        switches=int(sum(s.switches for s in stats_per_worker)),
-        accuracy=(correct / labelled) if labelled else None,
-        energy_pj=energy_pj,
-        energy_per_request_pj=(
-            energy_pj / energy_priced if energy_priced else None
-        ),
-        per_replica=per_replica,
-        scale_events=[],
-        fault_events=[],
     )

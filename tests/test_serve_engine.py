@@ -339,13 +339,17 @@ class TestEngineStatsWindow:
         assert stats.recent_p95_s() > 1.0        # outlier still in window
         stats.record_batch(self.batch([0.010, 0.010], first_id=3))
         assert stats.recent_p95_s() == pytest.approx(0.010)
-        # The full-history percentile still remembers the outlier.
-        assert stats.percentile_s(100) == pytest.approx(5.0)
+        # The full history still remembers the outlier.
+        assert max(stats.latencies_s) == pytest.approx(5.0)
 
     def test_latency_summary_matches_full_history(self):
+        from repro.serve.stats import merge_engine_stats
+
         stats = self.stats(window=2)
         stats.record_batch(self.batch([0.010, 0.020, 0.040]))
-        summary = stats.latency_summary()
-        assert summary.mean_s == pytest.approx(sum([0.010, 0.020, 0.040]) / 3)
-        assert summary.max_s == pytest.approx(0.040)
-        assert summary.p50_s == pytest.approx(0.020)
+        merged = merge_engine_stats([stats], end_s=0.040, slo_s=1.0)
+        assert merged["latency_mean_s"] == pytest.approx(
+            sum([0.010, 0.020, 0.040]) / 3
+        )
+        assert merged["latency_max_s"] == pytest.approx(0.040)
+        assert merged["latency_p50_s"] == pytest.approx(0.020)

@@ -161,3 +161,59 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="SPNetConfig"):
             prepare_simulation("constant", "smoke",
                                sp_net=build_sp_net(config))
+
+
+class TestDispatchSchedule:
+    """Pin the single-engine dispatch schedule on a fixed latency model.
+
+    Every asserted field follows from arrivals, the latency model and
+    the policies alone — none depends on forward-pass numerics — so a
+    change to the event loop that reorders, merges or delays a single
+    batch shows up here exactly.
+    """
+
+    # policy -> (duration_s, (p50, p95, p99, max) latency,
+    #            slo_violations, occupancy, batches, switches)
+    EXPECTED = {
+        "static": (
+            0.6709423665892784,
+            (0.04600000000000004, 0.08776869349961548,
+             0.10277552871872384, 0.11264911825045243),
+            11, {"4": 0, "8": 0, "16": 72}, 17, 0,
+        ),
+        "slo": (
+            0.6709423665892784,
+            (0.04097472390539439, 0.05655543888914228,
+             0.06392824429263123, 0.06864911825045239),
+            0, {"4": 8, "8": 8, "16": 56}, 18, 3,
+        ),
+        "queue": (
+            0.6709423665892784,
+            (0.0454455713547038, 0.07176869349961547,
+             0.08677552871872382, 0.09664911825045241),
+            2, {"4": 0, "8": 8, "16": 64}, 17, 2,
+        ),
+    }
+
+    def test_bursty_schedule_is_pinned(self):
+        from repro.serve.simulator import prepare_simulation
+
+        rng_mod.set_seed(0)
+        fixture = prepare_simulation(
+            "bursty", TINY, latency_model=fixed_latency_model()
+        )
+        reports = run_serve_sim("bursty", "all", seed=0, fixture=fixture)
+        assert [r.policy for r in reports] == list(self.EXPECTED)
+        for r in reports:
+            duration, tail, viol, occupancy, batches, switches = (
+                self.EXPECTED[r.policy]
+            )
+            assert r.duration_s == pytest.approx(duration, rel=1e-12)
+            assert (
+                r.latency_p50_s, r.latency_p95_s,
+                r.latency_p99_s, r.latency_max_s,
+            ) == pytest.approx(tail, rel=1e-12)
+            assert r.slo_violations == viol
+            assert r.occupancy == occupancy
+            assert r.batches == batches
+            assert r.switches == switches

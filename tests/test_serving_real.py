@@ -291,6 +291,98 @@ class TestCompareVerdict:
 
 
 # ----------------------------------------------------------------------
+# Real-plane report over recorded batches (in-process stub pool)
+# ----------------------------------------------------------------------
+class StubPool:
+    """The slice of :class:`WorkerPool` that ``build_pool_report`` reads,
+    over fixed per-worker batch records and no processes."""
+
+    def __init__(self, records, states, bit_widths, policy, router):
+        self._records = records
+        self._states = states
+        self.bit_widths = bit_widths
+        self.policy = policy
+        self.router_name = router
+        self.num_workers = len(records)
+
+    def batch_records(self):
+        return self._records
+
+    def worker_states(self):
+        return self._states
+
+
+class TestPoolReport:
+    def test_pool_report_matches_simulated_fleet_on_same_batches(self):
+        from repro.serve import (
+            InferenceEngine,
+            InferenceRequest,
+            QueueDepthPolicy,
+            ReplicaFleet,
+            build_fleet_report,
+            simulate_fleet,
+        )
+        from repro.serve.simulator import ServeScale
+
+        config = SPNetConfig(
+            model="resnet8", bit_widths=(4, 8, 16), num_classes=3,
+            width_mult=0.25, image_size=8,
+        )
+        model = BitLatencyModel(
+            {4: 0.001, 8: 0.002, 16: 0.004}, batch_overhead_s=0.001
+        )
+        records = [[], []]
+
+        def factory(index):
+            engine = InferenceEngine(
+                build_sp_net(config), QueueDepthPolicy(low=2), model,
+                max_batch=4, batch_timeout_s=0.010, clock=lambda: 0.0,
+            )
+            dispatch = engine.dispatch
+
+            def logged(now=None, flush=False):
+                record = dispatch(now, flush)
+                if record is not None:
+                    records[index].append(record)
+                return record
+
+            engine.dispatch = logged
+            return engine
+
+        fleet = ReplicaFleet(factory, replicas=2, router="round_robin")
+        # Bursts of four arrivals 1 ms apart: queues build, so the
+        # policy switches and batches fill unevenly.
+        requests = [
+            InferenceRequest(
+                request_id=i, arrival_s=(i // 4) * 0.004 + (i % 4) * 0.001,
+                image=make_image(i), label=i % 3,
+            )
+            for i in range(40)
+        ]
+        end_s = simulate_fleet(fleet, requests)
+        scale = ServeScale(
+            name="tiny", num_requests=40, image_size=8, num_classes=3,
+            width_mult=0.25, bit_widths=(4, 8, 16), max_batch=4,
+            mapper_generations=1,
+        )
+        sim = build_fleet_report(
+            "burst", "queue", scale, fleet, end_s, slo_s=0.012
+        ).to_json_dict()
+        pool = StubPool(
+            records, fleet.replica_states(), (4, 8, 16), "queue",
+            "round_robin",
+        )
+        real = build_pool_report(pool, "burst", "tiny", 0.012).to_json_dict()
+
+        assert sim["num_requests"] == 40 and sim["switches"] > 0
+        # The real plane has no health verdict; every other field comes
+        # from the same merge over the same batches.
+        assert real.pop("health") == {}
+        sim.pop("health")
+        assert real == sim
+
+
+# ----------------------------------------------------------------------
 # Real plane: spawned worker processes (deselected from tier-1)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
