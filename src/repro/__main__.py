@@ -18,17 +18,18 @@ Usage::
 All user-facing output flows through :mod:`repro.obs.console` (one seam
 for quiet mode / teeing instead of scattered ``print`` calls).
 
-Every ``choices=`` list below comes from the import-free registry
-manifest (:mod:`repro.api.manifest`), so parser construction never
-imports numpy or the subsystems — component name lists stay in lockstep
-with the registries by construction, not by hand-copied literals.
+Every ``choices=`` list below comes from the names declared in
+:mod:`repro.api.registry`, so building the parser imports no subsystem
+(no model zoo, quantiser, training or serving module) — component name
+lists match the registries by construction, not by hand-copied
+literals.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from .api.manifest import choices
+from .api.registry import choices
 from .obs.console import error, info
 
 
@@ -131,13 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
             description=(
                 "parse the package once and verify the machine-checked "
                 "repo contracts: deterministic planes never read wall "
-                "clocks or unseeded RNGs, the lazy registry manifest "
-                "resolves statically and matches the decorator "
-                "registrations, the import graph respects the plane "
-                "layering with no cycles, nothing unpicklable crosses "
-                "the multiprocessing spawn boundary, and the tracer "
-                "span vocabulary matches what the obs consumers render; "
-                "exits nonzero when findings at or above --fail-on "
+                "clocks or unseeded RNGs, the import graph respects the "
+                "plane layering with no cycles, nothing unpicklable "
+                "crosses the multiprocessing spawn boundary, and the "
+                "tracer span vocabulary matches what the obs consumers "
+                "render; exits nonzero when findings at or above --fail-on "
                 "survive inline suppressions and the committed baseline"
             ),
         )
@@ -321,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    # Experiment names come from the manifest: listing must not pay the
+    # Experiment names come from the registry: listing must not pay the
     # cost of importing every experiment module.
     for name in choices("experiments"):
         info(name)

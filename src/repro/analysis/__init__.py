@@ -2,8 +2,7 @@
 
 The codebase's correctness rests on conventions that no single test
 exercises end-to-end: deterministic reports must never read the wall
-clock, the import-free registry manifest must stay in lockstep with the
-decorated definitions, the import graph must respect the plane layering
+clock, the import graph must respect the plane layering
 (core <- serve <- workload/serving/obs), objects crossing the
 ``multiprocessing`` spawn boundary must be picklable, and the tracer
 span vocabulary must not drift between the planes that emit events and
@@ -21,12 +20,12 @@ numpy), organised as:
 * :mod:`~repro.analysis.findings` — :class:`Finding` records with
   rule id, severity, and root-relative ``path:line`` anchors;
 * :mod:`~repro.analysis.checker` — the pluggable :class:`Checker`
-  protocol; concrete rules register in
-  :data:`repro.api.registry.CHECKERS` so the CLI enumerates them
-  import-free;
+  protocol; concrete rules are declared in
+  :data:`repro.api.registry.CHECKERS` so the CLI lists them without
+  importing this package;
 * one module per rule — :mod:`~repro.analysis.determinism`,
-  :mod:`~repro.analysis.registries`, :mod:`~repro.analysis.layering`,
-  :mod:`~repro.analysis.spawn`, :mod:`~repro.analysis.spans`;
+  :mod:`~repro.analysis.layering`, :mod:`~repro.analysis.spawn`,
+  :mod:`~repro.analysis.spans`;
 * :mod:`~repro.analysis.report` — text / JSON reporters and the
   committed-baseline diff;
 * :mod:`~repro.analysis.cli` — ``repro check`` argument plumbing.

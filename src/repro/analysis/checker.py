@@ -2,10 +2,10 @@
 
 A checker is a class with a ``rule`` id, a ``severity``, a one-line
 ``description``, and a ``check(project)`` generator yielding
-:class:`~repro.analysis.findings.Finding` objects.  Concrete rules
-register in :data:`repro.api.registry.CHECKERS` (decorator over a lazy
-manifest pointer, like every other component family), so the CLI can
-list rule ids without importing this package and third parties can add
+:class:`~repro.analysis.findings.Finding` objects.  Concrete rules are
+declared in :data:`repro.api.registry.CHECKERS` (a lazy ``module:attr``
+pointer, like every other component family), so the CLI can list rule
+ids without importing this package and third parties can add
 repo-specific rules the same way they add policies or scenarios.
 
 :func:`run_check` is the one entry point everything else (CLI, CI,

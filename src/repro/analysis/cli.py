@@ -54,14 +54,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    from ..api.manifest import choices
     from ..api.registry import CHECKERS
     from ..obs.console import error, info
     from .checker import run_check
     from .report import format_text, load_baseline, to_json_payload
 
     if args.list_rules:
-        for name in choices("checkers"):
+        for name in CHECKERS.names():
             checker = CHECKERS.get(name)()
             info(f"{checker.rule:<12} {checker.severity:<8} "
                  f"{checker.description}")
@@ -70,13 +69,13 @@ def run_from_args(args: argparse.Namespace) -> int:
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = [r for r in rules if r not in choices("checkers")]
+        unknown = [r for r in rules if r not in CHECKERS]
         if not rules or unknown:
             error(
                 f"--rules {args.rules!r} names no valid rule; "
-                f"available: {list(choices('checkers'))}" if not rules
+                f"available: {list(CHECKERS.names())}" if not rules
                 else f"unknown rule(s) {unknown}; available: "
-                     f"{list(choices('checkers'))}"
+                     f"{list(CHECKERS.names())}"
             )
             return 2
 

@@ -1,6 +1,6 @@
 """Rule ``layering``: the import DAG flows one way through the planes.
 
-The repo is layered: foundation (tensor/data/api manifest/obs core)
+The repo is layered: foundation (tensor/data/api registry/obs core)
 under the model zoo (nn/optim/quant/hardware), under training and
 baselines (core/baselines), under the serving simulator (serve), under
 the lab planes (workload/serving/obs.views/analysis), under the

@@ -11,10 +11,9 @@ parses every ``*.py`` exactly once, and exposes:
 * **name origins** — a per-module map from local names to the dotted
   path they were imported from (``np`` -> ``numpy``,
   ``SCENARIOS`` -> ``repro.api.registry.SCENARIOS``), which is what
-  lets checkers resolve ``np.random.rand`` or a decorator's registry
-  variable without executing anything;
+  lets checkers resolve ``np.random.rand`` without executing anything;
 * top-level bindings (defs, classes, assignments, imported names), so
-  ``module:attr`` manifest pointers can be verified statically.
+  a spawn target can be checked to be a module-level name.
 
 Everything is plain :mod:`ast`; the analyzed tree is never imported,
 which is why the same code can analyze the live package, a temp-dir
@@ -61,7 +60,6 @@ class ModuleInfo:
     imports: List[ImportEdge] = field(default_factory=list)
     origins: Dict[str, str] = field(default_factory=dict)
     top_level: Set[str] = field(default_factory=set)
-    has_dynamic_getattr: bool = False
     suppressions: List[Suppression] = field(default_factory=list)
 
     def suppressed(self, rule: str, line: int) -> Optional[Suppression]:
@@ -173,17 +171,13 @@ def _collect_imports(
     return edges, origins
 
 
-def _collect_top_level(tree: ast.Module) -> Tuple[Set[str], bool]:
-    """Names bound at module scope, and whether a PEP-562 ``__getattr__``
-    makes the module's attribute surface dynamic."""
+def _collect_top_level(tree: ast.Module) -> Set[str]:
+    """Names bound at module scope."""
     names: Set[str] = set()
-    dynamic = False
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names.add(node.name)
-            if node.name == "__getattr__":
-                dynamic = True
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 for leaf in ast.walk(target):
@@ -208,7 +202,7 @@ def _collect_top_level(tree: ast.Module) -> Tuple[Set[str], bool]:
                     leaf.ctx, ast.Store
                 ):
                     names.add(leaf.id)
-    return names, dynamic
+    return names
 
 
 class ProjectModel:
@@ -233,10 +227,6 @@ class ProjectModel:
     def by_relpath(self, relpath: str) -> Optional[ModuleInfo]:
         return self._by_relpath.get(relpath)
 
-    def has_module(self, dotted: str) -> bool:
-        """True when ``dotted`` names a module or package of this tree."""
-        return dotted in self.modules
-
     def owns(self, dotted: str) -> bool:
         """True when ``dotted`` lives inside the analyzed package."""
         return dotted == self.package or dotted.startswith(
@@ -254,15 +244,6 @@ class ProjectModel:
                 return module
             parts.pop()
         return None
-
-    def resolves_attr(self, dotted_module: str, attr: str) -> bool:
-        """Static ``module:attr`` resolution for manifest pointers."""
-        module = self.modules.get(dotted_module)
-        if module is None:
-            return False
-        if module.has_dynamic_getattr:
-            return True
-        return attr in module.top_level
 
 
 def load_project(root: Optional[str] = None) -> ProjectModel:
@@ -301,7 +282,6 @@ def load_project(root: Optional[str] = None) -> ProjectModel:
             tree = ast.parse(source, filename=path)
             is_package = filename == "__init__.py"
             imports, origins = _collect_imports(name, is_package, tree)
-            top_level, dynamic = _collect_top_level(tree)
             modules[name] = ModuleInfo(
                 name=name,
                 path=path,
@@ -311,8 +291,7 @@ def load_project(root: Optional[str] = None) -> ProjectModel:
                 is_package=is_package,
                 imports=imports,
                 origins=origins,
-                top_level=top_level,
-                has_dynamic_getattr=dynamic,
+                top_level=_collect_top_level(tree),
                 suppressions=parse_suppressions(source),
             )
     return ProjectModel(root=root, package=package, modules=modules)

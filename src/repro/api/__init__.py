@@ -11,16 +11,16 @@ Three layers:
 
 * :mod:`repro.api.config` — frozen dataclass configs with lossless
   dict/JSON round-trips and helpful unknown-key / bad-value errors;
-* :mod:`repro.api.registry` — decorator-based component registries
-  (models, quantizers, policies, scenarios, search spaces, devices,
-  strategies, experiments, scales) whose built-ins are lazy
-  ``module:attr`` pointers, enumerated import-free by
-  :func:`repro.api.manifest.manifest`;
+* :mod:`repro.api.registry` — component registries (models,
+  quantizers, policies, scenarios, search spaces, devices, strategies,
+  experiments, scales) whose built-ins are lazy ``module:attr``
+  pointers, listed by :func:`repro.api.registry.choices` without
+  importing any subsystem;
 * :mod:`repro.api.pipeline` — the generate -> train -> deploy -> serve
   orchestrator chaining stages through on-disk artifacts.
 
 Attribute access is lazy (PEP 562): ``import repro.api`` costs nothing,
-and the CLI pulls only the manifest until a pipeline actually runs.
+and the CLI pulls only the registry until a pipeline actually runs.
 """
 
 from __future__ import annotations
@@ -33,16 +33,14 @@ _REGISTRY_EXPORTS = {
     "Registry", "RegistryError", "REGISTRIES", "MODELS", "QUANTIZERS",
     "POLICIES", "ROUTERS", "SCENARIOS", "TRACE_TRANSFORMS",
     "SEARCH_SPACES", "DEVICES", "STRATEGIES", "EXPERIMENTS", "SCALES",
-    "SERVE_SCALES", "CHECKERS",
+    "SERVE_SCALES", "CHECKERS", "choices",
 }
-_MANIFEST_EXPORTS = {"manifest", "choices"}
 _PIPELINE_EXPORTS = {
     "Pipeline", "PipelineError", "PipelineResult", "STAGES", "run_pipeline",
 }
 
 __all__ = sorted(
-    _CONFIG_EXPORTS | _REGISTRY_EXPORTS | _MANIFEST_EXPORTS
-    | _PIPELINE_EXPORTS
+    _CONFIG_EXPORTS | _REGISTRY_EXPORTS | _PIPELINE_EXPORTS
 )
 
 
@@ -51,8 +49,6 @@ def __getattr__(name: str):
         from . import config as module
     elif name in _REGISTRY_EXPORTS:
         from . import registry as module
-    elif name in _MANIFEST_EXPORTS:
-        from . import manifest as module
     elif name in _PIPELINE_EXPORTS:
         from . import pipeline as module
     else:

@@ -11,8 +11,8 @@ keys (typo protection) and wrong-typed values with a
 :class:`ConfigError` naming the config class, the offending key, and
 the valid alternatives; name-valued fields (model, quantizer, policy,
 scenario, device, search space, strategy) are validated against the
-import-free registry manifest, so a bad name fails at *load* time, not
-three stages into a run.
+names declared in :mod:`repro.api.registry`, so a bad name fails at
+*load* time, not three stages into a run.
 
 This module stays stdlib-only so ``repro pipeline validate`` is cheap.
 """
@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
-from .manifest import choices
+from .registry import choices
 
 __all__ = [
     "ConfigError",

@@ -1,38 +1,37 @@
-"""Central component registries with lazy, import-free built-in entries.
+"""Component registries: the one declaration of every built-in name.
 
 Every pluggable component family in the reproduction — models,
-quantisers, precision policies, traffic scenarios, SP-NAS search spaces,
-accelerator devices, training strategies, experiments, scale presets,
-and static-analysis rules — is enumerated here.  Built-ins are declared *lazily* as
-``"module:attr"`` strings, so importing this module costs nothing
-beyond the stdlib: the CLI can render ``--help`` choices and
-``repro pipeline validate`` can check names without importing numpy or
-the model zoo.  Resolution (:meth:`Registry.get`) imports on first use.
+quantisers, precision policies, routers, traffic scenarios, trace
+transforms, SP-NAS search spaces, accelerator devices, training
+strategies, experiments, scale presets, alert rules and static-analysis
+rules — is enumerated here, and only here.  Built-ins are declared
+lazily as ``"module:attr"`` strings, so importing this module imports no
+subsystem: the CLI renders ``--help`` choices and ``repro pipeline
+validate`` checks names without loading the model zoo, the quantisers
+or the serving stack.  :meth:`Registry.get` imports a built-in on first
+use and caches it.
 
-New components register with the decorator form::
+Downstream code adds components at runtime with :meth:`Registry.register`::
 
     from repro.api.registry import SCENARIOS
 
-    @SCENARIOS.register("lunch-rush")
     def lunch_rush_gaps(n, capacity_rps, rng):
         ...
 
-A defining module may decorate a name that already exists as a lazy
-built-in pointing into that same module — the concrete object simply
-replaces the pointer (this is how ``repro.serve.policies`` et al. own
-their entries while the manifest stays import-free).  Any other
-duplicate registration raises :class:`RegistryError`.
+    SCENARIOS.register("lunch-rush", lunch_rush_gaps)
+
+A name is registered once; a duplicate raises :class:`RegistryError`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "Registry",
     "RegistryError",
-    "RegistryNames",
     "REGISTRIES",
+    "choices",
     "MODELS",
     "QUANTIZERS",
     "POLICIES",
@@ -51,7 +50,7 @@ __all__ = [
 
 
 class RegistryError(KeyError):
-    """Unknown name, duplicate registration, or broken lazy entry."""
+    """Unknown name or duplicate registration."""
 
     # KeyError.__str__ repr()s its single argument, which mangles the
     # multi-clause messages below; plain str keeps them readable.
@@ -70,10 +69,6 @@ class _LazyEntry:
         self.spec = spec
         self.key = key
 
-    @property
-    def module(self) -> str:
-        return self.spec.partition(":")[0]
-
     def resolve(self) -> Any:
         import importlib
 
@@ -86,7 +81,7 @@ class _LazyEntry:
 
 
 class Registry:
-    """Name -> component mapping with decorator registration.
+    """Name -> component mapping.
 
     ``kind`` names the component family in error messages ("model",
     "policy", ...).  Entries are either concrete objects or
@@ -98,45 +93,29 @@ class Registry:
         self._entries: Dict[str, Any] = {}
 
     # -- registration --------------------------------------------------
-    def register(self, name: str, obj: Any = None, *, override: bool = False):
-        """Register ``obj`` under ``name``; usable as a decorator.
+    def register(self, name: str, obj: Any = None):
+        """Register ``obj`` under ``name`` and return it.
 
-        Duplicates raise :class:`RegistryError` unless ``override=True``
-        or the existing entry is a lazy built-in pointing into the
-        module (or a submodule of the module) that defines ``obj``.
+        Called as ``register(name)`` it returns a decorator instead.
+        A name that is already registered raises :class:`RegistryError`.
         """
         if obj is None:
-            return lambda target: self.register(
-                name, target, override=override
-            )
-        existing = self._entries.get(name)
-        if existing is not None and not override:
-            if not self._is_lazy_claim(existing, obj):
-                raise RegistryError(
-                    f"{self.kind} {name!r} is already registered; pass "
-                    f"override=True to replace it"
-                )
-        self._entries[name] = obj
+            return lambda target: self.register(name, target)
+        self._insert(name, obj)
         return obj
 
     def register_lazy(
         self, name: str, spec: str, key: Optional[str] = None
     ) -> None:
         """Declare a built-in as ``"module:attr"`` without importing it."""
+        self._insert(name, _LazyEntry(spec, key))
+
+    def _insert(self, name: str, entry: Any) -> None:
         if name in self._entries:
             raise RegistryError(
                 f"{self.kind} {name!r} is already registered"
             )
-        self._entries[name] = _LazyEntry(spec, key)
-
-    @staticmethod
-    def _is_lazy_claim(existing: Any, obj: Any) -> bool:
-        """A module may claim the lazy entries that point into it."""
-        if not isinstance(existing, _LazyEntry):
-            return False
-        target = existing.module
-        module = getattr(obj, "__module__", "") or ""
-        return module == target or module.startswith(target + ".")
+        self._entries[name] = entry
 
     # -- lookup --------------------------------------------------------
     def get(self, name: str) -> Any:
@@ -149,14 +128,7 @@ class Registry:
                 f"{list(self.names())}"
             ) from None
         if isinstance(entry, _LazyEntry):
-            resolved = entry.resolve()
-            # The import may have re-registered the name via decorator;
-            # prefer whatever the defining module installed.
-            current = self._entries.get(name, entry)
-            if isinstance(current, _LazyEntry):
-                self._entries[name] = resolved
-                return resolved
-            return current
+            entry = self._entries[name] = entry.resolve()
         return entry
 
     def names(self) -> Tuple[str, ...]:
@@ -174,58 +146,6 @@ class Registry:
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {list(self.names())})"
-
-
-class RegistryNames:
-    """Live, tuple-like view of a registry's names.
-
-    The backwards-compat name lists (``POLICY_NAMES``,
-    ``SCENARIO_NAMES``, ...) used to be import-time snapshots of
-    :meth:`Registry.names`, which silently missed components registered
-    after the defining module loaded.  This view always reads the
-    registry, so iteration, membership, indexing, and equality against
-    tuples/lists reflect the current registration state.
-    """
-
-    __slots__ = ("_registry",)
-
-    def __init__(self, registry: Registry):
-        self._registry = registry
-
-    def _names(self) -> Tuple[str, ...]:
-        return self._registry.names()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __getitem__(self, index):
-        return self._names()[index]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RegistryNames):
-            return self._names() == other._names()
-        if isinstance(other, (tuple, list)):
-            return self._names() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        # Live views are unhashable: their contents change over time.
-        raise TypeError(f"unhashable live view {self!r}")
-
-    def index(self, name: str) -> int:
-        return self._names().index(name)
-
-    def count(self, name: str) -> int:
-        return self._names().count(name)
-
-    def __repr__(self) -> str:
-        return repr(self._names())
 
 
 # ----------------------------------------------------------------------
@@ -294,9 +214,7 @@ STRATEGIES.register_lazy("cdt", "repro.core.cdt:CascadeDistillation")
 STRATEGIES.register_lazy("sp", "repro.core.cdt:VanillaDistillation")
 STRATEGIES.register_lazy("adabits", "repro.core.cdt:JointCrossEntropy")
 
-# One literal call per entry — no loops or f-strings: `repro check`
-# verifies every pointer statically, and grep for an experiment name
-# must land here.
+# One literal call per entry, so grep for an experiment name lands here.
 EXPERIMENTS = Registry("experiment")
 EXPERIMENTS.register_lazy("table1", "repro.experiments.table1:run")
 EXPERIMENTS.register_lazy("table2", "repro.experiments.table2:run")
@@ -332,9 +250,6 @@ CHECKERS = Registry("analysis rule")
 CHECKERS.register_lazy(
     "determinism", "repro.analysis.determinism:DeterminismChecker"
 )
-CHECKERS.register_lazy(
-    "registries", "repro.analysis.registries:RegistryParityChecker"
-)
 CHECKERS.register_lazy("layering", "repro.analysis.layering:LayeringChecker")
 CHECKERS.register_lazy("spawn", "repro.analysis.spawn:SpawnSafetyChecker")
 CHECKERS.register_lazy("spans", "repro.analysis.spans:SpanVocabularyChecker")
@@ -355,3 +270,13 @@ REGISTRIES: Dict[str, Registry] = {
     "alert_rules": ALERT_RULES,
     "checkers": CHECKERS,
 }
+
+
+def choices(kind: str) -> Tuple[str, ...]:
+    """Names registered under one component family (e.g. ``"policies"``)."""
+    try:
+        return REGISTRIES[kind].names()
+    except KeyError:
+        raise KeyError(
+            f"unknown registry {kind!r}; available: {sorted(REGISTRIES)}"
+        ) from None

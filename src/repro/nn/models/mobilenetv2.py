@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ...api.registry import MODELS
 from ...tensor import Tensor
 from ..blocks import ConvBNAct, InvertedResidual
 from ..factory import FloatFactory, LayerFactory
@@ -141,7 +140,6 @@ class MobileNetV2(Module):
         return self.classifier(x)
 
 
-@MODELS.register("mobilenet_v2")
 def mobilenet_v2(
     num_classes: int = 100,
     factory: Optional[LayerFactory] = None,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ...api.registry import MODELS
 from ...tensor import Tensor
 from ..blocks import BasicBlock, ConvBNAct
 from ..factory import FloatFactory, LayerFactory
@@ -100,25 +99,21 @@ class ResNet18(Module):
         return self.classifier(x)
 
 
-@MODELS.register("resnet8")
 def resnet8(num_classes=10, factory=None, width_mult=1.0) -> CifarResNet:
     """Smallest 6n+2 member (n=1); used by fast tests, not by the paper."""
     return CifarResNet(1, num_classes, factory, width_mult)
 
 
-@MODELS.register("resnet38")
 def resnet38(num_classes=10, factory=None, width_mult=1.0) -> CifarResNet:
     """ResNet-38 (n=6), the model of Table II."""
     return CifarResNet(6, num_classes, factory, width_mult)
 
 
-@MODELS.register("resnet74")
 def resnet74(num_classes=10, factory=None, width_mult=1.0) -> CifarResNet:
     """ResNet-74 (n=12), the model of Table III."""
     return CifarResNet(12, num_classes, factory, width_mult)
 
 
-@MODELS.register("resnet18")
 def resnet18(num_classes=200, factory=None, width_mult=1.0) -> ResNet18:
     """ResNet-18 for TinyImageNet, the model of Table IV."""
     return ResNet18(num_classes, factory, width_mult)

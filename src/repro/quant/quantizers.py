@@ -75,7 +75,6 @@ def _uniform_levels(x: np.ndarray, levels: int) -> np.ndarray:
     return np.round(x * levels) / levels
 
 
-@QUANTIZERS.register("dorefa")
 class DoReFaQuantizer(Quantizer):
     """DoReFa-Net quantisation.
 
@@ -122,7 +121,6 @@ class DoReFaQuantizer(Quantizer):
                                 clip_high=self.activation_range)
 
 
-@QUANTIZERS.register("sbm")
 class SBMQuantizer(Quantizer):
     """Banner et al. scalable 8-bit-training style quantisation.
 
@@ -177,7 +175,6 @@ class SBMQuantizer(Quantizer):
         return straight_through(x, quantized)
 
 
-@QUANTIZERS.register("minmax")
 class MinMaxQuantizer(Quantizer):
     """Per-tensor affine (asymmetric) quantisation with zero point.
 

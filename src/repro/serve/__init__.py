@@ -16,7 +16,6 @@ cost model's latency estimates as the service-time oracle.
 
 from .checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
-    MODEL_BUILDERS,
     CheckpointVersionError,
     SPNetConfig,
     build_engine,
@@ -37,7 +36,6 @@ from .engine import (
     PolicyInputs,
 )
 from .policies import (
-    POLICY_NAMES,
     LatencySLOPolicy,
     PrecisionController,
     QueueDepthPolicy,
@@ -58,7 +56,6 @@ from .cluster import (
 from .registry import ModelRegistry
 from .stats import LatencySummary, optional_percentile_s, percentile_s
 from .routing import (
-    ROUTER_NAMES,
     LatencyAwareRouter,
     LeastQueueRouter,
     ReplicaSnapshot,
@@ -68,7 +65,6 @@ from .routing import (
     make_router,
 )
 from .simulator import (
-    SCENARIO_NAMES,
     SERVE_SCALES,
     ServeReport,
     ServeScale,
@@ -84,7 +80,6 @@ from .simulator import (
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointVersionError",
-    "MODEL_BUILDERS",
     "SPNetConfig",
     "build_engine",
     "build_sp_net",
@@ -100,7 +95,6 @@ __all__ = [
     "InferenceRequest",
     "InferenceResult",
     "PolicyInputs",
-    "POLICY_NAMES",
     "LatencySLOPolicy",
     "PrecisionController",
     "QueueDepthPolicy",
@@ -119,7 +113,6 @@ __all__ = [
     "make_fleet",
     "run_fleet_sim",
     "simulate_fleet",
-    "ROUTER_NAMES",
     "LatencyAwareRouter",
     "LeastQueueRouter",
     "ReplicaSnapshot",
@@ -127,7 +120,6 @@ __all__ = [
     "Router",
     "RouterInputs",
     "make_router",
-    "SCENARIO_NAMES",
     "SERVE_SCALES",
     "ServeReport",
     "ServeScale",

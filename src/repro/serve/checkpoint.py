@@ -47,7 +47,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "CheckpointVersionError",
-    "MODEL_BUILDERS",
     "SPNetConfig",
     "build_sp_net",
     "save_checkpoint",
@@ -64,34 +63,6 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 class CheckpointVersionError(ValueError):
     """The checkpoint's schema_version is newer than this build supports."""
-
-
-class _ModelBuilders:
-    """Backwards-compat mapping view over the MODELS registry.
-
-    Old call sites did ``MODEL_BUILDERS[name]`` / ``name in
-    MODEL_BUILDERS`` / ``sorted(MODEL_BUILDERS)``; all of that now
-    routes through :data:`repro.api.registry.MODELS`, so models
-    registered by downstream code are checkpointable too.
-    """
-
-    def __getitem__(self, name: str):
-        return MODELS.get(name)
-
-    def __contains__(self, name: object) -> bool:
-        return name in MODELS
-
-    def __iter__(self):
-        return iter(MODELS.names())
-
-    def __len__(self) -> int:
-        return len(MODELS)
-
-    def keys(self):
-        return MODELS.names()
-
-
-MODEL_BUILDERS = _ModelBuilders()
 
 
 @dataclass(frozen=True)

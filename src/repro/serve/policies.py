@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..api.registry import POLICIES, RegistryNames
+from ..api.registry import POLICIES
 from ..quant.layers import BitSpec
 from .engine import PolicyInputs
 
@@ -48,7 +48,6 @@ __all__ = [
     "LatencySLOPolicy",
     "QueueDepthPolicy",
     "make_policy",
-    "POLICY_NAMES",
 ]
 
 
@@ -77,7 +76,6 @@ class PrecisionController:
         raise NotImplementedError
 
 
-@POLICIES.register("static")
 class StaticPolicy(PrecisionController):
     """Always serve at one fixed bit-width (default: the highest).
 
@@ -118,7 +116,6 @@ class StaticPolicy(PrecisionController):
         return self.bits
 
 
-@POLICIES.register("slo")
 class LatencySLOPolicy(PrecisionController):
     """Keep predicted tail latency inside an SLO, as precisely as possible.
 
@@ -189,7 +186,6 @@ class LatencySLOPolicy(PrecisionController):
         return ladder[0]
 
 
-@POLICIES.register("queue")
 class QueueDepthPolicy(PrecisionController):
     """Map backlog depth linearly onto the candidate precision ladder.
 
@@ -233,13 +229,6 @@ class QueueDepthPolicy(PrecisionController):
         frac = (depth - self.low) / span
         rung = int(frac * (len(ladder) - 1) + 0.5)
         return ladder[len(ladder) - 1 - rung]
-
-
-# Backwards-compat name list.  A LIVE view over repro.api.registry
-# POLICIES (like serve.checkpoint.MODEL_BUILDERS over MODELS): policies
-# registered after this module loaded show up here too, instead of the
-# stale import-time snapshot this used to be.
-POLICY_NAMES = RegistryNames(POLICIES)
 
 
 def make_policy(name: str, **kwargs) -> PrecisionController:

@@ -1,7 +1,7 @@
 """Pluggable request routers for the replica fleet.
 
 A :class:`Router` decides, per arriving request, which active replica's
-queue the request joins.  Routers are decorator-registered under
+queue the request joins.  Routers are registered under
 :data:`repro.api.registry.ROUTERS` (exactly like precision policies
 under ``POLICIES``), so downstream code can plug in new balancing
 strategies that the CLI, ``ServeConfig`` and the pipeline pick up by
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..api.registry import ROUTERS, RegistryNames
+from ..api.registry import ROUTERS
 from ..quant.layers import BitSpec
 from .engine import BitLatencyModel
 
@@ -46,7 +46,6 @@ __all__ = [
     "LeastQueueRouter",
     "LatencyAwareRouter",
     "make_router",
-    "ROUTER_NAMES",
 ]
 
 
@@ -96,7 +95,6 @@ class Router:
         raise NotImplementedError
 
 
-@ROUTERS.register("round_robin")
 class RoundRobinRouter(Router):
     """Cycle through the routable replicas in index order."""
 
@@ -115,7 +113,6 @@ class RoundRobinRouter(Router):
         return position
 
 
-@ROUTERS.register("least_queue")
 class LeastQueueRouter(Router):
     """Join the shortest queue; ties break toward the lowest index."""
 
@@ -131,7 +128,6 @@ class LeastQueueRouter(Router):
         )
 
 
-@ROUTERS.register("latency_aware")
 class LatencyAwareRouter(Router):
     """Join the replica predicted to finish the new request first.
 
@@ -172,10 +168,6 @@ class LatencyAwareRouter(Router):
                 inputs.replicas[p].index,
             ),
         )
-
-
-# Live view over the router registry (same contract as POLICY_NAMES).
-ROUTER_NAMES = RegistryNames(ROUTERS)
 
 
 def make_router(name: str, **kwargs) -> Router:

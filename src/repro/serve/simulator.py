@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import rng as rng_mod
-from ..api.registry import POLICIES, SCENARIOS, RegistryNames
+from ..api.registry import POLICIES, SCENARIOS
 from ..obs.tracer import NULL_TRACER, bits_label
 from ..data.synthetic import SyntheticSpec, make_synthetic
 from ..quant.layers import BitSpec
@@ -57,7 +57,6 @@ from .stats import merge_engine_stats
 __all__ = [
     "ServeScale",
     "SERVE_SCALES",
-    "SCENARIO_NAMES",
     "ServeReport",
     "SimFixture",
     "constant_gaps",
@@ -70,12 +69,6 @@ __all__ = [
     "run_serve_sim",
     "format_reports",
 ]
-
-# Backwards-compat name list: a LIVE view over repro.api.registry
-# SCENARIOS, so scenarios registered after this module loaded show up
-# too (this used to be a stale import-time snapshot).
-SCENARIO_NAMES = RegistryNames(SCENARIOS)
-
 
 @dataclass(frozen=True)
 class ServeScale:
@@ -122,11 +115,11 @@ def get_serve_scale(scale) -> ServeScale:
 # Traffic generation
 # ----------------------------------------------------------------------
 # A scenario is any ``fn(n, capacity_rps, rng) -> gaps`` registered under
-# repro.api.registry.SCENARIOS; the decorator form lets downstream code
-# plug in new arrival processes that the CLI and pipeline pick up by name.
+# repro.api.registry.SCENARIOS; ``SCENARIOS.register(name, fn)`` lets
+# downstream code plug in new arrival processes that the CLI and pipeline
+# pick up by name.
 
 
-@SCENARIOS.register("constant")
 def constant_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -135,7 +128,6 @@ def constant_gaps(
     return rng.exponential(1.0 / rate, size=n)
 
 
-@SCENARIOS.register("bursty")
 def bursty_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -154,7 +146,6 @@ def bursty_gaps(
     return rng.exponential(1.0, size=n) / rates
 
 
-@SCENARIOS.register("diurnal")
 def diurnal_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:

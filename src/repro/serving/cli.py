@@ -29,7 +29,7 @@ import json
 import os
 from typing import List, Optional
 
-from ..api.manifest import choices
+from ..api.registry import choices
 from ..obs.console import error, info
 
 __all__ = ["add_arguments", "run_from_args"]

@@ -6,11 +6,10 @@ production fleet actually meets.  Every generator follows the registry
 contract — ``fn(n, capacity_rps, rng) -> gaps`` registered under
 :data:`repro.api.registry.SCENARIOS` — and anchors its rates to the
 engine's highest-precision capacity, so a scenario stresses any model
-the same way.  Because they register through the same decorator the
-built-ins use (with lazy manifest entries in :mod:`repro.api.registry`),
-``repro serve-sim --scenario flash_crowd``, ``ServeConfig``, the
-pipeline, and ``repro loadtest`` all pick them up by name with no
-parser edits.
+the same way.  Because each is declared in :mod:`repro.api.registry`
+like the built-ins, ``repro serve-sim --scenario flash_crowd``,
+``ServeConfig``, the pipeline, and ``repro loadtest`` all pick them up
+by name with no parser edits.
 
 * ``flash_crowd`` — one unannounced 8x-capacity spike in the middle of
   an otherwise calm stream: the thundering-herd / breaking-news case;
@@ -29,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..api.registry import SCENARIOS
-
 __all__ = [
     "flash_crowd_gaps",
     "ramp_gaps",
@@ -40,7 +37,6 @@ __all__ = [
 ]
 
 
-@SCENARIOS.register("flash_crowd")
 def flash_crowd_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -57,7 +53,6 @@ def flash_crowd_gaps(
     return rng.exponential(1.0, size=n) / rates
 
 
-@SCENARIOS.register("ramp")
 def ramp_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -67,7 +62,6 @@ def ramp_gaps(
     return rng.exponential(1.0, size=n) / rates
 
 
-@SCENARIOS.register("sawtooth")
 def sawtooth_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -79,7 +73,6 @@ def sawtooth_gaps(
     return rng.exponential(1.0, size=n) / rates
 
 
-@SCENARIOS.register("on_off")
 def on_off_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -90,7 +83,6 @@ def on_off_gaps(
     return rng.exponential(1.0, size=n) / rates
 
 
-@SCENARIOS.register("pareto_heavy_tail")
 def pareto_heavy_tail_gaps(
     n: int, capacity_rps: float, rng: np.random.Generator
 ) -> np.ndarray:

@@ -405,7 +405,6 @@ def _renumber(events: Sequence[TraceEvent]) -> List[TraceEvent]:
     ]
 
 
-@TRACE_TRANSFORMS.register("time_scale")
 def time_scale(trace: Trace, factor: float) -> Trace:
     """Stretch (``factor > 1``) or compress (``< 1``) the schedule.
 
@@ -424,7 +423,6 @@ def time_scale(trace: Trace, factor: float) -> Trace:
     )
 
 
-@TRACE_TRANSFORMS.register("splice")
 def splice(trace: Trace, other: Trace, at_s: float) -> Trace:
     """Cut ``trace`` at ``at_s`` and graft ``other`` on after it.
 
@@ -448,7 +446,6 @@ def splice(trace: Trace, other: Trace, at_s: float) -> Trace:
     )
 
 
-@TRACE_TRANSFORMS.register("tenant_mix")
 def tenant_mix(trace: Trace, *others: Trace) -> Trace:
     """Interleave traces as tenants sharing one fleet.
 
@@ -477,7 +474,6 @@ def tenant_mix(trace: Trace, *others: Trace) -> Trace:
     )
 
 
-@TRACE_TRANSFORMS.register("amplitude_modulate")
 def amplitude_modulate(
     trace: Trace, cycles: float = 2.0, depth: float = 0.5
 ) -> Trace:

@@ -32,7 +32,7 @@ from repro.api.registry import CHECKERS, RegistryError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
 REAL_TREE = Path(__file__).resolve().parent.parent / "src" / "repro"
-RULES = ("determinism", "registries", "layering", "spawn", "spans")
+RULES = ("determinism", "layering", "spawn", "spans")
 
 
 def fixture_root(rule):
@@ -113,18 +113,13 @@ class TestProjectModel:
         assert len(deferred) == 1
         assert deferred[0].target == "repro.workload.alpha"
 
-    def test_module_attr_resolution(self):
-        project = load_project(fixture_root("registries"))
-        assert project.resolves_attr("repro.zoo", "good_fn")
-        assert not project.resolves_attr("repro.zoo", "missing_fn")
-
     def test_non_package_root_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_project(str(tmp_path))
 
 
 class TestCheckerRegistry:
-    def test_all_five_rules_registered(self):
+    def test_all_four_rules_registered(self):
         assert set(RULES) <= set(CHECKERS.names())
         for name in RULES:
             checker = CHECKERS.get(name)()
@@ -173,48 +168,6 @@ class TestDeterminismRule:
                       if f.path == "repro/sim.py" and f.line == 18]
         assert len(suppressed) == 1
         assert suppressed[0].suppressed and not suppressed[0].active
-
-
-class TestRegistriesRule:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return by_rule(check_fixture("registries"), "registries")
-
-    def test_dangling_attr_pointer(self, findings):
-        assert any("'ghost'" in f.message and "missing_fn" in f.message
-                   for f in findings)
-
-    def test_missing_module_pointer(self, findings):
-        assert any("'dangling'" in f.message
-                   and "repro.nowhere" in f.message for f in findings)
-
-    def test_keyed_entry_key_must_exist(self, findings):
-        assert any("'keyed_bad'" in f.message for f in findings)
-        assert not any("'keyed_ok'" in f.message for f in findings)
-
-    def test_loop_registration_rejected(self, findings):
-        assert any("string literals" in f.message for f in findings)
-
-    def test_registry_outside_catalogue(self, findings):
-        assert any("ORPHANS" in f.message for f in findings)
-
-    def test_decorator_without_lazy_declaration(self, findings):
-        assert any("'unclaimed'" in f.message
-                   and f.path == "repro/zoo.py" for f in findings)
-
-    def test_decorator_cannot_claim_foreign_pointer(self, findings):
-        assert any("'hijacked'" in f.message
-                   and f.path == "repro/elsewhere.py" for f in findings)
-
-    def test_claimed_entry_is_clean(self, findings):
-        assert not any("'claimed'" in f.message
-                       and f.path == "repro/zoo.py" for f in findings)
-
-    def test_cli_literal_choices_flagged(self, findings):
-        cli = [f for f in findings if f.path == "repro/__main__.py"]
-        assert len(cli) == 1
-        assert "'good'" in cli[0].message
-        # ("text", "json") overlaps no registry entry: not flagged.
 
 
 class TestLayeringRule:
@@ -348,7 +301,7 @@ class TestJsonPayload:
 class TestRealTree:
     def test_repro_check_runs_clean(self):
         result = run_check(root=str(REAL_TREE))
-        assert len(result.checkers) >= 5
+        assert len(result.checkers) == len(RULES)
         assert result.active == [], [f.anchor for f in result.active]
 
     def test_engine_clock_default_is_suppressed_not_invisible(self):
@@ -392,13 +345,6 @@ class TestInjectedViolations:
                       "import time\n_T0 = time.time()\n")
         self.expect(tree_copy, "determinism",
                     "repro/serve/simulator.py", line + 1)
-
-    def test_dangling_manifest_pointer(self, tree_copy):
-        line = inject(
-            tree_copy, "api/registry.py",
-            'MODELS.register_lazy("ghost", "repro.nn.models:ghost_net")\n',
-        )
-        self.expect(tree_copy, "registries", "repro/api/registry.py", line)
 
     def test_core_importing_serving(self, tree_copy):
         line = inject(tree_copy, "core/trainer.py",
@@ -446,7 +392,7 @@ class TestCheckCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == 1
         assert payload["counts"]["active"] == 0
-        assert len(payload["rules"]) >= 5
+        assert len(payload["rules"]) == len(RULES)
 
     def test_findings_fail_the_exit_code(self, capsys):
         assert main([

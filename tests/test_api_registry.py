@@ -1,9 +1,10 @@
-"""Component registries: error paths, lazy resolution, manifest lockstep."""
+"""Component registries: error paths, lazy resolution, declared names
+matching what the defining modules implement."""
 
 import pytest
 
-from repro.api.manifest import choices, manifest
-from repro.api.registry import REGISTRIES, Registry, RegistryError
+from repro.api import registry as registry_module
+from repro.api.registry import REGISTRIES, Registry, RegistryError, choices
 
 
 class TestRegistryBasics:
@@ -30,13 +31,6 @@ class TestRegistryBasics:
         with pytest.raises(RegistryError, match="already registered"):
             reg.register_lazy("x", "json:dumps")
 
-    def test_override_flag_replaces(self):
-        reg = Registry("widget")
-        first, second = object(), object()
-        reg.register("x", first)
-        reg.register("x", second, override=True)
-        assert reg.get("x") is second
-
     def test_unknown_name_lists_available(self):
         reg = Registry("widget")
         reg.register("left", object())
@@ -55,19 +49,6 @@ class TestRegistryBasics:
         import json
 
         assert reg.get("loads") is json.loads
-
-    def test_defining_module_may_claim_its_lazy_entry(self):
-        # The rule that lets repro.serve.policies decorate the names
-        # that registry.py pre-declares as lazy pointers into it.
-        reg = Registry("widget")
-        reg.register_lazy("loads", "json:loads")
-
-        def impostor():
-            pass
-
-        impostor.__module__ = "json"
-        reg.register("loads", impostor)  # claims the lazy entry
-        assert reg.get("loads") is impostor
 
     def test_foreign_module_cannot_claim_lazy_entry(self):
         reg = Registry("widget")
@@ -95,18 +76,23 @@ class TestBuiltinsResolve:
         for name in registry.names():
             assert registry.get(name) is not None
 
+    def test_every_registry_is_catalogued(self):
+        # A Registry missing from REGISTRIES is invisible to the CLI,
+        # config validation and the resolve test above.
+        assert {
+            obj for obj in vars(registry_module).values()
+            if isinstance(obj, Registry)
+        } <= set(REGISTRIES.values())
+
     def test_unknown_manifest_kind_rejected(self):
         with pytest.raises(KeyError, match="unknown registry"):
             choices("gadgets")
 
 
 class TestManifestConsistency:
-    """The import-free manifest stays in lockstep with what the defining
-    modules actually implement — the test that replaced the old
-    hand-copied CLI choice tuples.  Since the compat tuples
-    (POLICY_NAMES etc.) are themselves registry snapshots now, these
-    tests compare against *independent* evidence: the classes/functions
-    defined in each module, and the legacy dicts where they survive."""
+    """The names declared in repro.api.registry match what the defining
+    modules actually implement, compared against independent evidence:
+    the classes/functions defined in each module, and the scale dicts."""
 
     def test_every_policy_class_is_registered(self):
         import inspect
@@ -170,12 +156,12 @@ class TestManifestConsistency:
     def test_serve_scales_match_simulator(self):
         from repro.serve.simulator import SERVE_SCALES
 
-        assert set(manifest()["serve_scales"]) == set(SERVE_SCALES)
+        assert set(choices("serve_scales")) == set(SERVE_SCALES)
 
     def test_scales_match_experiments_common(self):
         from repro.experiments.common import SCALES
 
-        assert set(manifest()["scales"]) == set(SCALES)
+        assert set(choices("scales")) == set(SCALES)
 
     def test_every_experiment_module_is_registered(self):
         import pkgutil
@@ -186,7 +172,7 @@ class TestManifestConsistency:
             m.name for m in pkgutil.iter_modules(repro.experiments.__path__)
             if m.name.startswith(("fig", "table"))
         }
-        assert modules == set(manifest()["experiments"])
+        assert modules == set(choices("experiments"))
 
     def test_every_model_factory_is_registered(self):
         import inspect
@@ -202,21 +188,35 @@ class TestManifestConsistency:
         assert defined == registered
 
     def test_checkpoint_builders_view_tracks_registry(self):
-        from repro.serve.checkpoint import MODEL_BUILDERS
+        """Checkpoint model names are read from MODELS, so a model
+        registered at runtime is checkpointable too."""
+        from repro.api.registry import MODELS
+        from repro.nn.models import resnet8
+        from repro.serve.checkpoint import SPNetConfig, build_sp_net
 
-        assert set(manifest()["models"]) == set(MODEL_BUILDERS)
+        name = "test-late-resnet"
+        with pytest.raises(ValueError, match="unknown model"):
+            SPNetConfig(model=name)
+        MODELS.register(name, resnet8)
+        try:
+            for model in choices("models"):
+                assert SPNetConfig(model=model).model == model
+            config = SPNetConfig(model=name, width_mult=0.25)
+            assert build_sp_net(config).bit_widths == config.bit_widths
+        finally:
+            MODELS._entries.pop(name, None)
 
     def test_quantizer_entries_construct(self):
         from repro.quant.quantizers import Quantizer, make_quantizer
 
-        for name in manifest()["quantizers"]:
+        for name in choices("quantizers"):
             assert isinstance(make_quantizer(name), Quantizer)
 
     def test_strategy_entries_are_strategies(self):
         from repro.api.registry import STRATEGIES
         from repro.core.cdt import SwitchableTrainingStrategy, make_strategy
 
-        for name in manifest()["strategies"]:
+        for name in choices("strategies"):
             assert issubclass(STRATEGIES.get(name), SwitchableTrainingStrategy)
             assert isinstance(make_strategy(name), SwitchableTrainingStrategy)
 
@@ -261,59 +261,47 @@ class TestCustomComponentsFlowThrough:
             SCENARIOS._entries.pop(name, None)
 
     def test_policy_names_is_live_view(self):
-        """Regression: POLICY_NAMES used to be an import-time snapshot
-        that silently missed later-registered policies."""
+        """A policy registered after import is a valid choice for
+        ServeConfig: names are read from the registry, never snapshot."""
+        from repro.api.config import ConfigError, ServeConfig
         from repro.api.registry import POLICIES
-        from repro.serve.policies import POLICY_NAMES, StaticPolicy
+        from repro.serve.policies import StaticPolicy
 
         name = "test-late-policy"
-        assert name not in POLICY_NAMES
-        assert tuple(POLICY_NAMES) == POLICIES.names()
+        with pytest.raises(ConfigError, match="unknown policy"):
+            ServeConfig(policy=name)
 
         @POLICIES.register(name)
         class Late(StaticPolicy):
             pass
 
         try:
-            assert name in POLICY_NAMES
-            assert name in list(POLICY_NAMES)
-            assert POLICY_NAMES == POLICIES.names()
-            assert POLICY_NAMES[-1] == name
+            assert choices("policies")[-1] == name
+            assert ServeConfig(policy=name).policy == name
         finally:
             POLICIES._entries.pop(name, None)
-        assert name not in POLICY_NAMES
+        assert name not in choices("policies")
 
     def test_scenario_names_is_live_view(self):
         import numpy as np
 
+        from repro.api.config import ConfigError, ServeConfig
         from repro.api.registry import SCENARIOS
-        from repro.serve.simulator import SCENARIO_NAMES
 
         name = "test-late-scenario"
-        assert name not in SCENARIO_NAMES
+        with pytest.raises(ConfigError, match="unknown value"):
+            ServeConfig(scenario=name)
 
         @SCENARIOS.register(name)
         def late_gaps(n, capacity_rps, rng):
             return np.full(n, 1.0 / capacity_rps)
 
         try:
-            assert name in SCENARIO_NAMES
-            assert SCENARIO_NAMES == SCENARIOS.names()
+            assert choices("scenarios")[-1] == name
+            assert ServeConfig(scenario=name).scenario == name
         finally:
             SCENARIOS._entries.pop(name, None)
-        assert name not in SCENARIO_NAMES
-
-    def test_registry_names_view_equality_and_errors(self):
-        from repro.api.registry import Registry, RegistryNames
-
-        reg = Registry("widget")
-        reg.register("a", object())
-        view = RegistryNames(reg)
-        assert view == ("a",) and view == ["a"] and len(view) == 1
-        assert view != ("b",)
-        assert view.index("a") == 0 and view.count("a") == 1
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(view)
+        assert name not in choices("scenarios")
 
     def test_custom_scale_reachable_via_get_scale(self):
         import dataclasses

@@ -90,10 +90,10 @@ class TestLoadtest:
 
 
 class TestChoicesComeFromManifest:
-    """CLI choice lists are built from the import-free registry manifest
-    (repro.api.manifest) rather than hand-copied literals; this pins the
-    parser to the manifest, and tests/test_api_registry.py pins the
-    manifest to the defining modules' own registries."""
+    """CLI choice lists are built from the names declared in
+    repro.api.registry rather than hand-copied literals; this pins the
+    parsers to the registry, and tests/test_api_registry.py pins the
+    registry to the defining modules."""
 
     @staticmethod
     def _subparser(name):
@@ -108,23 +108,32 @@ class TestChoicesComeFromManifest:
         )
         return subparsers.choices[name]
 
-    def test_serve_sim_choices_match_manifest(self):
-        from repro.api.manifest import manifest
+    def test_serve_sim_choices_match_manifest(self, tmp_path, capsys):
+        from repro.api.registry import CHECKERS, choices
 
-        names = manifest()
-        serve = self._subparser("serve-sim")
-        choices = {a.dest: a.choices for a in serve._actions
-                   if a.choices is not None}
-        assert tuple(choices["scenario"]) == names["scenarios"]
-        assert tuple(choices["policy"]) == ("all",) + names["policies"]
-        assert tuple(choices["scale"]) == names["serve_scales"]
-        assert tuple(choices["router"]) == names["routers"]
+        for command in ("serve-sim", "serve-real"):
+            parser = self._subparser(command)
+            parsed = {a.dest: tuple(a.choices) for a in parser._actions
+                      if a.choices is not None}
+            assert parsed == {
+                "scenario": choices("scenarios"),
+                "policy": ("all",) + choices("policies"),
+                "scale": choices("serve_scales"),
+                "router": choices("routers"),
+            }, command
+        # `repro check --rules` validates against the registry at run
+        # time: every registered rule is accepted, anything else is not.
+        (tmp_path / "__init__.py").write_text("")
+        check = ["check", "--root", str(tmp_path), "--rules"]
+        assert main(check + [",".join(CHECKERS.names())]) == 0
+        assert main(check + ["nosuch"]) == 2
+        assert str(list(CHECKERS.names())) in capsys.readouterr().err
 
     def test_workload_scenarios_reach_parser_without_hand_edits(self):
-        """Scenarios registered by repro.workload appear in the
-        serve-sim parser purely through the registry manifest — the
-        parser has no literal scenario list to forget to update."""
-        from repro.api.manifest import manifest
+        """Scenarios declared for repro.workload appear in the serve-sim
+        parser purely through the registry — the parser has no literal
+        scenario list to forget to update."""
+        from repro.api.registry import choices
 
         serve = self._subparser("serve-sim")
         scenario_choices = next(
@@ -132,26 +141,26 @@ class TestChoicesComeFromManifest:
         )
         for name in ("flash_crowd", "ramp", "sawtooth", "on_off",
                      "pareto_heavy_tail"):
-            assert name in manifest()["scenarios"]
+            assert name in choices("scenarios")
             assert name in scenario_choices
 
     def test_trace_transforms_in_manifest(self):
-        from repro.api.manifest import manifest
+        from repro.api.registry import choices
 
-        assert manifest()["trace_transforms"] == (
+        assert choices("trace_transforms") == (
             "time_scale", "splice", "tenant_mix", "amplitude_modulate",
         )
 
     def test_run_scale_choices_match_manifest(self):
-        from repro.api.manifest import manifest
+        from repro.api.registry import choices
 
         run = self._subparser("run")
-        choices = {a.dest: a.choices for a in run._actions
-                   if a.choices is not None}
-        assert tuple(choices["scale"]) == manifest()["scales"]
+        parsed = {a.dest: a.choices for a in run._actions
+                  if a.choices is not None}
+        assert tuple(parsed["scale"]) == choices("scales")
 
     def test_parser_build_does_not_import_serve_stack(self):
-        """The whole point of the lazy manifest: `repro --help` must not
+        """The whole point of the lazy registry: `repro --help` must not
         pay for numpy-heavy subsystem imports."""
         import subprocess
 

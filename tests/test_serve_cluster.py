@@ -125,11 +125,11 @@ class TestRouters:
             make_router("dice")
 
     def test_router_names_is_live_view(self):
-        from repro.api.registry import ROUTERS
-        from repro.serve.routing import ROUTER_NAMES, Router
+        from repro.api.registry import ROUTERS, choices
+        from repro.serve.routing import Router
 
         name = "test-sticky"
-        assert name not in ROUTER_NAMES
+        assert name not in choices("routers")
 
         @ROUTERS.register(name)
         class Sticky(Router):
@@ -137,12 +137,11 @@ class TestRouters:
                 return 0
 
         try:
-            assert name in ROUTER_NAMES
-            assert name in tuple(ROUTER_NAMES)
+            assert name in choices("routers")
             assert isinstance(make_router(name), Sticky)
         finally:
             ROUTERS._entries.pop(name, None)
-        assert name not in ROUTER_NAMES
+        assert name not in choices("routers")
 
 
 class TestFleetRouting:
