@@ -13,20 +13,13 @@ Demonstrates the four observability moves:
    Prometheus text exposition, metrics JSONL) into a run directory;
 4. **Inspect** — render the run-dir report (per-replica timeline,
    bit-occupancy Gantt, queue-depth/p95 series, slowest requests) —
-   the same view ``python -m repro obs <run-dir>`` prints;
-5. **Judge** — evaluate a deliberately unmeetable SLO over the same
-   spans so the burn-rate alert rules *fire*, exactly as
-   ``repro slo check <run-dir>`` / ``repro loadtest --slo`` would;
-6. **Diff** — regression-diff a healthy run against one with an
-   injected latency regression, the ``repro obs diff A B`` canary move.
+   the same view ``python -m repro obs <run-dir>`` prints.
 
 The same flows are reachable without code via::
 
     python -m repro serve-sim --scenario bursty --obs-dir runs/demo
-    python -m repro loadtest --config examples/loadtest_smoke.json --slo
+    python -m repro loadtest --config examples/loadtest_smoke.json --obs
     python -m repro obs runs/demo
-    python -m repro slo check runs/demo --latency-target-s 0.001
-    python -m repro obs diff runs/a runs/b
 
 Run:
     python examples/observability_tour.py
@@ -36,17 +29,11 @@ import json
 import tempfile
 
 from repro import rng
-from repro.api.config import SLOConfig
 from repro.obs import (
     NULL_TRACER,
     MetricsRecorder,
     MetricsRegistry,
     Tracer,
-    build_slo_report,
-    diff_reports,
-    evaluate_alerts,
-    render_alerts,
-    render_diff,
     render_run_dir,
     write_obs_artifacts,
 )
@@ -111,32 +98,6 @@ def main():
         # 4. Inspect: same renderer as `python -m repro obs <run-dir>`.
         print()
         print(render_run_dir(run_dir, buckets=8, width=40))
-
-    # 5. Judge: score a deliberately unmeetable SLO (p95 <= 0.1 ms)
-    #    over the same spans so the burn-rate rules fire — the exact
-    #    evaluation `repro slo check <run-dir>` runs, minus the files.
-    print()
-    harsh = SLOConfig(latency_target_s=0.0001)
-    slo_report = build_slo_report(list(tracer.events), harsh)
-    print(f"SLO verdict under a 0.1 ms latency target: "
-          f"{slo_report['verdict']} "
-          f"({slo_report['violations']} violation(s))")
-    firings = evaluate_alerts(slo_report["cells"])
-    assert firings, "an unmeetable SLO must fire the burn-rate alerts"
-    print(render_alerts(firings))
-
-    # 6. Diff: the canary primitive behind `repro obs diff A B` —
-    #    compare the healthy report against itself (clean), then
-    #    against a copy with an injected 3x p95 regression (fails).
-    print()
-    cell = dict(traced_report.to_json_dict(), key=("bursty", "slo"))
-    clean = diff_reports([cell], [dict(cell)])
-    regressed_cell = dict(cell, latency_p95_s=cell["latency_p95_s"] * 3)
-    regressed = diff_reports([cell], [regressed_cell])
-    print(render_diff(clean))
-    print(render_diff(regressed))
-    assert clean["verdict"] == "ok"
-    assert regressed["verdict"] == "regression"
 
 
 if __name__ == "__main__":

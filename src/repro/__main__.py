@@ -7,10 +7,8 @@ Usage::
     python -m repro run all --scale default
     python -m repro serve-sim --scenario bursty --policy all --scale smoke
     python -m repro serve-real --scenario bursty --policy all --compare
-    python -m repro loadtest --config examples/loadtest_smoke.json --obs --slo
+    python -m repro loadtest --config examples/loadtest_smoke.json --obs
     python -m repro obs runs/loadtest-smoke
-    python -m repro obs diff runs/baseline runs/candidate
-    python -m repro slo check runs/loadtest-smoke
     python -m repro check --fail-on error --json
     python -m repro pipeline validate --config examples/pipeline_smoke.json
     python -m repro pipeline run --config examples/pipeline_smoke.json
@@ -93,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record span events + metrics and write the obs/ sidecar "
              "bundle under DIR (inspect with `repro obs DIR`)",
     )
-    serve.add_argument(
-        "--slo", action="store_true",
-        help="with --obs-dir: evaluate SLOs + alerts over the recorded "
-             "spans and add slo_report.json / alerts.jsonl to the "
-             "sidecar bundle",
-    )
 
     from .serving.cli import add_arguments as add_serve_real_arguments
 
@@ -174,37 +166,22 @@ def _build_parser() -> argparse.ArgumentParser:
              "output dir's obs/ sidecar (the report itself stays "
              "byte-identical to an untraced run)",
     )
-    loadtest.add_argument(
-        "--slo", action="store_true",
-        help="evaluate SLOs + burn-rate alerts over the recorded spans "
-             "and write obs/slo_report.json + obs/alerts.jsonl "
-             "(implies --obs; the report bytes stay untouched)",
-    )
-    loadtest.add_argument(
-        "--slo-config", default=None, metavar="PATH",
-        help="SLOConfig JSON overriding the default targets "
-             "(with --slo)",
-    )
 
     obs = sub.add_parser(
         "obs",
         help="inspect a recorded run dir: timeline, Gantt, time "
-             "series; `obs diff A B` compares two run dirs",
+             "series, profile",
         description=(
             "read the obs/trace_events.jsonl a traced run wrote "
             "(repro loadtest --obs, serve-sim --obs-dir, pipeline run "
             "--obs) and render per-replica timelines, a bit-occupancy "
             "Gantt summary, queue-depth/p95 time series, and the "
-            "slowest-requests table as markdown; "
-            "`repro obs diff RUN_A RUN_B` instead compares the two "
-            "runs' deterministic reports with tolerance bands and "
-            "exits nonzero iff B regressed vs A"
+            "slowest-requests table as markdown"
         ),
     )
     obs.add_argument(
-        "run_dir", metavar="RUN_DIR", nargs="+",
-        help="run directory (or trace file) to inspect, or "
-             "`diff RUN_A RUN_B` to compare two run dirs",
+        "run_dir", metavar="RUN_DIR",
+        help="run directory (or trace file) to inspect",
     )
     obs.add_argument(
         "--top", type=int, default=10, metavar="N",
@@ -225,56 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "instead of the timeline views",
     )
     obs.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="relative tolerance band for `obs diff` "
-             "(default 0.05 = 5%%)",
-    )
-    obs.add_argument(
         "--output", default=None, metavar="PATH",
         help="also write the rendered output to PATH",
-    )
-
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate declarative SLOs over a recorded run dir",
-        description=(
-            "judge a recorded span stream against latency-percentile / "
-            "availability / energy SLOs: per-cell SLIs, error budgets, "
-            "and multi-window burn rates, written as a deterministic "
-            "obs/slo_report.json plus alert firings in obs/alerts.jsonl"
-        ),
-    )
-    slo_sub = slo.add_subparsers(dest="slo_command", required=True)
-    slo_check = slo_sub.add_parser(
-        "check",
-        help="evaluate SLOs over a run dir; exit 1 on any violation",
-        description=(
-            "read obs/trace_events.jsonl from RUN_DIR, evaluate the "
-            "SLO targets (defaults, or --config), write the verdicts "
-            "as obs/slo_report.json + obs/alerts.jsonl sidecars, and "
-            "exit 1 iff any (cell, objective) is violated"
-        ),
-    )
-    slo_check.add_argument(
-        "run_dir", metavar="RUN_DIR",
-        help="traced run directory (needs the obs/ sidecar)",
-    )
-    slo_check.add_argument(
-        "--config", default=None, metavar="PATH",
-        help="SLOConfig JSON overriding the default targets",
-    )
-    slo_check.add_argument(
-        "--latency-target-s", type=float, default=None, metavar="S",
-        help="latency threshold override (default: the run's own "
-             "recorded SLO, when the report carries one)",
-    )
-    slo_check.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the SLO report JSON to PATH",
-    )
-    slo_check.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the verdict table (exit code only)",
     )
 
     pipeline = sub.add_parser(
@@ -428,75 +357,31 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         trace = record_trace(fixture, args.scenario, args.seed)
         trace.save(args.record_trace)
         info(f"recorded {len(trace)}-request trace -> {args.record_trace}")
-    if args.slo and not args.obs_dir:
-        error("--slo needs --obs-dir (SLOs are judged over the "
-              "recorded span stream)")
-        return 2
     if args.obs_dir:
         from .obs.artifacts import write_obs_artifacts
 
-        if args.slo:
-            # Judge before saving so the slo/alert verdict events land
-            # inside the recorded trace file too.
-            from .api.config import SLOConfig
-            from .obs.alerts import evaluate_alerts
-            from .obs.artifacts import write_slo_artifacts
-            from .obs.slo import build_slo_report, render_slo_report
-
-            slo_report = build_slo_report(
-                list(tracer.events), SLOConfig(),
-                default_latency_target_s=reports[0].slo_s,
-                tracer=tracer,
-            )
-            firings = evaluate_alerts(slo_report["cells"], tracer=tracer)
         paths = write_obs_artifacts(args.obs_dir, tracer=tracer,
                                     metrics=metrics)
-        if args.slo:
-            paths.update(write_slo_artifacts(
-                args.obs_dir, slo_report=slo_report, alerts=firings,
-            ))
-            info(render_slo_report(slo_report))
         info(f"recorded {len(tracer)} span events -> {paths['trace']} "
              f"(inspect with `repro obs {args.obs_dir}`)")
     return 0
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from .api.config import (
-        AlertConfig,
-        ConfigError,
-        LoadTestConfig,
-        ObsConfig,
-        SLOConfig,
-    )
+    from .api.config import ConfigError, LoadTestConfig, ObsConfig
 
     try:
         config = LoadTestConfig.load(args.config)
     except ConfigError as exc:
         error(f"invalid loadtest config {args.config}: {exc}")
         return 2
-    slo_config = None
-    if args.slo or args.slo_config:
-        try:
-            slo_config = (
-                SLOConfig.load(args.slo_config) if args.slo_config
-                else SLOConfig()
-            )
-        except ConfigError as exc:
-            error(f"invalid SLO config {args.slo_config}: {exc}")
-            return 2
     from .workload.loadtest import (
         render_markdown,
         run_loadtest,
         write_loadtest_artifacts,
     )
 
-    # --slo implies tracing: SLOs are judged over the recorded spans.
-    obs = ObsConfig() if (args.obs or slo_config is not None) else None
-    payload = run_loadtest(
-        config, obs=obs, slo=slo_config,
-        alerts=AlertConfig() if slo_config is not None else None,
-    )
+    payload = run_loadtest(config, obs=ObsConfig() if args.obs else None)
     out_dir = args.output_dir or f"runs/{config.name}"
     paths = write_loadtest_artifacts(payload, out_dir)
     if not args.quiet:
@@ -506,42 +391,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs.diff import DEFAULT_TOLERANCE, diff_run_dirs, render_diff
-
-    operands = args.run_dir[1:]
-    if len(operands) != 2:
-        error("usage: repro obs diff RUN_A RUN_B")
-        return 2
-    try:
-        payload = diff_run_dirs(
-            operands[0], operands[1],
-            tolerance=(
-                args.tolerance if args.tolerance is not None
-                else DEFAULT_TOLERANCE
-            ),
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        error(str(exc))
-        return 2
-    info(render_diff(payload))
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        info(f"\nwrote {args.output}")
-    return 1 if payload["regressions"] else 0
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.run_dir[0] == "diff":
-        return _cmd_obs_diff(args)
-    if len(args.run_dir) != 1:
-        error("usage: repro obs RUN_DIR  |  repro obs diff RUN_A RUN_B")
-        return 2
-    run_dir = args.run_dir[0]
+    run_dir = args.run_dir
     try:
         if args.profile:
             from .obs.artifacts import load_run_events
@@ -566,72 +417,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             handle.write(rendered + "\n")
         info(f"\nwrote {args.output}")
     return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    import dataclasses
-    import json
-
-    from .api.config import ConfigError, SLOConfig
-    from .obs.alerts import evaluate_alerts, render_alerts
-    from .obs.artifacts import load_run_events, write_slo_artifacts
-    from .obs.slo import build_slo_report, render_slo_report
-
-    try:
-        config = (
-            SLOConfig.load(args.config) if args.config else SLOConfig()
-        )
-    except ConfigError as exc:
-        error(f"invalid SLO config {args.config}: {exc}")
-        return 2
-    if args.latency_target_s is not None:
-        if args.latency_target_s <= 0:
-            error(f"--latency-target-s must be positive, "
-                  f"got {args.latency_target_s!r}")
-            return 2
-        config = dataclasses.replace(
-            config, latency_target_s=args.latency_target_s
-        )
-    try:
-        events = load_run_events(args.run_dir)
-    except FileNotFoundError as exc:
-        error(str(exc))
-        return 2
-    report = build_slo_report(
-        events, config,
-        default_latency_target_s=_recorded_slo_s(args.run_dir),
-    )
-    firings = evaluate_alerts(report["cells"])
-    paths = write_slo_artifacts(
-        args.run_dir, slo_report=report, alerts=firings,
-    )
-    if not args.quiet:
-        info(render_slo_report(report))
-        info(render_alerts(firings))
-        for kind, path in sorted(paths.items()):
-            info(f"  {kind:<12} {path}")
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        if not args.quiet:
-            info(f"\nwrote {args.output}")
-    return 1 if report["violations"] else 0
-
-
-def _recorded_slo_s(run_dir: str):
-    """The workload's own SLO threshold, when the run dir reports one."""
-    from .obs.diff import load_run_report
-
-    try:
-        _, cells = load_run_report(run_dir)
-    except FileNotFoundError:
-        return None
-    thresholds = [
-        c["slo_s"] for c in cells
-        if isinstance(c.get("slo_s"), (int, float)) and c["slo_s"] > 0
-    ]
-    return min(thresholds) if thresholds else None
 
 
 def _load_pipeline_config(path: str):
@@ -730,8 +515,6 @@ def main(argv=None) -> int:
         return _cmd_loadtest(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "slo":
-        return _cmd_slo(args)
     if args.command == "pipeline":
         return _cmd_pipeline(args)
     raise AssertionError(f"unhandled command {args.command!r}")

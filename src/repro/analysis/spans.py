@@ -18,11 +18,7 @@ drifts shipped before; this rule pins the vocabulary from three sides:
 * every declared kind must be **consumed** by at least one consumer
   module — an error at the vocabulary line (unrendered telemetry), and
   should be **emitted** somewhere — a warning at the vocabulary line
-  (dead vocabulary), upgraded to an **error** for the strict kinds
-  (``slo``, ``alert``): the operational-health plane's verdict events
-  are load-bearing contract, not best-effort telemetry, so declaring
-  one without an emitter is as broken as declaring it without a
-  consumer.
+  (dead vocabulary).
 """
 
 from __future__ import annotations
@@ -40,11 +36,6 @@ DEFAULT_VOCAB_MODULE = "obs.tracer"
 DEFAULT_VOCAB_NAME = "EVENT_KINDS"
 DEFAULT_CONSUMERS = ("obs.views", "obs.metrics")
 
-# Kinds whose absence of an emitter is an error, not a warning: the
-# SLO/alert verdict events must flow end to end or the health plane is
-# silently dark.
-DEFAULT_STRICT_KINDS = ("slo", "alert")
-
 
 class SpanVocabularyChecker(Checker):
     rule = "spans"
@@ -59,12 +50,10 @@ class SpanVocabularyChecker(Checker):
         vocab_module: str = DEFAULT_VOCAB_MODULE,
         vocab_name: str = DEFAULT_VOCAB_NAME,
         consumers: Sequence[str] = DEFAULT_CONSUMERS,
-        strict_kinds: Sequence[str] = DEFAULT_STRICT_KINDS,
     ):
         self.vocab_module = vocab_module
         self.vocab_name = vocab_name
         self.consumers = tuple(consumers)
-        self.strict_kinds = tuple(strict_kinds)
 
     def check(self, project: ProjectModel) -> Iterator[Finding]:
         pkg = project.package
@@ -113,16 +102,11 @@ class SpanVocabularyChecker(Checker):
                     f"it; events of this kind vanish from every report",
                 )
             if kind not in emitted:
-                strict = kind in self.strict_kinds
                 yield self.finding(
                     vocab_mod, line,
                     f"span kind {kind!r} is declared but never emitted "
-                    f"anywhere in the tree (dead vocabulary)"
-                    + (
-                        "; SLO/alert verdict kinds must flow end to end"
-                        if strict else ""
-                    ),
-                    severity="error" if strict else "warning",
+                    f"anywhere in the tree (dead vocabulary)",
+                    severity="warning",
                 )
 
 

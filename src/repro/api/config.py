@@ -34,8 +34,6 @@ __all__ = [
     "DeployConfig",
     "AutoscaleConfig",
     "ObsConfig",
-    "SLOConfig",
-    "AlertConfig",
     "ServeConfig",
     "PipelineConfig",
     "FaultConfig",
@@ -390,76 +388,6 @@ class ObsConfig(_StageConfig):
                 raise ConfigError(
                     f"ObsConfig.{name} must be a bool, got {value!r}"
                 )
-
-
-@dataclass(frozen=True)
-class SLOConfig(_StageConfig):
-    """Declarative SLO targets evaluated over a recorded span stream.
-
-    Like :class:`ObsConfig`, deliberately NOT nested inside the run
-    configs — SLO evaluation is observational (verdicts land in the
-    ``obs/`` sidecar, never in the deterministic report bytes), so
-    enablement flows through CLI flags (``--slo``, ``--slo-config``)
-    and function parameters.
-
-    ``latency_target_s == 0`` means "use the workload's own SLO" (the
-    loadtest fixture's ``slo_s``); ``energy_target_pj == 0`` disables
-    the energy objective; ``window_s == 0`` derives a tumbling window
-    from the run's span.
-    """
-
-    latency_percentile: float = 95.0
-    latency_target_s: float = 0.0
-    availability_target: float = 0.999
-    energy_target_pj: float = 0.0
-    window_s: float = 0.0
-    long_window_factor: int = 6
-
-    def _validate(self) -> None:
-        if not 0.0 < self.latency_percentile < 100.0:
-            raise ConfigError(
-                f"SLOConfig.latency_percentile must be in (0, 100), "
-                f"got {self.latency_percentile!r}"
-            )
-        if not 0.0 < self.availability_target < 1.0:
-            raise ConfigError(
-                f"SLOConfig.availability_target must be a ratio in "
-                f"(0, 1), got {self.availability_target!r}"
-            )
-        for name in ("latency_target_s", "energy_target_pj", "window_s"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(
-                    f"SLOConfig.{name} must be >= 0 (0 disables / "
-                    f"auto-derives), got {value!r}"
-                )
-        if self.long_window_factor < 1:
-            raise ConfigError(
-                f"SLOConfig.long_window_factor must be >= 1, "
-                f"got {self.long_window_factor!r}"
-            )
-
-
-@dataclass(frozen=True)
-class AlertConfig(_StageConfig):
-    """Burn-rate alerting limits over the SLO window series.
-
-    ``fast_burn`` pages on any single window burning the error budget
-    that many times faster than sustainable; ``slow_burn`` tickets on a
-    sustained long-window burn.  ``dedup`` collapses firings over
-    adjacent windows into one episode.
-    """
-
-    fast_burn: float = 14.4
-    slow_burn: float = 6.0
-    dedup: bool = True
-
-    def _validate(self) -> None:
-        self._require_positive("fast_burn", "slow_burn")
-        if not isinstance(self.dedup, bool):
-            raise ConfigError(
-                f"AlertConfig.dedup must be a bool, got {self.dedup!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Every pluggable component family in the reproduction — models,
 quantisers, precision policies, routers, traffic scenarios, trace
 transforms, SP-NAS search spaces, accelerator devices, training
-strategies, experiments, scale presets, alert rules and static-analysis
-rules — is enumerated here, and only here.  Built-ins are declared
-lazily as ``"module:attr"`` strings, so importing this module imports no
+strategies, experiments, scale presets and static-analysis rules — is
+enumerated here, and only here.  Built-ins are declared lazily as
+``"module:attr"`` strings, so importing this module imports no
 subsystem: the CLI renders ``--help`` choices and ``repro pipeline
 validate`` checks names without loading the model zoo, the quantisers
 or the serving stack.  :meth:`Registry.get` imports a built-in on first
@@ -44,7 +44,6 @@ __all__ = [
     "EXPERIMENTS",
     "SCALES",
     "SERVE_SCALES",
-    "ALERT_RULES",
     "CHECKERS",
 ]
 
@@ -241,11 +240,6 @@ SERVE_SCALES.register_lazy(
     "default", "repro.serve.simulator:SERVE_SCALES", key="default"
 )
 
-ALERT_RULES = Registry("alert rule")
-ALERT_RULES.register_lazy("burn_rate", "repro.obs.alerts:BurnRateRule")
-ALERT_RULES.register_lazy("threshold", "repro.obs.alerts:ThresholdRule")
-ALERT_RULES.register_lazy("absence", "repro.obs.alerts:AbsenceRule")
-
 CHECKERS = Registry("analysis rule")
 CHECKERS.register_lazy(
     "determinism", "repro.analysis.determinism:DeterminismChecker"
@@ -267,7 +261,6 @@ REGISTRIES: Dict[str, Registry] = {
     "experiments": EXPERIMENTS,
     "scales": SCALES,
     "serve_scales": SERVE_SCALES,
-    "alert_rules": ALERT_RULES,
     "checkers": CHECKERS,
 }
 

@@ -1,4 +1,4 @@
-"""Telemetry + operational health plane: tracing, metrics, SLOs, alerts.
+"""Telemetry plane: tracing, metrics, and the views that render a run.
 
 Stdlib-only by design — ``repro.obs`` is imported by the CLI front-end
 before any heavy dependency loads, and the parser-build import test
@@ -11,56 +11,19 @@ pins that property.  The package splits into:
   :class:`MetricsRecorder` sink folding trace events into metrics;
 * :mod:`~repro.obs.artifacts` — the ``<run_dir>/obs/`` sidecar bundle;
 * :mod:`~repro.obs.views` — ``repro obs`` markdown rendering;
-* :mod:`~repro.obs.slo` — declarative SLOs, error budgets, and
-  multi-window burn rates evaluated over recorded spans;
-* :mod:`~repro.obs.alerts` — deterministic burn-rate / threshold /
-  absence alerting over the SLO window series;
-* :mod:`~repro.obs.health` — healthy/degraded/unhealthy scoring for
-  the real worker pool and the simulated fleet;
 * :mod:`~repro.obs.profile` — span-derived per-bit / queue-wait /
-  stage profiling tables;
-* :mod:`~repro.obs.diff` — run-dir regression diffing with tolerance
-  bands (``repro obs diff``);
+  stage profiling tables (``repro obs --profile``);
 * :mod:`~repro.obs.console` — the single CLI output seam.
 """
 
-from .alerts import (
-    AbsenceRule,
-    AlertRule,
-    BurnRateRule,
-    ThresholdRule,
-    alerts_to_jsonl,
-    default_rules,
-    evaluate_alerts,
-    render_alerts,
-)
 from .artifacts import (
-    ALERTS_FILENAME,
     METRICS_JSONL_FILENAME,
     METRICS_PROM_FILENAME,
     OBS_DIRNAME,
-    SLO_REPORT_FILENAME,
     TRACE_FILENAME,
     find_trace_file,
     load_run_events,
-    load_slo_report,
     write_obs_artifacts,
-    write_slo_artifacts,
-)
-from .diff import (
-    DEFAULT_TOLERANCE,
-    diff_reports,
-    diff_run_dirs,
-    load_run_report,
-    render_diff,
-)
-from .health import (
-    DEGRADED,
-    HEALTHY,
-    UNHEALTHY,
-    HealthReport,
-    score_fleet,
-    score_pool,
 )
 from .metrics import (
     BATCH_SIZE_BUCKETS,
@@ -72,16 +35,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .profile import profile_events, render_profile
-from .slo import (
-    SLO_SIGNALS,
-    SLOSpec,
-    build_slo_report,
-    evaluate_events,
-    percentile,
-    render_slo_report,
-    slo_report_to_json,
-    specs_from_config,
-)
 from .tracer import (
     EVENT_KINDS,
     NULL_TRACER,
@@ -112,42 +65,11 @@ __all__ = [
     "TRACE_FILENAME",
     "METRICS_PROM_FILENAME",
     "METRICS_JSONL_FILENAME",
-    "SLO_REPORT_FILENAME",
-    "ALERTS_FILENAME",
     "write_obs_artifacts",
-    "write_slo_artifacts",
     "find_trace_file",
     "load_run_events",
-    "load_slo_report",
     "render_events",
     "render_run_dir",
-    "SLO_SIGNALS",
-    "SLOSpec",
-    "percentile",
-    "specs_from_config",
-    "evaluate_events",
-    "build_slo_report",
-    "render_slo_report",
-    "slo_report_to_json",
-    "AlertRule",
-    "BurnRateRule",
-    "ThresholdRule",
-    "AbsenceRule",
-    "default_rules",
-    "evaluate_alerts",
-    "alerts_to_jsonl",
-    "render_alerts",
-    "HEALTHY",
-    "DEGRADED",
-    "UNHEALTHY",
-    "HealthReport",
-    "score_pool",
-    "score_fleet",
     "profile_events",
     "render_profile",
-    "DEFAULT_TOLERANCE",
-    "load_run_report",
-    "diff_reports",
-    "diff_run_dirs",
-    "render_diff",
 ]

@@ -10,17 +10,14 @@ sidecar bundle under ``<run_dir>/obs/``:
 ``trace_events.jsonl``    span/event log (one JSON object per line)
 ``metrics.prom``          Prometheus text exposition snapshot
 ``metrics.jsonl``         the same snapshot as JSONL samples
-``slo_report.json``       deterministic SLO verdicts (when SLOs ran)
-``alerts.jsonl``          deterministic alert firings (when SLOs ran)
 ========================  =============================================
 
-``repro obs <run_dir>`` and ``repro slo check <run_dir>`` consume this
-layout (:mod:`repro.obs.views`, :mod:`repro.obs.slo`).
+``repro obs <run_dir>`` consumes this layout (:mod:`repro.obs.views`,
+and :mod:`repro.obs.profile` with ``--profile``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional
 
@@ -32,21 +29,15 @@ __all__ = [
     "TRACE_FILENAME",
     "METRICS_PROM_FILENAME",
     "METRICS_JSONL_FILENAME",
-    "SLO_REPORT_FILENAME",
-    "ALERTS_FILENAME",
     "write_obs_artifacts",
-    "write_slo_artifacts",
     "find_trace_file",
     "load_run_events",
-    "load_slo_report",
 ]
 
 OBS_DIRNAME = "obs"
 TRACE_FILENAME = "trace_events.jsonl"
 METRICS_PROM_FILENAME = "metrics.prom"
 METRICS_JSONL_FILENAME = "metrics.jsonl"
-SLO_REPORT_FILENAME = "slo_report.json"
-ALERTS_FILENAME = "alerts.jsonl"
 
 
 def write_obs_artifacts(
@@ -72,47 +63,6 @@ def write_obs_artifacts(
             handle.write(metrics.to_jsonl())
         paths["metrics_jsonl"] = jsonl_path
     return paths
-
-
-def write_slo_artifacts(
-    run_dir: str,
-    slo_report: Optional[Dict] = None,
-    alerts: Optional[List[Dict]] = None,
-) -> Dict[str, str]:
-    """Write the SLO verdict + alert firing sidecars; returns paths."""
-    from .alerts import alerts_to_jsonl
-    from .slo import slo_report_to_json
-
-    obs_dir = os.path.join(run_dir, OBS_DIRNAME)
-    os.makedirs(obs_dir, exist_ok=True)
-    paths: Dict[str, str] = {}
-    if slo_report is not None:
-        slo_path = os.path.join(obs_dir, SLO_REPORT_FILENAME)
-        with open(slo_path, "w") as handle:
-            handle.write(slo_report_to_json(slo_report))
-        paths["slo_report"] = slo_path
-    if alerts is not None:
-        alerts_path = os.path.join(obs_dir, ALERTS_FILENAME)
-        with open(alerts_path, "w") as handle:
-            handle.write(alerts_to_jsonl(alerts))
-        paths["alerts"] = alerts_path
-    return paths
-
-
-def load_slo_report(path: str) -> Dict:
-    """The recorded SLO report of a run dir (or a direct file path)."""
-    if os.path.isfile(path):
-        report_path = path
-    else:
-        report_path = os.path.join(path, OBS_DIRNAME, SLO_REPORT_FILENAME)
-    if not os.path.isfile(report_path):
-        raise FileNotFoundError(
-            f"no {SLO_REPORT_FILENAME} under {path!r} — record one with "
-            f"`repro loadtest --obs --slo` or evaluate a trace with "
-            f"`repro slo check <run-dir>`"
-        )
-    with open(report_path) as handle:
-        return json.load(handle)
 
 
 def find_trace_file(path: str) -> Optional[str]:

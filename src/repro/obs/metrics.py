@@ -413,14 +413,6 @@ class MetricsRecorder:
             "repro_pipeline_stage_seconds_total",
             "wall-clock seconds per pipeline stage",
         )
-        self._slo_verdicts = registry.counter(
-            "repro_slo_verdicts_total",
-            "SLO evaluations, by objective and verdict",
-        )
-        self._alerts = registry.counter(
-            "repro_alerts_total",
-            "alert rule firings, by rule and severity",
-        )
         self._queue_depth = registry.gauge(
             "repro_queue_depth",
             "queued requests per replica after the last dispatch",
@@ -476,11 +468,3 @@ class MetricsRecorder:
             self._faults.inc(fault_kind=event["fault_kind"])
         elif kind == "stage":
             self._stages.inc(event.get("seconds", 0.0), stage=event["stage"])
-        elif kind == "slo":
-            self._slo_verdicts.inc(
-                slo=event["slo"], verdict=event["verdict"]
-            )
-        elif kind == "alert":
-            self._alerts.inc(
-                rule=event["rule"], severity=event["severity"]
-            )

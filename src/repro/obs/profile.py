@@ -121,7 +121,7 @@ def profile_events(events: List[Dict]) -> Dict:
     for event in events:
         if event["kind"] == "stage":
             stages.append(event)
-        elif event["kind"] not in ("slo", "alert"):
+        else:
             by_cell.setdefault(_cell_key(event), []).append(event)
     cells = []
     for key in sorted(by_cell, key=lambda k: tuple(str(i) for i in k)):

@@ -29,8 +29,7 @@ Design constraints, in order:
 
 Sinks observe the live stream: a sink is any callable taking the event
 dict, invoked synchronously at emit time.  The metrics plane
-(:class:`repro.obs.metrics.MetricsRecorder`) is one sink; a future
-real-process plane can attach a streaming exporter the same way.
+(:class:`repro.obs.metrics.MetricsRecorder`) is one sink.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ EVENT_KINDS = (
     "autoscale",        # autoscaler changed the active replica count
     "fault",            # injected fault applied (outage/recovery/spike)
     "stage",            # pipeline stage span (wall clock, not sim clock)
-    "slo",              # SLO verdict for one (cell, objective) evaluation
-    "alert",            # alert rule firing (burn rate / threshold / absence)
 )
 
 

@@ -276,10 +276,8 @@ def _slowest_section(completes: List[Dict], top: int = 10) -> List[str]:
 
 
 def _control_plane_section(events: List[Dict]) -> List[str]:
-    """Autoscale decisions, injected faults, and alert firings."""
-    control = [
-        e for e in events if e["kind"] in ("autoscale", "fault", "alert")
-    ]
+    """Autoscale decisions and injected faults."""
+    control = [e for e in events if e["kind"] in ("autoscale", "fault")]
     if not control:
         return []
     lines = ["### Autoscale / fault events", ""]
@@ -289,12 +287,6 @@ def _control_plane_section(events: List[Dict]) -> List[str]:
                 f"- t={event['time_s']:.4f}s autoscale "
                 f"{event['action']} {event['from_replicas']}->"
                 f"{event['to_replicas']} ({event['reason']})"
-            )
-        elif event["kind"] == "alert":
-            lines.append(
-                f"- t={event['time_s']:.4f}s alert "
-                f"[{event['severity']}] {event['rule']} on "
-                f"{event['slo']} (value {event['value']:.2f})"
             )
         else:
             detail = ", ".join(
@@ -307,24 +299,6 @@ def _control_plane_section(events: List[Dict]) -> List[str]:
                 f"- t={event['time_s']:.4f}s fault "
                 f"{event['fault_kind']} ({detail})"
             )
-    lines.append("")
-    return lines
-
-
-def _slo_section(events: List[Dict]) -> List[str]:
-    """SLO verdicts recorded for this cell, one line per objective."""
-    verdicts = [e for e in events if e["kind"] == "slo"]
-    if not verdicts:
-        return []
-    lines = ["### SLO verdicts", ""]
-    for event in sorted(verdicts, key=lambda e: (e["slo"], e["time_s"])):
-        sli = (
-            "n/a" if event.get("sli") is None else f"{event['sli']:.5f}"
-        )
-        lines.append(
-            f"- {event['verdict']}: {event['slo']} "
-            f"(sli {sli}, target {event['target']:g})"
-        )
     lines.append("")
     return lines
 
@@ -394,7 +368,6 @@ def render_events(
                                      buckets=buckets))
         lines.extend(_slowest_section(completes, top=top))
         lines.extend(_control_plane_section(cell_events))
-        lines.extend(_slo_section(cell_events))
     return "\n".join(lines)
 
 

@@ -34,7 +34,7 @@ a one-replica fleet.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 from typing import (
     Callable,
@@ -687,9 +687,6 @@ class FleetReport:
     per_replica: List[Dict] = field(default_factory=list)
     scale_events: List[Dict] = field(default_factory=list)
     fault_events: List[Dict] = field(default_factory=list)
-    # healthy/degraded/unhealthy verdict + reasons (obs.health) — pure
-    # function of the stats above, so the report stays deterministic.
-    health: Dict = field(default_factory=dict)
 
     def to_json_dict(self) -> Dict:
         return asdict(self)
@@ -704,16 +701,9 @@ def build_fleet_report(
     slo_s: float,
 ) -> FleetReport:
     """Merge per-replica engine stats into one fleet-level report."""
-    from ..obs.health import score_fleet
-
-    states = fleet.replica_states()
     merged = merge_engine_stats(
-        [e.stats for e in fleet.engines()], end_s, slo_s, states=states
-    )
-    health = score_fleet(
-        Counter(states),
-        completed=merged["num_requests"],
-        slo_violations=merged["slo_violations"],
+        [e.stats for e in fleet.engines()], end_s, slo_s,
+        states=fleet.replica_states(),
     )
     return FleetReport(
         scenario=scenario,
@@ -726,7 +716,6 @@ def build_fleet_report(
         **merged,
         scale_events=[e.to_json_dict() for e in fleet.scale_events],
         fault_events=list(fleet.fault_log),
-        health=health.to_dict(),
     )
 
 

@@ -42,7 +42,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..obs.health import score_pool
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import bits_label
 from .http import HTTPConnectionHandler, HTTPRequest, HTTPResponse, json_response
@@ -216,21 +215,15 @@ class Gateway:
         )
 
     async def _healthz(self, request: HTTPRequest) -> HTTPResponse:
-        # Three-level verdict via the shared health scorer: degraded
-        # (crashed workers among survivors, saturation, rejections)
-        # still answers 200 — the process can take traffic; load
-        # balancers should only eject on unhealthy — with the verdict
-        # and reasons in the body for operators and the canary plane.
-        health = score_pool(self.pool.snapshot())
-        status = 200 if health.ok else 503
+        states = self.pool.worker_states()
+        healthy = self.pool.state == "active" and "active" in states
+        status = 200 if healthy else 503
         self._count("/healthz", status)
         return json_response(
             {
                 "status": self.pool.state,
-                "healthy": health.ok,
-                "health": health.status,
-                "reasons": list(health.reasons),
-                "workers": list(self.pool.worker_states()),
+                "healthy": healthy,
+                "workers": list(states),
             },
             status=status,
         )

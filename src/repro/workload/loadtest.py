@@ -34,11 +34,9 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from .. import rng as rng_mod
-from ..api.config import AlertConfig, LoadTestConfig, ObsConfig, SLOConfig
-from ..obs.alerts import evaluate_alerts
-from ..obs.artifacts import write_obs_artifacts, write_slo_artifacts
+from ..api.config import LoadTestConfig, ObsConfig
+from ..obs.artifacts import write_obs_artifacts
 from ..obs.metrics import MetricsRecorder, MetricsRegistry
-from ..obs.slo import build_slo_report
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..serve.cluster import build_fleet_report, make_fleet, simulate_fleet
 from ..serve.simulator import get_serve_scale, prepare_simulation
@@ -148,8 +146,6 @@ def pareto_frontier(cells: List[Dict]) -> List[int]:
 def run_loadtest(
     config: LoadTestConfig,
     obs: Optional[ObsConfig] = None,
-    slo: Optional[SLOConfig] = None,
-    alerts: Optional[AlertConfig] = None,
 ) -> Dict:
     """Sweep the grid; returns the ``loadtest_report.json`` payload.
 
@@ -163,13 +159,6 @@ def run_loadtest(
     enablement must never leak into the report.  The live objects ride
     in the payload under ``_telemetry`` and are stripped (written as
     ``obs/`` sidecars) by :func:`write_loadtest_artifacts`.
-
-    ``slo``/``alerts`` additionally judge the recorded spans after the
-    sweep: SLO verdicts + burn rates (``obs/slo_report.json``) and
-    deterministic alert firings (``obs/alerts.jsonl``), with the
-    verdict/firing events landing on the same tracer so they show in
-    views and metrics.  Like telemetry, SLO evaluation is observational
-    — it requires ``obs`` tracing and never touches the report bytes.
     """
     tracer = NULL_TRACER
     registry = None
@@ -212,20 +201,6 @@ def run_loadtest(
                     )
     for index in pareto_frontier(cells):
         cells[index]["pareto"] = True
-    slo_payload = None
-    if slo is not None and isinstance(tracer, Tracer):
-        # Judge the recorded spans: verdict events land on the same
-        # tracer (so views/metrics see them) before sidecars are saved.
-        first_fixture = fixtures[config.scenarios[0]]
-        slo_report = build_slo_report(
-            list(tracer.events), slo,
-            default_latency_target_s=first_fixture.slo_s,
-            tracer=tracer,
-        )
-        firings = evaluate_alerts(
-            slo_report["cells"], config=alerts, tracer=tracer
-        )
-        slo_payload = {"report": slo_report, "alerts": firings}
     payload = {
         "name": config.name,
         "seed": config.seed,
@@ -259,8 +234,6 @@ def run_loadtest(
             "tracer": tracer if obs.trace else None,
             "metrics": registry,
         }
-    if slo_payload is not None:
-        payload["_slo"] = slo_payload      # stripped before writing
     return payload
 
 
@@ -332,7 +305,6 @@ def write_loadtest_artifacts(payload: Dict, out_dir: str) -> Dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     traces = payload.pop("_trace_objects", {})
     telemetry = payload.pop("_telemetry", None)
-    slo_payload = payload.pop("_slo", None)
     paths = {}
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w") as handle:
@@ -352,11 +324,5 @@ def write_loadtest_artifacts(payload: Dict, out_dir: str) -> Dict[str, str]:
             out_dir,
             tracer=telemetry.get("tracer"),
             metrics=telemetry.get("metrics"),
-        ))
-    if slo_payload is not None:
-        paths.update(write_slo_artifacts(
-            out_dir,
-            slo_report=slo_payload.get("report"),
-            alerts=slo_payload.get("alerts"),
         ))
     return paths

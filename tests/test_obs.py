@@ -1,4 +1,5 @@
-"""Telemetry plane: tracer, metrics, exporters, sidecars, views, CLI."""
+"""Telemetry plane: tracer, metrics, exporters, sidecars, views, profile,
+CLI."""
 
 import json
 import os
@@ -18,7 +19,9 @@ from repro.obs import (
     find_trace_file,
     load_events_jsonl,
     load_run_events,
+    profile_events,
     render_events,
+    render_profile,
     render_run_dir,
     write_obs_artifacts,
 )
@@ -377,6 +380,56 @@ class TestViews:
         out = render_run_dir(str(tmp_path), buckets=4, width=16)
         assert "### Per-replica timeline" in out
         assert "scenario=bursty" in out
+
+
+# ----------------------------------------------------------------------
+# Profiler
+# ----------------------------------------------------------------------
+def _profiled_tracer():
+    tracer = Tracer()
+    cell = tracer.bind(scenario="steady", policy="queue",
+                       router="round_robin", replicas=1)
+    for j, bits in enumerate([8, (4, 8)]):
+        start, finish = 0.1 + j * 0.1, 0.15 + j * 0.1
+        cell.emit("batch", start, replica=0, bits=bits, size=2,
+                  start_s=start, finish_s=finish, service_s=0.05,
+                  queue_depth=0, energy_pj=1000.0)
+        for k in range(2):
+            rid = j * 2 + k
+            cell.emit("complete", finish, request_id=rid, replica=0,
+                      bits=bits, arrival_s=rid * 0.01, start_s=start,
+                      finish_s=finish, latency_s=finish - rid * 0.01)
+    tracer.emit("stage", 0.0, stage="serve", seconds=1.5)
+    return tracer
+
+
+class TestProfile:
+    def test_folds_spans_into_attribution_tables(self):
+        payload = profile_events(_profiled_tracer().events)
+        [cell] = payload["cells"]
+        assert cell["cell"]["scenario"] == "steady"
+        per_bit = {row["bits"]: row for row in cell["per_bit"]}
+        assert set(per_bit) == {"8", "W4A8"}
+        assert sum(r["share"] for r in per_bit.values()) == pytest.approx(1.0)
+        assert per_bit["8"]["requests"] == 2
+        assert per_bit["8"]["energy_pj"] == pytest.approx(1000.0)
+        waits = {r["bits"]: r for r in cell["queue_wait_by_bits"]}
+        assert waits["8"]["wait_s"] > 0
+        assert 0.0 <= waits["8"]["wait_share"] <= 1.0
+        assert payload["stages"] == [
+            {"stage": "serve", "start_s": 0.0, "seconds": 1.5},
+        ]
+
+    def test_render_emits_markdown_tables(self):
+        out = render_profile(profile_events(_profiled_tracer().events))
+        assert "# Span profile" in out
+        assert "### Self-time by bit-width" in out
+        assert "### Queue wait by bit-width" in out
+        assert "## Pipeline stages" in out
+
+    def test_profile_is_deterministic(self):
+        events = _profiled_tracer().events
+        assert profile_events(events) == profile_events(events)
 
 
 # ----------------------------------------------------------------------

@@ -353,3 +353,14 @@ class TestEngineStatsWindow:
         )
         assert merged["latency_max_s"] == pytest.approx(0.040)
         assert merged["latency_p50_s"] == pytest.approx(0.020)
+
+    def test_percentile_s_matches_numpy_linear_interpolation(self):
+        import math
+
+        from repro.serve.stats import percentile_s
+
+        for q in (0, 50, 95, 99, 100):
+            assert percentile_s([0.25], q) == 0.25
+        assert percentile_s([1, 2, 3, 4], 50) == pytest.approx(2.5)
+        assert percentile_s([0, 10], 95) == pytest.approx(9.5)
+        assert math.isnan(percentile_s([], 95))

@@ -375,10 +375,7 @@ class TestPoolReport:
         real = build_pool_report(pool, "burst", "tiny", 0.012).to_json_dict()
 
         assert sim["num_requests"] == 40 and sim["switches"] > 0
-        # The real plane has no health verdict; every other field comes
-        # from the same merge over the same batches.
-        assert real.pop("health") == {}
-        sim.pop("health")
+        # Every field comes from the same merge over the same batches.
         assert real == sim
 
 
@@ -594,11 +591,9 @@ class TestGatewayEndpoints:
         assert out["post_drain_infer"][0] == 503
         assert out["post_drain_health"][0] == 503
 
-    def test_healthz_degrades_on_worker_crash(self, checkpoint):
-        # A crashed worker among survivors is *degraded*: the gateway
-        # keeps answering 200 (the pool can still take traffic) but the
-        # body carries the verdict and the reason, which is what load
-        # balancers vs pagers respectively key on.
+    def test_healthz_stays_live_on_worker_crash(self, checkpoint):
+        # Liveness: one surviving active worker keeps /healthz at 200,
+        # and the per-worker states show which worker failed.
         pool = make_pool(checkpoint, workers=2, service_s=0.3)
         pool.start()
         try:
@@ -627,6 +622,4 @@ class TestGatewayEndpoints:
             pool.stop()
         assert status == 200
         assert body["healthy"] is True
-        assert body["health"] == "degraded"
-        assert any("failed" in reason for reason in body["reasons"])
         assert "failed" in body["workers"]
