@@ -53,7 +53,7 @@ PY
 
 echo "==> tier-1 pytest (must leave the tree as it found it)"
 TREE_BEFORE="$(git status --porcelain)"
-python -m pytest -x -q
+python -m pytest -x -q --durations=15
 TREE_AFTER="$(git status --porcelain)"
 if [[ "$TREE_BEFORE" != "$TREE_AFTER" ]]; then
     echo "tier-1 changed the tree:"

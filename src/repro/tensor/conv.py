@@ -21,18 +21,21 @@ Four execution strategies share one differentiable ``conv2d`` surface:
   direct BLAS).
 * **depthwise** — ``groups == C_in == C_out`` convolutions (MobileNetV2's
   other workhorse), at any stride, copy the input once into a
-  zero-padded channels-last (N, H, W, C) buffer and accumulate KH*KW
-  strided tap products into an (N, OH, OW, C) accumulator.  Channels
-  last is the point: on the 2x2-8x8 maps that dominate MobileNetV2's
-  call count an NCHW tap slice leaves NumPy an innermost loop of 2-4
-  elements, while an NHWC tap's innermost contiguous run is W*C
-  elements.  The backward rebuilds the padded copy (holding it from
-  the forward raises peak memory), reduces the weight gradient per tap
-  with one fused ``einsum`` and scatter-adds the input gradient through
-  a padded NHWC buffer.  Output and input gradient are returned as
-  C-contiguous NCHW arrays, so the ops that follow (batch norm's
-  reductions in particular) see the same memory order as on every
-  other path.
+  zero-padded channels-last (N, H, W, C) buffer and take one ``einsum``
+  over a read-only strided (N, KH, KW, OH, OW, C) tap view of it, so
+  no Python loop runs per tap.  Channels last is the point: on the
+  2x2-8x8 maps that dominate MobileNetV2's call count an NCHW layout
+  leaves NumPy an innermost loop of 2-4 elements, while here it runs
+  over the C channels.  With C > 1 the einsum adds each output's taps
+  in (i, j) order, so float32 results are bitwise those of a tap-by-tap
+  accumulation.  The backward rebuilds the padded copy (holding it from
+  the forward raises peak memory) and reduces the weight gradient per
+  tap with one fused ``einsum``.  The input gradient is the transposed
+  convolution: the same tap-view ``einsum`` over the zero-dilated output
+  gradient with the kernel flipped.  Output and input gradient are
+  returned as C-contiguous NCHW arrays, so the ops that follow (batch
+  norm's reductions in particular) see the same memory order as on
+  every other path.
 * **grouped** — the general ``einsum`` path, kept as the reference
   implementation for every layout and used for exotic group counts.
 
@@ -65,13 +68,13 @@ _FAST_CONV = True
 
 
 def fast_conv_enabled() -> bool:
-    """Whether the matmul fast paths are currently active."""
+    """Whether conv2d's fast paths are currently active."""
     return _FAST_CONV
 
 
 @contextlib.contextmanager
 def fast_conv(enabled: bool):
-    """Temporarily enable/disable conv2d's matmul fast paths.
+    """Temporarily enable/disable conv2d's fast paths.
 
     With ``enabled=False`` every convolution runs the grouped einsum
     reference path, which the equivalence tests compare against.
@@ -106,6 +109,26 @@ def _pad_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
     out = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
     out[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
     return out
+
+
+def _tap_view(
+    xp: np.ndarray,
+    kernel: Tuple[int, int],
+    out_hw: Tuple[int, int],
+    stride: int,
+) -> np.ndarray:
+    """Read-only (N, KH, KW, OH, OW, C) tap view of ``xp`` (N, HP, WP, C).
+
+    ``view[n, i, j, h, w] = xp[n, stride*h + i, stride*w + j]``: every
+    kernel tap of every output position, with no copy.
+    """
+    s0, s1, s2, s3 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(xp.shape[0], *kernel, *out_hw, xp.shape[3]),
+        strides=(s0, s1, s2, s1 * stride, s2 * stride, s3),
+        writeable=False,
+    )
 
 
 def im2col(
@@ -243,30 +266,39 @@ def conv2d(
 
         backward = backward_pointwise
     elif _FAST_CONV and groups == c_in and c_out == c_in and c_in_g == 1:
-        # Depthwise conv, any stride: KH*KW strided multiply-adds over a
-        # zero-padded channels-last copy (see the module docstring).
-        w2 = weight.data.reshape(c_out, kh, kw)
-        taps = [
-            (i, j, (slice(None), slice(i, i + stride * oh, stride),
-                    slice(j, j + stride * ow, stride)))
-            for i in range(kh) for j in range(kw)
-        ]
+        # Depthwise conv, any stride: one einsum over a strided tap view of
+        # a zero-padded channels-last copy (see the module docstring).
+        # A contiguous (KH, KW, C) kernel keeps channels einsum's innermost
+        # loop (for C > 1), so each output adds its taps in (i, j) order,
+        # bitwise as a tap-by-tap accumulation would.
+        w_khwc = np.ascontiguousarray(weight.data.reshape(c_out, kh * kw).T)
+        w_khwc = w_khwc.reshape(kh, kw, c_out)
         xp = _pad_nhwc(x.data, padding)
-        acc = np.zeros((n, oh, ow, c_out), dtype=xp.dtype)
-        for i, j, tap in taps:
-            acc += xp[tap] * w2[:, i, j]
+        acc = np.einsum(
+            "nijhwc,ijc->nhwc", _tap_view(xp, (kh, kw), (oh, ow), stride), w_khwc
+        )
         del xp  # rebuilt by the backward rather than held until then
         out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
         def backward_depthwise(grad):
-            xp = _pad_nhwc(x.data, padding)
             g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
+            xp = _pad_nhwc(x.data, padding)
+            view = _tap_view(xp, (kh, kw), (oh, ow), stride)
             gw = np.empty_like(weight.data)
-            gxp = np.zeros_like(xp)
-            for i, j, tap in taps:
-                gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, xp[tap])
-                gxp[tap] += g * w2[:, i, j]
-            gx = gxp[:, padding:padding + h, padding:padding + w]
+            for i in range(kh):
+                for j in range(kw):
+                    gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, view[:, i, j])
+            del xp, view
+            # Transposed conv: correlate the zero-dilated gradient with the
+            # flipped kernel.  The dilated gradient sits at offset
+            # (KH-1, KW-1) so every padding works; the input's (H, W)
+            # window then starts at (padding, padding).
+            hp, wp = h + 2 * padding, w + 2 * padding
+            gd = np.zeros((n, hp + kh - 1, wp + kw - 1, c_in), dtype=g.dtype)
+            gd[:, kh - 1:kh - 1 + stride * oh:stride,
+               kw - 1:kw - 1 + stride * ow:stride] = g
+            gview = _tap_view(gd[:, padding:, padding:], (kh, kw), (h, w), 1)
+            gx = np.einsum("nijhwc,ijc->nhwc", gview, w_khwc[::-1, ::-1])
             gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
             if bias is not None:
                 return gx, gw, grad.sum(axis=(0, 2, 3))

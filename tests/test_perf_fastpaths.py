@@ -2,8 +2,8 @@
 
 Three families of guarantees:
 
-* the conv2d fast paths (pointwise matmul, dense matmul, depthwise tap
-  accumulation) produce the same outputs AND gradients as the grouped
+* the conv2d fast paths (pointwise matmul, dense matmul, depthwise
+  tap-view einsum) produce the same outputs AND gradients as the grouped
   einsum reference path (``fast_conv(False)``), including against the
   numerical gradient checker;
 * a quantised depthwise conv's straight-through gradients equal the
@@ -56,6 +56,14 @@ CASES = [
     # MobileNetV2's last-stage map size: every tap but the centre hangs
     # over the border.
     ("depthwise_2x2_bias", (2, 8, 2, 2), (8, 1, 3, 3), dict(stride=1, padding=1, groups=8)),
+    # Even map at stride 2 (MobileNetV2's 16->8 layers): the trailing
+    # padded row and column are read by no window.
+    ("depthwise_even_strided", (2, 6, 8, 8), (6, 1, 3, 3), dict(stride=2, padding=1, groups=6)),
+    # SP-NAS's stride-2 e*k5 candidates.
+    ("depthwise_5x5_strided", (2, 4, 12, 12), (4, 1, 5, 5), dict(stride=2, padding=2, groups=4)),
+    ("depthwise_nopad", (2, 4, 7, 7), (4, 1, 3, 3), dict(stride=1, padding=0, groups=4)),
+    # Padding wider than the kernel: some output rows see only zeros.
+    ("depthwise_overpadded", (2, 4, 5, 5), (4, 1, 3, 3), dict(stride=1, padding=3, groups=4)),
     ("grouped", (2, 8, 6, 6), (8, 2, 3, 3), dict(stride=1, padding=1, groups=4)),
 ]
 
@@ -86,6 +94,7 @@ class TestFastPathEquivalence:
             if c[0] in (
                 "pointwise", "dense_3x3", "depthwise_3x3",
                 "depthwise_strided", "depthwise_5x5",
+                "depthwise_even_strided", "depthwise_5x5_strided",
             )
         ],
     )
@@ -113,6 +122,25 @@ class TestFastPathEquivalence:
         for arr in (out.data, x.grad):
             assert arr.dtype == np.float32
             assert arr.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_depthwise_float32_summation_order(self, stride, k):
+        # The forward adds each output's taps in (i, j) order from a zero
+        # float32 accumulator, so eval accuracies and serving outputs do
+        # not move with the kernel's implementation.
+        p = k // 2
+        x = RNG.normal(size=(2, 8, 9, 9)).astype(np.float32)
+        w = RNG.normal(size=(8, 1, k, k)).astype(np.float32)
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=p, groups=8).data
+        oh, ow = out.shape[2:]
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        acc = np.zeros(out.shape, dtype=np.float32)
+        for i in range(k):
+            for j in range(k):
+                tap = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                acc += tap * w[:, 0, i, j][:, None, None]
+        assert np.array_equal(out, acc)
 
     def test_toggle_restores_state(self):
         assert fast_conv_enabled()
