@@ -51,6 +51,9 @@ if touched != ["scripts/check_baseline.json"]:
     sys.exit(1)
 PY
 
+echo "==> numpy runtime (SIMD dispatch; the bitwise float32 tests depend on it)"
+python -c "import numpy; numpy.show_runtime()"
+
 echo "==> tier-1 pytest (must leave the tree as it found it)"
 TREE_BEFORE="$(git status --porcelain)"
 python -m pytest -x -q --durations=15

@@ -26,13 +26,18 @@ Four execution strategies share one differentiable ``conv2d`` surface:
   no Python loop runs per tap.  Channels last is the point: on the
   2x2-8x8 maps that dominate MobileNetV2's call count an NCHW layout
   leaves NumPy an innermost loop of 2-4 elements, while here it runs
-  over the C channels.  With C > 1 the einsum adds each output's taps
-  in (i, j) order, so float32 results are bitwise those of a tap-by-tap
-  accumulation.  The backward rebuilds the padded copy (holding it from
-  the forward raises peak memory) and reduces the weight gradient per
-  tap with one fused ``einsum``.  The input gradient is the transposed
-  convolution: the same tap-view ``einsum`` over the zero-dilated output
-  gradient with the kernel flipped.  Output and input gradient are
+  over the C channels.  At stride 1 it runs longer still: a row's
+  (OW, C) taps are one contiguous run of the NHWC copy, so the view folds
+  them into one OW*C axis and the kernel is tiled OW times along it,
+  which matters most on the early 16-24-channel maps.  With C > 1 the
+  einsum adds each output's taps in (i, j) order whether folded or not,
+  so float32 results are bitwise those of a tap-by-tap accumulation.
+  The backward rebuilds the padded copy (holding it from the forward
+  raises peak memory) and reduces the weight gradient per tap with one
+  fused ``einsum``.  The input gradient is the transposed convolution:
+  the same tap-view correlation over the zero-dilated output gradient
+  with the kernel flipped; it is stride 1 for every layer, so it always
+  takes the folded axis.  Output and input gradient are
   returned as C-contiguous NCHW arrays, so the ops that follow (batch
   norm's reductions in particular) see the same memory order as on
   every other path.
@@ -129,6 +134,33 @@ def _tap_view(
         strides=(s0, s1, s2, s1 * stride, s2 * stride, s3),
         writeable=False,
     )
+
+
+def _correlate_nhwc(
+    xp: np.ndarray,
+    w_khwc: np.ndarray,
+    out_hw: Tuple[int, int],
+    stride: int,
+) -> np.ndarray:
+    """Depthwise correlation of ``xp`` (N, HP, WP, C) with ``w_khwc``.
+
+    Returns (N, OH, OW, C) with ``out[n, h, w] = sum_ij xp[n, s*h+i,
+    s*w+j] * w_khwc[i, j]``.  At stride 1 a row's (OW, C) taps are one
+    contiguous run of ``xp`` (its W stride is C * itemsize), so the view
+    folds them into a single OW*C axis and the kernel is tiled OW times
+    along it: einsum's innermost loop then runs over OW*C elements rather
+    than C and, with C > 1, still adds each output's taps in (i, j) order.
+    ``xp``'s W and C axes must be contiguous; its H and N axes need not
+    be.
+    """
+    kh, kw, c = w_khwc.shape
+    view = _tap_view(xp, (kh, kw), out_hw, stride)
+    if stride != 1:
+        return np.einsum("nijhwc,ijc->nhwc", view, w_khwc)
+    n, (oh, ow) = xp.shape[0], out_hw
+    folded = view.reshape(n, kh, kw, oh, ow * c)  # a view: no copy
+    acc = np.einsum("nijhk,ijk->nhk", folded, np.tile(w_khwc, (1, 1, ow)))
+    return acc.reshape(n, oh, ow, c)
 
 
 def im2col(
@@ -274,9 +306,7 @@ def conv2d(
         w_khwc = np.ascontiguousarray(weight.data.reshape(c_out, kh * kw).T)
         w_khwc = w_khwc.reshape(kh, kw, c_out)
         xp = _pad_nhwc(x.data, padding)
-        acc = np.einsum(
-            "nijhwc,ijc->nhwc", _tap_view(xp, (kh, kw), (oh, ow), stride), w_khwc
-        )
+        acc = _correlate_nhwc(xp, w_khwc, (oh, ow), stride)
         del xp  # rebuilt by the backward rather than held until then
         out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
@@ -297,8 +327,9 @@ def conv2d(
             gd = np.zeros((n, hp + kh - 1, wp + kw - 1, c_in), dtype=g.dtype)
             gd[:, kh - 1:kh - 1 + stride * oh:stride,
                kw - 1:kw - 1 + stride * ow:stride] = g
-            gview = _tap_view(gd[:, padding:, padding:], (kh, kw), (h, w), 1)
-            gx = np.einsum("nijhwc,ijc->nhwc", gview, w_khwc[::-1, ::-1])
+            gx = _correlate_nhwc(
+                gd[:, padding:, padding:], w_khwc[::-1, ::-1], (h, w), 1
+            )
             gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
             if bias is not None:
                 return gx, gw, grad.sum(axis=(0, 2, 3))

@@ -4,6 +4,18 @@ Implemented as a fused primitive (rather than composed from elementwise
 ops) because batch norm dominates the op count in MobileNetV2 and the
 fused backward is both faster and numerically tighter.
 
+Every elementwise pass (centring, scale, shift and both backwards) views
+the NCHW input as (N, C*H*W) and expands each per-channel vector with
+``np.repeat(v, H*W)``.  A (1, C, 1, 1) broadcast would leave NumPy an
+inner loop of H*W elements, only 4 on MobileNetV2's 2x2 late-stage maps;
+the tiled vector gives it one contiguous C*H*W run.  Each element is
+still computed by the same ufunc from the same operands, and the
+per-channel reductions are the same ``einsum`` calls over NCHW, so
+float32 outputs are bitwise those of the broadcast formulas.  A
+non-C-contiguous input (no conv path returns one) is copied first, and
+every pass and reduction runs over the copy, so the result does not
+depend on the input's memory order.
+
 The switchable-precision models in this reproduction keep *independent*
 batch-norm statistics per bit-width (switchable BN, following the SP
 baseline the paper builds on); that logic lives in
@@ -20,6 +32,19 @@ import numpy as np
 from .autograd import Tensor, ensure_tensor, make_op
 
 __all__ = ["batch_norm2d"]
+
+
+def _tiled(ufunc, a: np.ndarray, v: np.ndarray, hw: int) -> np.ndarray:
+    """``ufunc(a, np.repeat(v, hw))`` with the result allocated first.
+
+    The repeated vector is a short-lived (C*H*W,) temporary.  Allocated
+    after the result, it frees back into the space the next allocation
+    takes.  Allocated before it, it leaves a hole between two long-lived
+    activations, and over a training run those holes grow the heap and
+    peak RSS.
+    """
+    out = np.empty(a.shape, np.result_type(a, v))
+    return ufunc(a, np.repeat(v, hw), out=out)
 
 
 def batch_norm2d(
@@ -48,8 +73,14 @@ def batch_norm2d(
     """
     x, gamma, beta = ensure_tensor(x), ensure_tensor(gamma), ensure_tensor(beta)
     n, c, h, w = x.shape
-    axes = (0, 2, 3)
-    count = n * h * w
+    hw = h * w
+    count = n * hw
+    # Every elementwise pass runs over x viewed as (N, C*H*W) against a
+    # per-channel vector repeated H*W times (see the module docstring).
+    # The passes and the reductions all see one C-contiguous array (a copy
+    # only if x is not), so the result does not depend on x's memory order.
+    x4 = np.ascontiguousarray(x.data)
+    x2 = x4.reshape(n, c * hw)
 
     if training:
         # Centre once and derive the (biased) variance from the centred
@@ -57,51 +88,53 @@ def batch_norm2d(
         # statistics are unchanged, but the centred array is reused for
         # x_hat instead of subtracting the mean a second time.
         inv_count = 1.0 / count
-        mean4 = (np.einsum("nchw->c", x.data) * inv_count).reshape(1, c, 1, 1)
-        xc = x.data - mean4
+        mean = np.einsum("nchw->c", x4) * inv_count
+        xc = _tiled(np.subtract, x2, mean, hw)
+        xc4 = xc.reshape(n, c, h, w)
         # einsum fuses square+reduce without a temporary; same biased
         # variance up to summation order.
-        var = np.einsum("nchw,nchw->c", xc, xc) * inv_count
+        var = np.einsum("nchw,nchw->c", xc4, xc4) * inv_count
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean4.reshape(c)
+        running_mean += momentum * mean
         # Unbiased variance in the running buffer, biased in the forward:
         # the PyTorch convention, kept so literature hyper-parameters apply.
         unbiased = var * count / max(count - 1, 1)
         running_var *= 1.0 - momentum
         running_var += momentum * unbiased
     else:
-        mean4 = running_mean.reshape(1, c, 1, 1)
-        xc = x.data - mean4
+        xc = _tiled(np.subtract, x2, running_mean, hw)
+        xc4 = xc.reshape(n, c, h, w)
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
     # x_hat = xc * inv_std is never materialised: the affine output folds
     # gamma into the per-channel scale, and the backward derives every
     # x_hat term from the centred tensor and per-channel scalars.
-    scale4 = (gamma.data * inv_std).reshape(1, c, 1, 1)
-    out = xc * scale4
-    out += beta.data.reshape(1, c, 1, 1)
+    scale = gamma.data * inv_std
+    out = _tiled(np.multiply, xc, scale, hw)
+    out += np.repeat(beta.data, hw)
 
     def backward(grad):
         # Fused backward: the per-channel reductions of the standard BN
         # gradient are exactly ggamma and gbeta scaled by gamma, so the
         # mean/projection terms reuse them instead of re-reducing
-        # (einsum fuses multiply+reduce without a temporary).
-        ggamma = np.einsum("nchw,nchw->c", grad, xc) * inv_std
+        # (einsum fuses multiply+reduce without a temporary).  The closure
+        # holds only (C,) vectors and xc; the tiled vectors are rebuilt
+        # here rather than kept alive until the backward runs.
+        ggamma = np.einsum("nchw,nchw->c", grad, xc4) * inv_std
         gbeta = np.einsum("nchw->c", grad)
+        grad2 = grad.reshape(n, c * hw)
         if training:
             ic = 1.0 / count
-            g4 = gamma.data.reshape(1, c, 1, 1)
-            istd4 = inv_std.reshape(1, c, 1, 1)
-            term2 = (gamma.data * gbeta * ic).reshape(1, c, 1, 1)
-            proj = (gamma.data * ggamma * ic * inv_std).reshape(1, c, 1, 1)
+            term2 = gamma.data * gbeta * ic
+            proj = gamma.data * ggamma * ic * inv_std
             # In-place chain: one temporary instead of five.
-            gx = grad * g4
-            gx -= term2
-            gx -= xc * proj
-            gx *= istd4
+            gx = _tiled(np.multiply, grad2, gamma.data, hw)
+            gx -= np.repeat(term2, hw)
+            gx -= xc * np.repeat(proj, hw)
+            gx *= np.repeat(inv_std, hw)
         else:
-            gx = grad * scale4
-        return gx, ggamma, gbeta
+            gx = _tiled(np.multiply, grad2, scale, hw)
+        return gx.reshape(n, c, h, w), ggamma, gbeta
 
-    return make_op(out, (x, gamma, beta), backward)
+    return make_op(out.reshape(n, c, h, w), (x, gamma, beta), backward)

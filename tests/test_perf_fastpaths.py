@@ -3,9 +3,10 @@
 Three families of guarantees:
 
 * the conv2d fast paths (pointwise matmul, dense matmul, depthwise
-  tap-view einsum) produce the same outputs AND gradients as the grouped
-  einsum reference path (``fast_conv(False)``), including against the
-  numerical gradient checker;
+  tap-view einsum, folded to one OW*C axis at stride 1) produce the same
+  outputs AND gradients as the grouped einsum reference path
+  (``fast_conv(False)``), including against the numerical gradient
+  checker;
 * a quantised depthwise conv's straight-through gradients equal the
   reference conv's gradients at the quantised weight and input;
 * the quantised-weight cache is invalidated exactly when weights change
@@ -43,6 +44,37 @@ def _run_conv(x, w, b, g, enabled, **kwargs):
     return out.data, grads
 
 
+def _tap_loop_depthwise(x, w, stride, p):
+    """Depthwise forward as a tap-by-tap accumulation from zero, in (i, j) order."""
+    k = w.shape[-1]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    oh = (xp.shape[2] - k) // stride + 1
+    ow = (xp.shape[3] - k) // stride + 1
+    acc = np.zeros((x.shape[0], x.shape[1], oh, ow), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            tap = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            acc += tap * w[:, 0, i, j][:, None, None]
+    return acc
+
+
+def _unfolded_depthwise_gx(x, w, g, stride, p):
+    """Depthwise input gradient as the unfolded (N, KH, KW, H, W, C) einsum
+    over the zero-dilated output gradient with the kernel flipped."""
+    n, c, h, wd = x.shape
+    k = w.shape[-1]
+    oh, ow = g.shape[2:]
+    gd = np.zeros((n, h + 2 * p + k - 1, wd + 2 * p + k - 1, c), dtype=g.dtype)
+    gd[:, k - 1:k - 1 + stride * oh:stride,
+       k - 1:k - 1 + stride * ow:stride] = g.transpose(0, 2, 3, 1)
+    view = np.lib.stride_tricks.sliding_window_view(
+        gd[:, p:p + h + k - 1, p:p + wd + k - 1], (k, k), axis=(1, 2)
+    ).transpose(0, 4, 5, 1, 2, 3)  # (N, KH, KW, H, W, C)
+    w_khwc = np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
+    gx = np.einsum("nijhwc,ijc->nhwc", view, w_khwc[::-1, ::-1])
+    return gx.transpose(0, 3, 1, 2)
+
+
 CASES = [
     # (name, x_shape, w_shape, kwargs)
     ("pointwise", (3, 8, 6, 6), (5, 8, 1, 1), dict(stride=1, padding=0, groups=1)),
@@ -64,6 +96,11 @@ CASES = [
     ("depthwise_nopad", (2, 4, 7, 7), (4, 1, 3, 3), dict(stride=1, padding=0, groups=4)),
     # Padding wider than the kernel: some output rows see only zeros.
     ("depthwise_overpadded", (2, 4, 5, 5), (4, 1, 3, 3), dict(stride=1, padding=3, groups=4)),
+    # OH != OW: the stride-1 fold merges OW (not OH) with the channels.
+    ("depthwise_nonsquare", (2, 5, 6, 9), (5, 1, 3, 3), dict(stride=1, padding=1, groups=5)),
+    ("depthwise_nonsquare_strided", (2, 6, 7, 10), (6, 1, 3, 3), dict(stride=2, padding=1, groups=6)),
+    ("depthwise_1x1map", (2, 8, 1, 1), (8, 1, 3, 3), dict(stride=1, padding=1, groups=8)),
+    ("depthwise_single_channel", (2, 1, 7, 7), (1, 1, 3, 3), dict(stride=1, padding=1, groups=1)),
     ("grouped", (2, 8, 6, 6), (8, 2, 3, 3), dict(stride=1, padding=1, groups=4)),
 ]
 
@@ -95,6 +132,7 @@ class TestFastPathEquivalence:
                 "pointwise", "dense_3x3", "depthwise_3x3",
                 "depthwise_strided", "depthwise_5x5",
                 "depthwise_even_strided", "depthwise_5x5_strided",
+                "depthwise_nonsquare",
             )
         ],
     )
@@ -133,14 +171,39 @@ class TestFastPathEquivalence:
         x = RNG.normal(size=(2, 8, 9, 9)).astype(np.float32)
         w = RNG.normal(size=(8, 1, k, k)).astype(np.float32)
         out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=p, groups=8).data
-        oh, ow = out.shape[2:]
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        acc = np.zeros(out.shape, dtype=np.float32)
-        for i in range(k):
-            for j in range(k):
-                tap = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-                acc += tap * w[:, 0, i, j][:, None, None]
-        assert np.array_equal(out, acc)
+        assert np.array_equal(out, _tap_loop_depthwise(x, w, stride, p))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_depthwise_float32_input_gradient_order(self, stride, k):
+        # The input gradient correlates the zero-dilated output gradient with
+        # the flipped kernel.  Folding (W, C) into one einsum axis must keep
+        # the (N, KH, KW, H, W, C) einsum's float32 sums exactly.
+        p, c = k // 2, 8
+        x = RNG.normal(size=(2, c, 9, 9)).astype(np.float32)
+        w = RNG.normal(size=(c, 1, k, k)).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = conv2d(xt, Tensor(w), stride=stride, padding=p, groups=c)
+        g = RNG.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+        assert np.array_equal(xt.grad, _unfolded_depthwise_gx(x, w, g, stride, p))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_depthwise_float32_nonsquare_map_bitwise(self, stride, k):
+        # With OH != OW a fold that merged the wrong spatial axis with the
+        # channels would still have the right element count; only the
+        # values tell.  Both the forward and the input gradient must keep
+        # the unfolded float32 sums.
+        p, c = k // 2, 8
+        x = RNG.normal(size=(2, c, 7, 12)).astype(np.float32)
+        w = RNG.normal(size=(c, 1, k, k)).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = conv2d(xt, Tensor(w), stride=stride, padding=p, groups=c)
+        assert np.array_equal(out.data, _tap_loop_depthwise(x, w, stride, p))
+        g = RNG.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+        assert np.array_equal(xt.grad, _unfolded_depthwise_gx(x, w, g, stride, p))
 
     def test_toggle_restores_state(self):
         assert fast_conv_enabled()
