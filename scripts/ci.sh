@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo CI gate: static analysis, tier-1 tests, the pipeline, serving,
-# loadtest, obs and real-plane smokes, and the benchmark's own smoke test
+# loadtest and obs smokes, and the benchmark's own smoke test
 # (perfbench/smoke.py, which tier-1 does not collect).
 #
 #   bash scripts/ci.sh            # full gate
@@ -131,52 +131,6 @@ python -m repro obs "$OBS_DIR" --profile > /dev/null \
 
 echo "==> observability tour (record, verify, export, inspect)"
 python examples/observability_tour.py > /dev/null
-
-echo "==> real-plane pytest (spawned worker pool + gateway, marker-gated)"
-python -m pytest -q -m real_plane
-
-echo "==> serve-real smoke (real gateway + workers validated vs the simulator)"
-SERVE_REAL_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR" "$SERVE_REAL_DIR"' EXIT
-# One worker concentrates the burst so the policies separate and the
-# --strict ordering + occupancy comparison against the simulator is
-# non-vacuous; 96 requests keep the replay to seconds.
-python -m repro serve-real --scenario bursty --policy all --workers 1 \
-    --max-requests 96 --seed 0 --compare --strict \
-    --output-dir "$SERVE_REAL_DIR"
-for artifact in serve_real_report.json sim_vs_real.json trace.jsonl \
-        metrics_scrape.prom obs/trace_events.jsonl obs/metrics.prom; do
-    test -f "$SERVE_REAL_DIR/$artifact" \
-        || { echo "missing serve-real artifact: $artifact"; exit 1; }
-done
-python - "$SERVE_REAL_DIR" <<'PY'
-import json, sys
-run_dir = sys.argv[1]
-with open(f"{run_dir}/serve_real_report.json") as handle:
-    payload = json.load(handle)
-assert payload["plane"] == "real", payload.get("plane")
-reports = payload["reports"]
-assert len(reports) == 3, f"expected 3 policy reports, got {len(reports)}"
-for report in reports:
-    for key in ("policy", "num_requests", "latency_p50_s", "latency_p95_s",
-                "latency_p99_s", "occupancy", "per_replica", "slo_s"):
-        assert key in report, f"report lacks {key!r}"
-    assert report["num_requests"] == 96, report["num_requests"]
-for summary in payload["replay"]:
-    assert summary["drained"], f"{summary['policy']} did not drain"
-    assert summary["failed"] == [], summary["failed"]
-with open(f"{run_dir}/sim_vs_real.json") as handle:
-    assert json.load(handle)["verdict"]["ok"]
-print("serve-real report schema + verdict ok")
-PY
-grep -Eq 'repro_requests_completed_total\{[^}]*\} [1-9]' \
-        "$SERVE_REAL_DIR/metrics_scrape.prom" \
-    || { echo "live /metrics scrape has no completed requests"; exit 1; }
-grep -Eq 'repro_gateway_http_requests_total\{[^}]*code="200"[^}]*\} [1-9]' \
-        "$SERVE_REAL_DIR/metrics_scrape.prom" \
-    || { echo "live /metrics scrape has no gateway 200s"; exit 1; }
-python -m repro obs "$SERVE_REAL_DIR" > /dev/null \
-    || { echo "repro obs failed to render the serve-real run dir"; exit 1; }
 
 echo "==> perfbench smoke (every workload runs, checks its outputs, prints its metrics)"
 # perfbench imports src/ itself and checks it refuses to run without it,

@@ -6,7 +6,6 @@ Usage::
     python -m repro run table1 --scale smoke --seed 0
     python -m repro run all --scale default
     python -m repro serve-sim --scenario bursty --policy all --scale smoke
-    python -m repro serve-real --scenario bursty --policy all --compare
     python -m repro loadtest --config examples/loadtest_smoke.json --obs
     python -m repro obs runs/loadtest-smoke
     python -m repro check --fail-on error --json
@@ -92,29 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "bundle under DIR (inspect with `repro obs DIR`)",
     )
 
-    from .serving.cli import add_arguments as add_serve_real_arguments
-
-    add_serve_real_arguments(
-        sub.add_parser(
-            "serve-real",
-            help="run the real asyncio gateway + worker-pool plane and "
-                 "validate it against the simulator",
-            description=(
-                "spawn a multi-process serving plane (asyncio HTTP "
-                "gateway in front of N worker processes, each holding "
-                "a resident engine materialised from one shared "
-                "mmap-loaded checkpoint), replay a recorded or "
-                "scenario-generated workload trace through it over "
-                "HTTP on a virtual clock, and emit the same "
-                "FleetReport/obs artifacts the simulator does; "
-                "--compare reruns the discrete-event fleet simulator "
-                "on the identical trace and asserts the real plane "
-                "preserves its policy latency ordering and bit-"
-                "occupancy histograms within tolerance"
-            ),
-        )
-    )
-
     from .analysis.cli import add_arguments as add_check_arguments
 
     add_check_arguments(
@@ -125,10 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "parse the package once and verify the machine-checked "
                 "repo contracts: deterministic planes never read wall "
                 "clocks or unseeded RNGs, the import graph respects the "
-                "plane layering with no cycles, nothing unpicklable "
-                "crosses the multiprocessing spawn boundary, and the "
-                "tracer span vocabulary matches what the obs consumers "
-                "render; exits nonzero when findings at or above --fail-on "
+                "plane layering with no cycles, and the tracer span "
+                "vocabulary matches what the obs consumers render; "
+                "exits nonzero when findings at or above --fail-on "
                 "survive inline suppressions and the committed baseline"
             ),
         )
@@ -503,10 +478,6 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "serve-sim":
         return _cmd_serve_sim(args)
-    if args.command == "serve-real":
-        from .serving.cli import run_from_args as run_serve_real
-
-        return run_serve_real(args)
     if args.command == "check":
         from .analysis.cli import run_from_args as run_check_cli
 

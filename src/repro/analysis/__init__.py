@@ -3,12 +3,11 @@
 The codebase's correctness rests on conventions that no single test
 exercises end-to-end: deterministic reports must never read the wall
 clock, the import graph must respect the plane layering
-(core <- serve <- workload/serving/obs), objects crossing the
-``multiprocessing`` spawn boundary must be picklable, and the tracer
-span vocabulary must not drift between the planes that emit events and
-the planes that render them.  Reviewer memory enforced all of that —
-until a PR forgot (the policy-statefulness sweep and the spawn-plane
-fixes were both convention violations that shipped).
+(core <- serve <- workload/obs), and the tracer span vocabulary must
+not drift between the planes that emit events and the planes that
+render them.  Reviewer memory enforced all of that — until a PR forgot
+(the policy-statefulness sweep was a convention violation that
+shipped).
 
 ``repro check`` turns those conventions into rules.  The framework is
 stdlib-only (``ast`` + file walking — importing it never pays for
@@ -24,8 +23,7 @@ numpy), organised as:
   :data:`repro.api.registry.CHECKERS` so the CLI lists them without
   importing this package;
 * one module per rule — :mod:`~repro.analysis.determinism`,
-  :mod:`~repro.analysis.layering`, :mod:`~repro.analysis.spawn`,
-  :mod:`~repro.analysis.spans`;
+  :mod:`~repro.analysis.layering`, :mod:`~repro.analysis.spans`;
 * :mod:`~repro.analysis.report` — text / JSON reporters and the
   committed-baseline diff;
 * :mod:`~repro.analysis.cli` — ``repro check`` argument plumbing.
@@ -33,7 +31,7 @@ numpy), organised as:
 A violation that is intentional is suppressed inline, next to the code
 it blesses::
 
-    self.clock = clock or time.monotonic  # repro: allow[determinism] why
+    start = wall()  # repro: allow[determinism] why
 
 Suppressed findings stay visible in ``--json`` output; they just stop
 failing the gate.

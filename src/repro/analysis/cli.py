@@ -1,9 +1,8 @@
 """``repro check`` argument plumbing.
 
-Follows the same split as :mod:`repro.serving.cli`: :func:`add_arguments`
-is imported at parser build time and therefore stays stdlib-light;
-:func:`run_from_args` does the real work and is imported only when the
-subcommand actually runs.
+:func:`add_arguments` is imported at parser build time and therefore
+stays stdlib-light; :func:`run_from_args` does the real work and is
+imported only when the subcommand actually runs.
 """
 
 from __future__ import annotations

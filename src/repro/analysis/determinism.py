@@ -5,23 +5,22 @@ byte-identical across runs *because* nothing in those paths reads
 ``time.time``/``perf_counter`` or draws from an unseeded RNG.  This rule
 machine-checks that:
 
-* **banned everywhere** outside the real-plane allowlist
-  (``repro.serving`` — real sockets and processes, ``repro.obs.console``
-  and ``repro.obs.wallclock`` — the sanctioned seams): any reference to a
-  wall-clock callable (``time.time``, ``time.monotonic``,
-  ``time.perf_counter``, ``datetime.now``, ...), the stdlib ``random``
-  module's global-singleton functions, numpy's legacy global RNG
-  (``np.random.rand`` et al., ``np.random.seed``), and zero-argument
-  ``np.random.default_rng()`` (entropy from the OS);
+* **banned everywhere** outside the allowlist (``repro.obs.console``
+  and ``repro.obs.wallclock`` — the sanctioned seams — and the analyzer
+  itself): any reference to a wall-clock callable (``time.time``,
+  ``time.monotonic``, ``time.perf_counter``, ``datetime.now``, ...),
+  the stdlib ``random`` module's global-singleton functions, numpy's
+  legacy global RNG (``np.random.rand`` et al., ``np.random.seed``),
+  and zero-argument ``np.random.default_rng()`` (entropy from the OS);
 * **strict virtual planes** (``repro.serve``, ``repro.workload``): even
   the blessed :func:`repro.obs.wallclock.wall_clock_s` seam is banned —
   these modules run on the simulation clock only and take any clock
   they need as a parameter.
 
 References count, not just calls: passing ``time.monotonic`` as a clock
-callable leaks wall time exactly like calling it.  Intentional sites
-(the engine's live-deployment clock default) carry an inline
-``# repro: allow[determinism]`` suppression with the reason.
+callable leaks wall time exactly like calling it.  An intentional site
+carries an inline ``# repro: allow[determinism]`` suppression with the
+reason.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ NP_GLOBAL_RNG = frozenset({
 STDLIB_RANDOM_OK = frozenset({"Random", "SystemRandom"})
 
 DEFAULT_ALLOWLIST = (
-    "repro.serving",
     "repro.obs.console",
     "repro.obs.wallclock",
     "repro.analysis",
@@ -95,7 +93,7 @@ class DeterminismChecker(Checker):
     rule = "determinism"
     severity = "error"
     description = (
-        "no wall clocks or unseeded RNGs outside the real plane; "
+        "no wall clocks or unseeded RNGs outside the sanctioned seams; "
         "serve/workload stay virtual-clock only"
     )
 

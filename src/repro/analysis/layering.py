@@ -3,12 +3,11 @@
 The repo is layered: foundation (tensor/data/api registry/obs core)
 under the model zoo (nn/optim/quant/hardware), under training and
 baselines (core/baselines), under the serving simulator (serve), under
-the lab planes (workload/serving/obs.views/analysis), under the
-orchestrator (api.pipeline), with experiments and the CLI as
-leaves nothing else may import.  A ``core`` module importing
-``serving`` — or anything importing ``experiments`` — couples a
-deterministic plane to a real one and breaks the "simulator imports
-nothing that can touch a socket" guarantee.
+the lab planes (workload/obs.views/analysis), under the orchestrator
+(api.pipeline), with experiments and the CLI as leaves nothing else may
+import.  A ``core`` module importing ``workload`` — or anything
+importing ``experiments`` — couples a lower plane to the code it
+exists to serve.
 
 Mechanics:
 
@@ -40,7 +39,7 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("nn", "optim", "quant", "hardware"),
     ("core", "baselines"),
     ("serve",),
-    ("workload", "serving", "analysis", "obs.views"),
+    ("workload", "analysis", "obs.views"),
     ("api.pipeline",),
     ("experiments", "__main__"),
 )
@@ -51,7 +50,7 @@ class LayeringChecker(Checker):
     severity = "error"
     description = (
         "imports respect the plane layering (core <- serve <- "
-        "workload/serving/obs); module cycles are errors"
+        "workload/obs); module cycles are errors"
     )
 
     def __init__(self, layers: Sequence[Sequence[str]] = DEFAULT_LAYERS):

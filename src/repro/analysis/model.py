@@ -12,8 +12,6 @@ parses every ``*.py`` exactly once, and exposes:
   path they were imported from (``np`` -> ``numpy``,
   ``SCENARIOS`` -> ``repro.api.registry.SCENARIOS``), which is what
   lets checkers resolve ``np.random.rand`` without executing anything;
-* top-level bindings (defs, classes, assignments, imported names), so
-  a spawn target can be checked to be a module-level name.
 
 Everything is plain :mod:`ast`; the analyzed tree is never imported,
 which is why the same code can analyze the live package, a temp-dir
@@ -25,7 +23,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .findings import Suppression, parse_suppressions
 
@@ -59,7 +57,6 @@ class ModuleInfo:
     is_package: bool
     imports: List[ImportEdge] = field(default_factory=list)
     origins: Dict[str, str] = field(default_factory=dict)
-    top_level: Set[str] = field(default_factory=set)
     suppressions: List[Suppression] = field(default_factory=list)
 
     def suppressed(self, rule: str, line: int) -> Optional[Suppression]:
@@ -171,40 +168,6 @@ def _collect_imports(
     return edges, origins
 
 
-def _collect_top_level(tree: ast.Module) -> Set[str]:
-    """Names bound at module scope."""
-    names: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name):
-                        names.add(leaf.id)
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name):
-                names.add(node.target.id)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name != "*":
-                    names.add(alias.asname or alias.name)
-        elif isinstance(node, (ast.For, ast.While, ast.If, ast.Try,
-                               ast.With)):
-            # Conservatively pick up names bound inside top-level
-            # control flow (e.g. ``try: import x`` fallbacks).
-            for leaf in ast.walk(node):
-                if isinstance(leaf, ast.Name) and isinstance(
-                    leaf.ctx, ast.Store
-                ):
-                    names.add(leaf.id)
-    return names
-
-
 class ProjectModel:
     """Index over every parsed module of one package tree."""
 
@@ -291,7 +254,6 @@ def load_project(root: Optional[str] = None) -> ProjectModel:
                 is_package=is_package,
                 imports=imports,
                 origins=origins,
-                top_level=_collect_top_level(tree),
                 suppressions=parse_suppressions(source),
             )
     return ProjectModel(root=root, package=package, modules=modules)

@@ -1,7 +1,7 @@
 """Rule ``spans``: the tracer event vocabulary cannot drift.
 
 ``repro.obs.tracer.EVENT_KINDS`` is the contract between the planes
-that *emit* span events (engine, pipeline, serving workers) and the
+that *emit* span events (engine, fleet, pipeline) and the
 planes that *render* them (``obs.views`` tables, ``obs.metrics``
 counters).  Nothing enforces it at runtime — ``emit("forwrd", ...)``
 happily records an event every consumer silently ignores, and a
@@ -9,9 +9,8 @@ vocabulary entry no consumer handles is telemetry that vanishes.  Both
 drifts shipped before; this rule pins the vocabulary from three sides:
 
 * every **literal emit** (``tracer.emit("kind", ...)``) anywhere in the
-  tree must use a declared kind — error at the emit site (dynamic
-  re-emits, e.g. the worker pool replaying recorded events, are
-  skipped: their kinds were checked where they were first emitted);
+  tree must use a declared kind — error at the emit site (an emit
+  whose kind is not a literal is skipped);
 * every **literal kind comparison** in a consumer module
   (``kind == "batch"``, ``e["kind"] in ("autoscale", "fault")``) must
   use a declared kind — error at the comparison;

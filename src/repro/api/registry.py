@@ -245,7 +245,6 @@ CHECKERS.register_lazy(
     "determinism", "repro.analysis.determinism:DeterminismChecker"
 )
 CHECKERS.register_lazy("layering", "repro.analysis.layering:LayeringChecker")
-CHECKERS.register_lazy("spawn", "repro.analysis.spawn:SpawnSafetyChecker")
 CHECKERS.register_lazy("spans", "repro.analysis.spans:SpanVocabularyChecker")
 
 REGISTRIES: Dict[str, Registry] = {

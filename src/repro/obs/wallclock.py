@@ -9,8 +9,8 @@ modules call :func:`wall_clock_s` instead: a single, greppable,
 monkeypatchable point where wall time enters.
 
 The strict virtual-clock planes (``repro.serve``, ``repro.workload``)
-may not use even this seam — they take any clock they need as an
-injected parameter (see ``Engine(clock=...)``).
+may not use even this seam — they take the time as a parameter (see
+``InferenceEngine.dispatch(now)``).
 """
 
 from __future__ import annotations

@@ -28,12 +28,9 @@ block specs), which makes pipeline checkpoints self-contained.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import struct
 import warnings
-import zipfile
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
@@ -234,75 +231,16 @@ def _check_schema_version(meta: Dict, json_path: str) -> None:
         )
 
 
-def _mmap_state_arrays(npz_path: str) -> Dict[str, np.ndarray]:
-    """Read-only array views memory-mapped at their zip member offsets.
-
-    ``np.savez`` stores members uncompressed (``ZIP_STORED``): each one
-    is a complete ``.npy`` file sitting contiguously inside the archive,
-    so its data can be exposed as an ndarray view over one shared
-    ``np.memmap`` of the whole checkpoint.  N worker processes mapping
-    the same checkpoint then share the weight pages through the OS page
-    cache instead of each materialising a private heap copy of the file.
-    """
-    from numpy.lib import format as npformat
-
-    raw = np.memmap(npz_path, mode="r", dtype=np.uint8)
-    state: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(npz_path) as archive, open(npz_path, "rb") as handle:
-        for info in archive.infolist():
-            if not info.filename.endswith(".npy"):
-                continue
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError(
-                    f"checkpoint member {info.filename!r} is compressed; "
-                    f"mmap loading requires np.savez (stored) checkpoints"
-                )
-            # Local file header: fixed 30 bytes, then name + extra field.
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise ValueError(
-                    f"corrupt zip local header for {info.filename!r} "
-                    f"in {npz_path}"
-                )
-            name_len, extra_len = struct.unpack("<HH", local[26:30])
-            payload_off = info.header_offset + 30 + name_len + extra_len
-            header = io.BytesIO(
-                raw[payload_off:payload_off + 1024].tobytes()
-            )
-            version = npformat.read_magic(header)
-            if version == (1, 0):
-                shape, fortran, dtype = npformat.read_array_header_1_0(header)
-            else:
-                shape, fortran, dtype = npformat.read_array_header_2_0(header)
-            state[info.filename[:-len(".npy")]] = np.ndarray(
-                shape, dtype=dtype, buffer=raw,
-                offset=payload_off + header.tell(),
-                order="F" if fortran else "C",
-            )
-    return state
-
-
-def load_state_arrays(npz_path: str, mmap: bool = False) -> Dict[str, np.ndarray]:
-    """The checkpoint's raw state dict; ``mmap`` shares pages read-only."""
-    if mmap:
-        return _mmap_state_arrays(npz_path)
+def load_state_arrays(npz_path: str) -> Dict[str, np.ndarray]:
+    """The checkpoint's raw state dict."""
     with np.load(npz_path) as arrays:
         return {name: arrays[name] for name in arrays.files}
 
 
 def load_checkpoint(
-    path: str, mmap: bool = False
+    path: str,
 ) -> Tuple[SwitchablePrecisionNetwork, SPNetConfig]:
-    """Rebuild the model named by ``<base>.json`` and load ``<base>.npz``.
-
-    ``mmap=True`` loads the arrays as read-only views mapped directly at
-    their offsets inside the ``.npz`` (see :func:`load_state_arrays`):
-    parameters still copy into the model's own tensors, but the file
-    read itself is shared page cache, so many worker processes
-    bootstrapping from one checkpoint touch each weight page once
-    machine-wide instead of once per process.
-    """
+    """Rebuild the model named by ``<base>.json`` and load ``<base>.npz``."""
     base = _base_path(path)
     json_path, npz_path = base + ".json", base + ".npz"
     with open(json_path) as handle:
@@ -310,13 +248,12 @@ def load_checkpoint(
     _check_schema_version(meta, json_path)
     config = SPNetConfig.from_json_dict(meta["config"])
     sp_net = build_sp_net(config)
-    sp_net.load_state_dict(load_state_arrays(npz_path, mmap=mmap))
+    sp_net.load_state_dict(load_state_arrays(npz_path))
     return sp_net, config
 
 
 # ----------------------------------------------------------------------
-# Checkpoint -> engine materialization (shared by the simulated fleet
-# and the real-process worker bootstrap)
+# Checkpoint -> engine materialization
 # ----------------------------------------------------------------------
 def make_controller(policy: str, slo_s: Optional[float] = None):
     """Instantiate a precision policy, wiring the SLO where it applies.
@@ -342,7 +279,6 @@ def build_engine(
     max_batch: int,
     slo_s: Optional[float] = None,
     batch_timeout_s: Optional[float] = None,
-    clock=None,
     stats_window: int = 128,
     tracer=None,
 ):
@@ -356,7 +292,6 @@ def build_engine(
         latency_model,
         max_batch=max_batch,
         batch_timeout_s=batch_timeout_s,
-        clock=clock,
         stats_window=stats_window,
         tracer=NULL_TRACER if tracer is None else tracer,
     )
@@ -370,22 +305,17 @@ def materialize_engine(
     max_batch: int,
     slo_s: Optional[float] = None,
     batch_timeout_s: Optional[float] = None,
-    clock=None,
     stats_window: int = 128,
     tracer=None,
-    mmap: bool = False,
 ):
-    """Checkpoint -> private network -> engine, in one shared path.
+    """Checkpoint -> private network -> engine.
 
-    Both consumers of "give me a serving engine for this checkpoint"
-    route through here — :func:`repro.serve.cluster.make_fleet`'s
-    registry-backed replica factory and the real-process worker
-    bootstrap (:mod:`repro.serving.worker`) — so a simulated replica and
-    a real worker provably build identical engines from identical
-    bytes.  Each call loads a fresh, independently-owned network (the
+    :func:`repro.serve.cluster.make_fleet`'s registry-backed replica
+    factory routes through here.  Each call loads a fresh,
+    independently-owned network (the
     :meth:`~repro.serve.registry.ModelRegistry.materialize` contract).
     """
-    sp_net, _ = load_checkpoint(checkpoint, mmap=mmap)
+    sp_net, _ = load_checkpoint(checkpoint)
     return build_engine(
         sp_net,
         policy,
@@ -393,7 +323,6 @@ def materialize_engine(
         max_batch=max_batch,
         slo_s=slo_s,
         batch_timeout_s=batch_timeout_s,
-        clock=clock,
         stats_window=stats_window,
         tracer=tracer,
     )

@@ -624,17 +624,12 @@ def make_fleet(
 
     def replica_factory(index: int) -> InferenceEngine:
         if registry is not None:
-            # The same checkpoint -> engine path real-process workers
-            # bootstrap through (serve/checkpoint.materialize_engine),
-            # so simulated replicas and real workers provably build
-            # identical engines from identical bytes.
             return materialize_engine(
                 registry.checkpoint_path(model_name),
                 policy,
                 fixture.latency_model,
                 max_batch=fixture.scale.max_batch,
                 slo_s=fixture.slo_s,
-                clock=lambda: 0.0,
             )
         sp_net = build_sp_net(fixture.config)
         sp_net.load_state_dict(fixture.sp_net.state_dict())

@@ -14,15 +14,15 @@ The engine is the request path of the serving layer:
   same latency estimate every other hardware experiment in the repo
   uses, and is deterministic (simulations are exactly reproducible).
 
-The clock is injected: the traffic simulator drives a virtual clock,
-while a live deployment passes ``time.monotonic``.
+The engine owns no clock: the traffic simulator passes its virtual
+``now`` to every :meth:`~InferenceEngine.dispatch` and
+:meth:`~InferenceEngine.drain` call.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
 
@@ -295,7 +295,6 @@ class InferenceEngine:
         latency_model: BitLatencyModel,
         max_batch: int = 8,
         batch_timeout_s: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
         stats_window: int = 128,
         tracer=NULL_TRACER,
     ):
@@ -320,9 +319,6 @@ class InferenceEngine:
                 sp_net.highest, self.max_batch
             )
         self.batch_timeout_s = float(batch_timeout_s)
-        # Live-deployment default only: the simulator always injects its
-        # virtual clock, so no deterministic path ever reads this.
-        self.clock = clock or time.monotonic  # repro: allow[determinism] real-time default for live serving
         # Transient service-time multiplier (>= 1.0 during an injected
         # latency spike, 1.0 otherwise).  Owned by the fault-injection
         # layer (repro.workload.faults); the engine only applies it.
@@ -377,7 +373,7 @@ class InferenceEngine:
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(
-        self, now: Optional[float] = None, flush: bool = False
+        self, now: float, flush: bool = False
     ) -> Optional[BatchRecord]:
         """Coalesce and run one micro-batch; None if nothing released.
 
@@ -385,8 +381,6 @@ class InferenceEngine:
         waited out ``batch_timeout_s``, or when ``flush`` forces the
         queue to drain (shutdown / end of simulation).
         """
-        if now is None:
-            now = self.clock()
         if not self._queue:
             return None
         full = len(self._queue) >= self.max_batch
@@ -494,10 +488,8 @@ class InferenceEngine:
                 )
         return record
 
-    def drain(self, now: Optional[float] = None) -> List[BatchRecord]:
+    def drain(self, now: float) -> List[BatchRecord]:
         """Flush every pending request (back-to-back batches)."""
-        if now is None:
-            now = self.clock()
         records = []
         while self._queue:
             record = self.dispatch(now, flush=True)

@@ -81,9 +81,8 @@ class ModelRegistry:
         A live-only model (never persisted) is checkpointed first when
         the registry has a root; without one there is nothing to
         rematerialise from, so the call fails rather than silently
-        handing out the shared instance.  This is the path both replica
-        materialization (:meth:`materialize`) and real-process worker
-        bootstraps resolve checkpoints through.
+        handing out the shared instance.  Replica materialization
+        (:meth:`materialize`) resolves checkpoints through this path.
         """
         path = self._checkpoint_base(name)
         if path is None and name in self._live:
@@ -102,7 +101,7 @@ class ModelRegistry:
         return path
 
     def materialize(
-        self, name: str, mmap: bool = False
+        self, name: str
     ) -> Tuple[SwitchablePrecisionNetwork, SPNetConfig]:
         """A FRESH, independently-owned instance of ``name``.
 
@@ -111,7 +110,7 @@ class ModelRegistry:
         each own a private network — per-replica bit-switching and
         weight-cache state never interfere.
         """
-        return load_checkpoint(self.checkpoint_path(name), mmap=mmap)
+        return load_checkpoint(self.checkpoint_path(name))
 
     def evict(self, name: str) -> bool:
         """Drop the live instance (its checkpoint, if any, survives)."""

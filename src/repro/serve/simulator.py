@@ -398,7 +398,6 @@ def make_engine(
         fixture.latency_model,
         max_batch=fixture.scale.max_batch,
         slo_s=fixture.slo_s,
-        clock=lambda: 0.0,
         tracer=tracer,
     )
 

@@ -18,8 +18,7 @@ exactly once:
 :class:`LatencySummary` bundles the p50/p95/p99/mean/max block every
 report repeats, and :func:`merge_engine_stats` is the one aggregation
 of per-replica engine stats behind every serving report: the
-single-engine report (one replica), the simulated fleet and the real
-worker pool.
+single-engine report (one replica) and the simulated fleet.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .scenarios import (
     sawtooth_gaps,
 )
 from .trace import (
-    RequestRecipe,
     Trace,
     TraceEvent,
     TraceSource,
@@ -58,7 +57,6 @@ __all__ = [
     "pareto_heavy_tail_gaps",
     "ramp_gaps",
     "sawtooth_gaps",
-    "RequestRecipe",
     "Trace",
     "TraceEvent",
     "TraceSource",

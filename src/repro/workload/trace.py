@@ -45,7 +45,6 @@ __all__ = [
     "TRACE_VERSION",
     "TraceSource",
     "TraceEvent",
-    "RequestRecipe",
     "Trace",
     "record_trace",
     "time_scale",
@@ -104,41 +103,6 @@ class TraceEvent:
     label: Optional[int]
     source: int                # index into Trace.sources (the tenant)
     data_index: int            # index into that source's dataset
-
-
-@dataclass(frozen=True)
-class RequestRecipe:
-    """Wire-friendly description of one request in a replay stream.
-
-    A recipe is what a replay client needs to *issue* a request — when
-    to send it and how to rebuild its payload — without holding the
-    materialised image.  ``source`` indexes the owning trace's
-    ``sources`` tuple; payload bytes are regenerated on either side of
-    the wire from that :class:`TraceSource` recipe plus ``data_index``.
-    """
-
-    request_id: int
-    arrival_s: float
-    label: Optional[int]
-    source: int
-    data_index: int
-
-    def to_json_dict(self) -> Dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, payload: Dict) -> "RequestRecipe":
-        return cls(
-            request_id=int(payload["request_id"]),
-            arrival_s=float(payload["arrival_s"]),
-            label=(
-                None if payload["label"] is None else int(payload["label"])
-            ),
-            source=int(payload["source"]),
-            data_index=int(payload["data_index"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -203,61 +167,6 @@ class Trace:
             )
             for event in self.events
         ]
-
-    # ------------------------------------------------------------------
-    # Request-stream view (real-plane replay)
-    # ------------------------------------------------------------------
-    def to_request_stream(self):
-        """Yield :class:`RequestRecipe` items in arrival order.
-
-        This is the payload-free view the real serving plane replays: a
-        client walks the stream, sleeps until each recipe's
-        ``arrival_s`` (scaled to wall time), regenerates the payload
-        from ``sources[recipe.source]`` and submits it.  Events are
-        emitted sorted by ``(arrival_s, request_id)`` so a client never
-        has to re-order in flight.
-        """
-        self._check()
-        ordered = sorted(
-            self.events, key=lambda e: (e.arrival_s, e.request_id)
-        )
-        for e in ordered:
-            yield RequestRecipe(
-                request_id=e.request_id,
-                arrival_s=e.arrival_s,
-                label=e.label,
-                source=e.source,
-                data_index=e.data_index,
-            )
-
-    @classmethod
-    def from_request_stream(
-        cls,
-        name: str,
-        sources: Sequence[TraceSource],
-        recipes,
-        meta: Optional[Dict] = None,
-    ) -> "Trace":
-        """Rebuild a trace from a recipe stream (inverse of
-        :meth:`to_request_stream` for arrival-ordered traces)."""
-        events = tuple(
-            TraceEvent(
-                request_id=r.request_id,
-                arrival_s=r.arrival_s,
-                label=r.label,
-                source=r.source,
-                data_index=r.data_index,
-            )
-            for r in recipes
-        )
-        trace = cls(
-            name=name,
-            sources=tuple(sources),
-            events=events,
-            meta=dict(meta or {}),
-        )
-        trace._check()
-        return trace
 
     # ------------------------------------------------------------------
     # JSONL round-trip

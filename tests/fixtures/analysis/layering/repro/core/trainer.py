@@ -1,5 +1,5 @@
-"""Core (layer 2) reaching up into the real serving plane (layer 4)."""
+"""Core (layer 2) reaching up into the workload lab (layer 4)."""
 
-from ..serving import pool            # bad: upward import
+from ..workload import alpha          # bad: upward import
 
-WORKERS = pool.SIZE
+RATE = alpha.A

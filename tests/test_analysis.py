@@ -32,7 +32,7 @@ from repro.api.registry import CHECKERS, RegistryError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
 REAL_TREE = Path(__file__).resolve().parent.parent / "src" / "repro"
-RULES = ("determinism", "layering", "spawn", "spans")
+RULES = ("determinism", "layering", "spans")
 
 
 def fixture_root(rule):
@@ -62,11 +62,11 @@ class TestSuppressions:
         assert sup.reason == "telemetry"
 
     def test_comment_only_blesses_next_line(self):
-        source = "# repro: allow[spawn] handoff is pickled manually\nx = 1\n"
+        source = "# repro: allow[layering] wired up lazily\nx = 1\n"
         sup, = parse_suppressions(source)
         assert sup.comment_only
-        assert sup.covers("spawn", 1) and sup.covers("spawn", 2)
-        assert not sup.covers("spawn", 3)
+        assert sup.covers("layering", 1) and sup.covers("layering", 2)
+        assert not sup.covers("layering", 3)
 
     def test_multiple_rules_in_one_marker(self):
         sup, = parse_suppressions("y = f()  # repro: allow[a, b]\n")
@@ -103,8 +103,8 @@ class TestProjectModel:
     def test_relative_imports_resolve(self):
         project = load_project(fixture_root("layering"))
         trainer = project.get("repro.core.trainer")
-        assert any(e.target == "repro.serving" for e in trainer.imports)
-        assert trainer.origins["pool"] == "repro.serving.pool"
+        assert any(e.target == "repro.workload" for e in trainer.imports)
+        assert trainer.origins["alpha"] == "repro.workload.alpha"
 
     def test_deferred_imports_marked(self):
         project = load_project(fixture_root("layering"))
@@ -119,7 +119,7 @@ class TestProjectModel:
 
 
 class TestCheckerRegistry:
-    def test_all_four_rules_registered(self):
+    def test_all_rules_registered(self):
         assert set(RULES) <= set(CHECKERS.names())
         for name in RULES:
             checker = CHECKERS.get(name)()
@@ -150,10 +150,10 @@ class TestDeterminismRule:
         assert not good & {f.line for f in result.findings
                            if f.path == "repro/sim.py"}
 
-    def test_real_plane_allowlisted(self):
+    def test_console_seam_allowlisted(self):
         result = check_fixture("determinism")
         assert not [f for f in result.findings
-                    if f.path.startswith("repro/serving/")]
+                    if f.path == "repro/obs/console.py"]
 
     def test_strict_virtual_plane_bans_the_seam(self):
         result = check_fixture("determinism")
@@ -190,25 +190,6 @@ class TestLayeringRule:
         assert len(cycles) == 1
         assert "repro.workload.alpha" in cycles[0].message
         assert "repro.workload.beta" in cycles[0].message
-
-
-class TestSpawnRule:
-    @pytest.fixture(scope="class")
-    def findings(self):
-        return by_rule(check_fixture("spawn"), "spawn")
-
-    def test_bad_targets_and_payloads(self, findings):
-        lines = {f.line for f in findings
-                 if f.path == "repro/serving/pool.py"}
-        # lambda target, nested-def target, bound-method target,
-        # lambda payload, open() payload, local-callable payload
-        assert lines == {16, 17, 19, 22, 23, 24}
-
-    def test_safe_idioms_pass(self, findings):
-        assert not {20, 25, 26} & {f.line for f in findings}
-
-    def test_scope_is_multiprocessing_importers_only(self, findings):
-        assert not [f for f in findings if f.path == "repro/clean.py"]
 
 
 class TestSpansRule:
@@ -304,10 +285,25 @@ class TestRealTree:
         assert len(result.checkers) == len(RULES)
         assert result.active == [], [f.anchor for f in result.active]
 
-    def test_engine_clock_default_is_suppressed_not_invisible(self):
-        result = run_check(root=str(REAL_TREE), rules=["determinism"])
-        suppressed = [f for f in result.findings if f.suppressed]
-        assert any(f.path == "repro/serve/engine.py" for f in suppressed)
+    def test_nothing_imports_processes_or_sockets(self):
+        # Serving is the discrete-event simulator: no module may reach
+        # for worker processes, an event loop or a network socket.
+        assert process_or_socket_imports(REAL_TREE) == []
+
+
+BANNED_IMPORTS = ("multiprocessing", "asyncio", "socket", "concurrent.futures")
+
+
+def process_or_socket_imports(root):
+    """``relpath: module`` for every banned import edge under ``root``."""
+    hits = []
+    for module in load_project(str(root)):
+        names = {e.target for e in module.imports}
+        names |= set(module.origins.values())
+        hits += [f"{module.relpath}: {name}" for name in sorted(names)
+                 if any(name == b or name.startswith(b + ".")
+                        for b in BANNED_IMPORTS)]
+    return hits
 
 
 def inject(tree, relpath, code):
@@ -346,18 +342,10 @@ class TestInjectedViolations:
         self.expect(tree_copy, "determinism",
                     "repro/serve/simulator.py", line + 1)
 
-    def test_core_importing_serving(self, tree_copy):
+    def test_core_importing_workload(self, tree_copy):
         line = inject(tree_copy, "core/trainer.py",
-                      "from repro.serving import pool as _pool\n")
+                      "from repro.workload import trace as _trace\n")
         self.expect(tree_copy, "layering", "repro/core/trainer.py", line)
-
-    def test_lambda_into_worker_pool(self, tree_copy):
-        line = inject(
-            tree_copy, "serving/pool.py",
-            "def _bad_spawn(ctx):\n"
-            "    return ctx.Process(target=lambda: None)\n",
-        )
-        self.expect(tree_copy, "spawn", "repro/serving/pool.py", line + 1)
 
     def test_unknown_span_kind(self, tree_copy):
         line = inject(
@@ -366,6 +354,23 @@ class TestInjectedViolations:
             '    tracer.emit("warp_speed", 0.0)\n',
         )
         self.expect(tree_copy, "spans", "repro/serve/cluster.py", line + 1)
+
+
+class TestImportGuard:
+    """The process/socket guard sees every import form in a copy."""
+
+    @pytest.mark.parametrize("code, banned", [
+        ("import socket\n", "socket"),
+        ("import multiprocessing.pool as _pool\n", "multiprocessing.pool"),
+        ("from concurrent.futures import ThreadPoolExecutor\n",
+         "concurrent.futures"),
+        ("def _later():\n    import asyncio\n", "asyncio"),
+    ], ids=["import", "dotted-alias", "from-import", "deferred"])
+    def test_injected_import_is_caught(self, tree_copy, code, banned):
+        inject(tree_copy, "serve/engine.py", code)
+        hits = process_or_socket_imports(tree_copy)
+        assert f"repro/serve/engine.py: {banned}" in hits
+        assert all(h.startswith("repro/serve/engine.py: ") for h in hits)
 
 
 # ----------------------------------------------------------------------

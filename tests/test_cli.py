@@ -111,16 +111,15 @@ class TestChoicesComeFromManifest:
     def test_serve_sim_choices_match_manifest(self, tmp_path, capsys):
         from repro.api.registry import CHECKERS, choices
 
-        for command in ("serve-sim", "serve-real"):
-            parser = self._subparser(command)
-            parsed = {a.dest: tuple(a.choices) for a in parser._actions
-                      if a.choices is not None}
-            assert parsed == {
-                "scenario": choices("scenarios"),
-                "policy": ("all",) + choices("policies"),
-                "scale": choices("serve_scales"),
-                "router": choices("routers"),
-            }, command
+        parser = self._subparser("serve-sim")
+        parsed = {a.dest: tuple(a.choices) for a in parser._actions
+                  if a.choices is not None}
+        assert parsed == {
+            "scenario": choices("scenarios"),
+            "policy": ("all",) + choices("policies"),
+            "scale": choices("serve_scales"),
+            "router": choices("routers"),
+        }
         # `repro check --rules` validates against the registry at run
         # time: every registered rule is accepted, anything else is not.
         (tmp_path / "__init__.py").write_text("")

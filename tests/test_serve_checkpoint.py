@@ -51,6 +51,24 @@ class TestSPNetConfig:
         )
         assert cfg.bit_widths == ((2, 32), 8)
 
+    def test_derived_requires_arch_payload(self):
+        with pytest.raises(ValueError, match="requires an arch"):
+            small_config(model="derived")
+
+    def test_derived_arch_missing_keys_rejected(self):
+        with pytest.raises(ValueError, match="missing keys"):
+            small_config(model="derived", arch={"space": "tiny"})
+
+    def test_derived_unknown_search_space_rejected(self):
+        arch = {"space": "nowhere", "input_size": 8, "specs": []}
+        with pytest.raises(ValueError, match="unknown search space"):
+            small_config(model="derived", arch=arch)
+
+    def test_arch_only_valid_for_derived(self):
+        arch = {"space": "tiny", "input_size": 8, "specs": []}
+        with pytest.raises(ValueError, match="only valid with model"):
+            small_config(arch=arch)
+
 
 class TestCheckpointRoundTrip:
     def test_bit_for_bit_at_every_bitwidth(self, tmp_path):
@@ -84,6 +102,40 @@ class TestCheckpointRoundTrip:
         _edit_meta(json_path, schema_version=999)
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(str(tmp_path / "m"))
+
+
+class TestStateArrays:
+    def test_arrays_match_the_saved_state_dict(self, tmp_path):
+        cfg = small_config()
+        sp_net = build_sp_net(cfg)
+        npz_path, _ = save_checkpoint(sp_net, cfg, str(tmp_path / "m"))
+        state = sp_net.state_dict()
+        arrays = load_state_arrays(npz_path)
+        assert set(arrays) == set(state)
+        for name, value in state.items():
+            assert arrays[name].dtype == np.asarray(value).dtype
+            np.testing.assert_array_equal(arrays[name], value)
+
+    def test_arrays_are_read_eagerly_and_outlive_the_file(self, tmp_path):
+        npz_path, _ = _saved_checkpoint(tmp_path)
+        arrays = load_state_arrays(npz_path)
+        again = {k: v.copy() for k, v in load_state_arrays(npz_path).items()}
+        os.remove(npz_path)
+        for name, array in arrays.items():
+            assert array.flags.writeable
+            np.testing.assert_array_equal(array, again[name])
+
+    def test_metadata_records_config_and_counts(self, tmp_path):
+        import json as json_mod
+
+        cfg = small_config(bit_widths=(4, (2, 32), 8))
+        sp_net = build_sp_net(cfg)
+        _, json_path = save_checkpoint(sp_net, cfg, str(tmp_path / "m"))
+        with open(json_path) as handle:
+            meta = json_mod.load(handle)
+        assert meta["config"] == cfg.to_json_dict()
+        assert meta["num_arrays"] == len(sp_net.state_dict())
+        assert meta["num_parameters"] == sp_net.num_parameters()
 
 
 def _saved_checkpoint(tmp_path):
@@ -206,42 +258,8 @@ class TestModelRegistry:
             np.testing.assert_array_equal(before[bits], after[bits])
 
 
-class TestMmapLoading:
-    """mmap=True must be a pure read-path optimisation: same arrays."""
-
-    def test_mmap_arrays_equal_eager_arrays(self, tmp_path):
-        npz_path, _ = _saved_checkpoint(tmp_path)
-        eager = load_state_arrays(npz_path)
-        mapped = load_state_arrays(npz_path, mmap=True)
-        assert set(eager) == set(mapped)
-        for name in eager:
-            assert eager[name].dtype == mapped[name].dtype
-            np.testing.assert_array_equal(eager[name], mapped[name])
-
-    def test_mmap_views_are_read_only(self, tmp_path):
-        npz_path, _ = _saved_checkpoint(tmp_path)
-        mapped = load_state_arrays(npz_path, mmap=True)
-        array = next(iter(mapped.values()))
-        assert not array.flags.writeable
-        with pytest.raises((ValueError, RuntimeError)):
-            array[...] = 0
-
-    def test_mmap_checkpoint_rebuilds_bit_for_bit(self, tmp_path):
-        cfg = small_config()
-        sp_net = build_sp_net(cfg)
-        x = np.random.default_rng(2).normal(size=(2, 3, 8, 8)).astype(
-            np.float32
-        )
-        before = outputs_at_every_bit(sp_net, x)
-        save_checkpoint(sp_net, cfg, str(tmp_path / "m"))
-        loaded, _ = load_checkpoint(str(tmp_path / "m"), mmap=True)
-        after = outputs_at_every_bit(loaded, x)
-        for bits in sp_net.bit_widths:
-            np.testing.assert_array_equal(before[bits], after[bits])
-
-
 class TestMaterializeEngine:
-    """checkpoint -> engine: the path shared by sim fleet and workers."""
+    """checkpoint -> engine: the path the registry-backed fleet takes."""
 
     def _latency_model(self):
         from repro.serve.engine import BitLatencyModel
@@ -260,7 +278,7 @@ class TestMaterializeEngine:
         npz_path, _ = save_checkpoint(sp_net, cfg, str(tmp_path / "m"))
         engine = materialize_engine(
             npz_path, "static", self._latency_model(),
-            max_batch=4, mmap=True,
+            max_batch=4,
         )
         got = outputs_at_every_bit(engine.sp_net, x)
         for bits in sp_net.bit_widths:
@@ -278,3 +296,35 @@ class TestMaterializeEngine:
     def test_slo_policy_requires_slo_s(self):
         with pytest.raises(ValueError, match="slo"):
             make_controller("slo")
+
+    def test_make_controller_builds_each_policy(self):
+        from repro.serve import (
+            LatencySLOPolicy,
+            QueueDepthPolicy,
+            StaticPolicy,
+        )
+
+        assert isinstance(make_controller("static"), StaticPolicy)
+        assert isinstance(make_controller("queue"), QueueDepthPolicy)
+        slo = make_controller("slo", slo_s=0.05)
+        assert isinstance(slo, LatencySLOPolicy)
+        assert slo.slo_s == 0.05
+
+    def test_each_engine_owns_a_private_network(self, tmp_path):
+        npz_path, _ = _saved_checkpoint(tmp_path)
+        a, b = (
+            materialize_engine(
+                npz_path, "static", self._latency_model(), max_batch=4
+            )
+            for _ in range(2)
+        )
+        assert a.sp_net is not b.sp_net
+        x = np.random.default_rng(4).normal(size=(1, 3, 8, 8)).astype(
+            np.float32
+        )
+        expected = outputs_at_every_bit(b.sp_net, x)
+        for param in a.sp_net.parameters():
+            param.data[...] = 0.0
+        got = outputs_at_every_bit(b.sp_net, x)
+        for bits in b.sp_net.bit_widths:
+            np.testing.assert_array_equal(expected[bits], got[bits])

@@ -61,7 +61,7 @@ def engine_factory(max_batch=4, policy_cls=StaticPolicy):
     def factory(index):
         return InferenceEngine(
             build_sp_net(CFG), policy_cls(), latency_model(),
-            max_batch=max_batch, batch_timeout_s=0.010, clock=lambda: 0.0,
+            max_batch=max_batch, batch_timeout_s=0.010,
         )
     return factory
 

@@ -45,7 +45,6 @@ def request(i, arrival, label=0):
 def make_engine(sp_net, policy=None, **kwargs):
     kwargs.setdefault("max_batch", 4)
     kwargs.setdefault("batch_timeout_s", 0.010)
-    kwargs.setdefault("clock", lambda: 0.0)
     return InferenceEngine(
         sp_net, policy or StaticPolicy(), latency_model(), **kwargs
     )
@@ -64,6 +63,22 @@ class TestBitLatencyModel:
     def test_unknown_bits_raises(self):
         with pytest.raises(KeyError):
             latency_model().batch_latency_s(12, 1)
+
+    def test_empty_estimates_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            BitLatencyModel({})
+
+    def test_default_overhead_is_one_slowest_image(self):
+        assert BitLatencyModel(dict(PER_IMAGE)).batch_overhead_s == \
+            PER_IMAGE[16]
+
+    def test_batch_energy_is_linear_and_none_when_unpriced(self):
+        priced = BitLatencyModel(
+            dict(PER_IMAGE), per_image_energy_pj={8: 5.0}
+        )
+        assert priced.batch_energy_pj(8, 3) == pytest.approx(15.0)
+        assert priced.batch_energy_pj(4, 3) is None
+        assert latency_model().batch_energy_pj(8, 3) is None
 
     def test_fastest_bits(self):
         assert latency_model().fastest_bits() == 4
@@ -133,6 +148,116 @@ class TestMicroBatching:
         engine.submit(request(0, 0.0))
         with pytest.raises(ValueError, match="candidate set"):
             engine.dispatch(1.0)
+
+
+class TestCallerOwnedTime:
+    """The engine owns no clock: every timestamp derives from ``now``."""
+
+    def test_dispatch_requires_now(self, sp_net):
+        engine = make_engine(sp_net)
+        engine.submit(request(0, 0.0))
+        with pytest.raises(TypeError):
+            engine.dispatch()
+        assert engine.queue_depth == 1
+
+    def test_drain_requires_now(self, sp_net):
+        engine = make_engine(sp_net)
+        engine.submit(request(0, 0.0))
+        with pytest.raises(TypeError):
+            engine.drain()
+        assert engine.queue_depth == 1
+
+    def test_batch_starts_at_the_callers_now(self, sp_net):
+        engine = make_engine(sp_net)
+        engine.submit(request(0, 0.0))
+        record = engine.dispatch(123.5, flush=True)
+        service = OVERHEAD + PER_IMAGE[16]
+        assert record.start_s == 123.5
+        assert record.finish_s == pytest.approx(123.5 + service)
+        assert record.results[0].start_s == 123.5
+        assert record.results[0].latency_s == pytest.approx(123.5 + service)
+
+    def test_drain_preserves_fifo_order_across_batches(self, sp_net):
+        engine = make_engine(sp_net)
+        for i in range(10):
+            engine.submit(request(i, 0.0))
+        records = engine.drain(1.0)
+        assert [r.size for r in records] == [4, 4, 2]
+        assert records[0].start_s == 1.0
+        for prev, nxt in zip(records, records[1:]):
+            assert nxt.start_s == prev.finish_s
+        served = [res.request_id for r in records for res in r.results]
+        assert served == list(range(10))
+
+    def test_idle_engine_dispatch_and_drain_are_noops(self, sp_net):
+        engine = make_engine(sp_net)
+        assert engine.dispatch(0.0, flush=True) is None
+        assert engine.drain(0.0) == []
+        assert engine.stats.batches == 0
+
+    def test_identical_calls_give_identical_records(self, sp_net):
+        def run():
+            engine = make_engine(sp_net)
+            for i in range(6):
+                engine.submit(request(i, 0.001 * i, label=i % 3))
+            records = [engine.dispatch(0.004), engine.dispatch(0.020)]
+            return records + engine.drain(0.050)
+
+        first = run()
+        assert all(r is not None for r in first)
+        assert first == run()
+
+    def test_take_queue_hands_back_fifo_order(self, sp_net):
+        engine = make_engine(sp_net)
+        for i in (3, 1, 2):
+            engine.submit(request(i, 0.001 * i))
+        taken = engine.take_queue()
+        assert [r.request_id for r in taken] == [3, 1, 2]
+        assert engine.queue_depth == 0
+        assert engine.next_release_s() is None
+
+    def test_service_scale_stretches_service_time(self, sp_net):
+        engine = make_engine(sp_net)
+        engine.service_scale = 3.0
+        engine.submit(request(0, 0.0))
+        record = engine.dispatch(0.0, flush=True)
+        assert record.service_s == pytest.approx(
+            3.0 * (OVERHEAD + PER_IMAGE[16])
+        )
+
+    def test_priced_batches_accumulate_energy(self, sp_net):
+        model = BitLatencyModel(
+            dict(PER_IMAGE), batch_overhead_s=OVERHEAD,
+            per_image_energy_pj={b: 10.0 * b for b in BITS},
+        )
+        engine = InferenceEngine(
+            sp_net, StaticPolicy(), model, max_batch=4, batch_timeout_s=0.010
+        )
+        for i in range(6):
+            engine.submit(request(i, 0.0))
+        records = engine.drain(0.0)
+        assert [r.energy_pj for r in records] == [640.0, 320.0]
+        assert engine.stats.energy_pj == pytest.approx(960.0)
+        assert engine.stats.energy_priced == 6
+
+
+class TestEngineConstruction:
+    def test_default_timeout_is_one_full_batch_at_highest(self, sp_net):
+        engine = InferenceEngine(
+            sp_net, StaticPolicy(), latency_model(), max_batch=4
+        )
+        assert engine.batch_timeout_s == pytest.approx(
+            OVERHEAD + 4 * PER_IMAGE[16]
+        )
+
+    def test_max_batch_below_one_rejected(self, sp_net):
+        with pytest.raises(ValueError, match="max_batch"):
+            make_engine(sp_net, max_batch=0)
+
+    def test_latency_model_must_price_every_candidate(self, sp_net):
+        partial = BitLatencyModel({4: 0.001, 8: 0.002})
+        with pytest.raises(ValueError, match="lacks estimates"):
+            InferenceEngine(sp_net, StaticPolicy(), partial)
 
 
 def inputs(queue_depth=0, batch_size=4, oldest_wait=0.0, p95=None,
@@ -240,7 +365,7 @@ class TestPolicyReattachSemantics:
         small = InferenceEngine(
             small_net, policy,
             BitLatencyModel({2: 0.0005, 4: 0.001}, batch_overhead_s=0.001),
-            max_batch=4, batch_timeout_s=0.010, clock=lambda: 0.0,
+            max_batch=4, batch_timeout_s=0.010,
         )
         big.submit(request(0, 0.0))
         assert big.dispatch(0.0, flush=True).bits == 16
@@ -258,7 +383,7 @@ class TestPolicyReattachSemantics:
             InferenceEngine(
                 small_net, policy,
                 BitLatencyModel({2: 0.0005, 4: 0.001}),
-                max_batch=4, clock=lambda: 0.0,
+                max_batch=4,
             )
 
     def test_queue_high_default_tracks_each_engine_max_batch(self):
@@ -271,7 +396,7 @@ class TestPolicyReattachSemantics:
         InferenceEngine(
             small_net, policy,
             BitLatencyModel({4: 0.001, 8: 0.002}),
-            max_batch=8, clock=lambda: 0.0,
+            max_batch=8,
         )
         assert policy.high is None
         # Depth 16 saturates a max_batch=4 engine (lowest precision)...
@@ -293,7 +418,7 @@ class TestPolicyReattachSemantics:
         other = self.small_net((2, 4))
         InferenceEngine(
             other, policy, BitLatencyModel({2: 0.0005, 4: 0.001}),
-            max_batch=4, clock=lambda: 0.0,
+            max_batch=4,
         )
         assert policy.choose_bits(inputs(queue_depth=40)) == before
 
@@ -364,3 +489,110 @@ class TestEngineStatsWindow:
         assert percentile_s([1, 2, 3, 4], 50) == pytest.approx(2.5)
         assert percentile_s([0, 10], 95) == pytest.approx(9.5)
         assert math.isnan(percentile_s([], 95))
+
+
+class TestMergeEngineStats:
+    """The one aggregation behind every serving report."""
+
+    @staticmethod
+    def record(bits, latencies, labels=None, predictions=None,
+               energy_pj=None):
+        from repro.serve.engine import BatchRecord, InferenceResult
+
+        labels = labels or [None] * len(latencies)
+        predictions = predictions or [0] * len(latencies)
+        results = tuple(
+            InferenceResult(
+                request_id=i, arrival_s=0.0, start_s=0.0, finish_s=lat,
+                bits=bits, prediction=pred, label=label,
+            )
+            for i, (lat, label, pred) in enumerate(
+                zip(latencies, labels, predictions)
+            )
+        )
+        return BatchRecord(
+            bits=bits, start_s=0.0, finish_s=max(latencies),
+            results=results, energy_pj=energy_pj,
+        )
+
+    @staticmethod
+    def stats(*records):
+        from repro.serve.engine import EngineStats
+
+        stats = EngineStats(BITS)
+        for record in records:
+            stats.record_batch(record)
+        return stats
+
+    def test_switches_count_bit_changes_only(self):
+        stats = self.stats(*[
+            self.record(bits, [0.01]) for bits in (8, 8, 4, 16, 16)
+        ])
+        assert stats.batches == 5
+        assert stats.switches == 2
+
+    def test_accuracy_counts_only_labelled_requests(self):
+        batch = self.record(
+            8, [0.01, 0.01, 0.01], labels=[1, None, 2],
+            predictions=[1, 0, 0],
+        )
+        assert [r.correct for r in batch.results] == [True, None, False]
+        stats = self.stats(batch)
+        assert (stats.completed, stats.labelled, stats.correct) == (3, 2, 1)
+        assert stats.labelled_per_bit[8] == 2
+        assert stats.correct_per_bit[8] == 1
+
+    def test_replicas_sum_and_list_per_replica_rows(self):
+        from repro.serve.stats import merge_engine_stats
+
+        a = self.stats(self.record(8, [0.01, 0.02], labels=[0, 0]),
+                       self.record(4, [0.03], labels=[1]))
+        b = self.stats(self.record(16, [0.04], labels=[0]))
+        merged = merge_engine_stats(
+            [a, b], end_s=2.0, slo_s=1.0, states=["active", "draining"]
+        )
+        assert merged["num_requests"] == 4
+        assert merged["throughput_rps"] == pytest.approx(2.0)
+        assert merged["batches"] == 3
+        assert merged["mean_batch_size"] == pytest.approx(4 / 3)
+        assert merged["occupancy"] == {"4": 1, "8": 2, "16": 1}
+        assert merged["switches"] == 1
+        assert merged["accuracy"] == pytest.approx(3 / 4)
+        rows = merged["per_replica"]
+        assert [r["state"] for r in rows] == ["active", "draining"]
+        assert [r["requests"] for r in rows] == [3, 1]
+        assert rows[0]["busy_s"] == pytest.approx(0.05)
+        assert rows[1]["utilization"] == pytest.approx(0.04 / 2.0)
+
+    def test_slo_violations_count_strictly_above(self):
+        from repro.serve.stats import merge_engine_stats
+
+        stats = self.stats(self.record(8, [0.01, 0.05, 0.06]))
+        merged = merge_engine_stats([stats], end_s=0.06, slo_s=0.05)
+        assert merged["slo_violations"] == 1
+        assert "per_replica" not in merged
+
+    def test_unlabelled_unpriced_run_reports_none(self):
+        from repro.serve.stats import merge_engine_stats
+
+        merged = merge_engine_stats(
+            [self.stats(self.record(8, [0.01, 0.02]))],
+            end_s=0.02, slo_s=1.0,
+        )
+        assert merged["accuracy"] is None
+        assert merged["energy_pj"] == 0.0
+        assert merged["energy_per_request_pj"] is None
+
+    def test_empty_inputs_are_nan_results_or_absent_signals(self):
+        import math
+
+        from repro.serve.stats import LatencySummary, optional_percentile_s
+
+        assert optional_percentile_s([], 95) is None
+        assert optional_percentile_s([0.5], 95) == 0.5
+        summary = LatencySummary.from_values([])
+        assert summary.count == 0
+        assert all(math.isnan(v) for v in (
+            summary.p50_s, summary.p95_s, summary.p99_s,
+            summary.mean_s, summary.max_s,
+        ))

@@ -39,7 +39,6 @@ from repro.workload.loadtest import (
     write_loadtest_artifacts,
 )
 from repro.workload.trace import (
-    RequestRecipe,
     Trace,
     TraceEvent,
     TraceSource,
@@ -190,56 +189,36 @@ class TestTrace:
         with pytest.raises(ValueError, match="outside source size"):
             bad.materialize()
 
-
-class TestRequestStream:
-    """to_request_stream: the payload-free replay view (serve-real)."""
-
-    def test_stream_is_arrival_ordered_and_complete(self, fixture):
-        trace = record_trace(fixture, "bursty", 7)
-        recipes = list(trace.to_request_stream())
-        assert len(recipes) == len(trace)
-        arrivals = [r.arrival_s for r in recipes]
-        assert arrivals == sorted(arrivals)
-        assert {r.request_id for r in recipes} == \
-            {e.request_id for e in trace.events}
-
-    def test_round_trip_rebuilds_the_trace(self, fixture):
-        trace = record_trace(fixture, "bursty", 7)
-        again = Trace.from_request_stream(
-            trace.name, trace.sources, trace.to_request_stream(),
-            meta=trace.meta,
-        )
-        assert again == trace
-
-    def test_round_trip_materializes_bit_identically(self, fixture):
-        trace = record_trace(fixture, "bursty", 7)
-        again = Trace.from_request_stream(
-            "rebuilt", trace.sources, trace.to_request_stream()
-        )
-        for orig, replayed in zip(trace.materialize(), again.materialize()):
-            assert orig.request_id == replayed.request_id
-            np.testing.assert_array_equal(orig.image, replayed.image)
-
-    def test_recipe_json_round_trip(self):
-        recipe = RequestRecipe(
-            request_id=3, arrival_s=0.25, label=None, source=0,
-            data_index=17,
-        )
-        assert RequestRecipe.from_json_dict(
-            json.loads(json.dumps(recipe.to_json_dict()))
-        ) == recipe
-
-    def test_stream_validates_source_references(self):
+    def test_source_reference_validation(self):
         source = TraceSource(
             name="serve", num_classes=3, image_size=8, difficulty=2.0,
             split="traffic-x", size=4, seed=0,
         )
         bad = Trace(
             name="bad", sources=(source,),
-            events=(TraceEvent(0, 0.0, 1, source=0, data_index=99),),
+            events=(TraceEvent(0, 0.0, 1, source=1, data_index=0),),
         )
-        with pytest.raises(ValueError, match="outside source size"):
-            list(bad.to_request_stream())
+        with pytest.raises(ValueError, match="1 source"):
+            bad.materialize()
+        with pytest.raises(ValueError, match="1 source"):
+            Trace.from_jsonl(bad.to_jsonl())
+
+    def test_empty_file_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            Trace.from_jsonl("\n\n")
+
+    def test_unlabelled_events_round_trip(self, fixture):
+        trace = record_trace(fixture, "bursty", 7)
+        events = tuple(
+            dataclasses.replace(e, label=None) for e in trace.events
+        )
+        unlabelled = trace.derive("unlabelled", events)
+        again = Trace.from_jsonl(unlabelled.to_jsonl())
+        assert again == unlabelled
+        assert all(r.label is None for r in again.materialize())
+
+    def test_empty_trace_has_zero_duration(self):
+        assert Trace(name="empty", sources=(), events=()).duration_s == 0.0
 
 
 class TestTraceTransforms:
@@ -294,6 +273,40 @@ class TestTraceTransforms:
         with pytest.raises(KeyError):
             apply_transforms(trace, [{"transform": "nope"}])
         assert "time_scale" in TRACE_TRANSFORMS
+
+    def test_recorded_lineage_reapplies_to_the_same_trace(self, fixture):
+        trace = record_trace(fixture, "bursty", 7)
+        derived = apply_transforms(trace, [
+            {"transform": "time_scale", "factor": 0.5},
+            {"transform": "amplitude_modulate", "cycles": 2.0, "depth": 0.4},
+        ])
+        assert apply_transforms(trace, derived.meta["lineage"]) == derived
+
+    def test_step_without_transform_name_rejected(self, fixture):
+        trace = record_trace(fixture, "bursty", 7)
+        with pytest.raises(ValueError, match="missing 'transform'"):
+            apply_transforms(trace, [{"factor": 2.0}])
+
+    def test_splice_rejects_negative_point(self, fixture):
+        trace = record_trace(fixture, "bursty", 7)
+        with pytest.raises(ValueError, match="splice point"):
+            splice(trace, trace, -1.0)
+
+    def test_tenant_mix_needs_a_second_trace(self, fixture):
+        with pytest.raises(ValueError, match="at least two"):
+            tenant_mix(record_trace(fixture, "bursty", 7))
+
+    def test_tenant_mix_payloads_come_from_each_tenants_source(
+        self, fixture
+    ):
+        base = record_trace(fixture, "bursty", 7)
+        other = record_trace(fixture, "bursty", 8, name="other")
+        mixed = tenant_mix(base, other)
+        own = {0: base.materialize(), 1: other.materialize()}
+        for event, req in zip(mixed.events, mixed.materialize()):
+            np.testing.assert_array_equal(
+                req.image, own[event.source][event.data_index].image
+            )
 
 
 # ----------------------------------------------------------------------
