@@ -3,23 +3,18 @@
 Scales the single-engine serving quickstart to a *fleet*: one trained
 switchable-precision checkpoint, N engine replicas each materializing a
 private copy of it via :class:`repro.serve.ModelRegistry`, a routing
-layer balancing a bursty arrival trace across them, and a deterministic
-autoscaler growing/shrinking the fleet from queue-pressure and tail-
-latency signals.
+layer balancing a bursty arrival trace across them.
 
 The same fleet is reachable without code via::
 
     python -m repro serve-sim --replicas 4 --router least_queue
-    python -m repro serve-sim --replicas 1 --autoscale-max 4 --router latency_aware
 
-or from a pipeline JSON (``serve.replicas`` / ``serve.router`` /
-``serve.autoscale``).
+or from a pipeline JSON (``serve.replicas`` / ``serve.router``).
 
 Run:
     python examples/fleet_serving.py
 """
 
-from repro.api.config import AutoscaleConfig
 from repro.serve import (
     ModelRegistry,
     SPNetConfig,
@@ -46,7 +41,7 @@ def main():
                       persist=True)
 
     # Price the model once (AutoMapper latency table) and generate the
-    # bursty trace; every fleet below replays the identical requests.
+    # bursty trace the fleet replays.
     scale = ServeScale(
         name="fleet-example", num_requests=240, image_size=12,
         num_classes=5, width_mult=0.25, bit_widths=(4, 8, 16),
@@ -54,7 +49,7 @@ def main():
     )
     fixture = prepare_simulation("bursty", scale, config=config)
 
-    # A fixed 4-replica fleet behind the join-shortest-queue router.
+    # A 4-replica fleet behind the join-shortest-queue router.
     # Every replica materializes its own model instance from the one
     # checkpoint — private weight cache, private bit-switching state.
     fleet = make_fleet(
@@ -62,32 +57,14 @@ def main():
         registry=registry, model_name="checkpoint",
     )
     end_s = simulate_fleet(fleet, fixture.requests)
-    fixed = build_fleet_report(
+    report = build_fleet_report(
         "bursty", "slo", scale, fleet, end_s, fixture.slo_s
     )
 
-    # The same traffic through an autoscaled fleet: start at one
-    # replica, let queue pressure and the observed p95 grow it to four,
-    # and drain back down when the burst passes.
-    fleet = make_fleet(
-        fixture, "slo", replicas=1, router="latency_aware",
-        autoscale=AutoscaleConfig(min_replicas=1, max_replicas=4),
-        registry=registry, model_name="checkpoint",
-    )
-    end_s = simulate_fleet(fleet, fixture.requests)
-    autoscaled = build_fleet_report(
-        "bursty", "slo", scale, fleet, end_s, fixture.slo_s
-    )
-
-    print(format_fleet_reports([fixed]))
+    print(format_fleet_reports([report]))
     print()
-    print(format_fleet_reports([autoscaled]))
-    print()
-    print(f"fixed 4-replica fleet:  {fixed.throughput_rps:8.1f} req/s, "
-          f"p95 {fixed.latency_p95_s * 1e3:.3f} ms")
-    print(f"autoscaled (1->4):      {autoscaled.throughput_rps:8.1f} req/s, "
-          f"p95 {autoscaled.latency_p95_s * 1e3:.3f} ms, "
-          f"{len(autoscaled.scale_events)} scale events")
+    print(f"4-replica fleet: {report.throughput_rps:8.1f} req/s, "
+          f"p95 {report.latency_p95_s * 1e3:.3f} ms")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ Demonstrates the four observability moves:
 The same flows are reachable without code via::
 
     python -m repro serve-sim --scenario bursty --obs-dir runs/demo
-    python -m repro loadtest --config examples/loadtest_smoke.json --obs
     python -m repro obs runs/demo
 
 Run:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: static analysis, tier-1 tests, the pipeline, serving,
-# loadtest and obs smokes, and the benchmark's own smoke test
-# (perfbench/smoke.py, which tier-1 does not collect).
+# Repo CI gate: static analysis, tier-1 tests, the pipeline, serving
+# and obs smokes, and the benchmark's own smoke test (perfbench/smoke.py,
+# which tier-1 does not collect).
 #
 #   bash scripts/ci.sh            # full gate
 #   bash scripts/ci.sh --fast     # tier-1 tests only
@@ -91,42 +91,25 @@ python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 
 cmp "$SERVE_SIM_DIR/serve_sim.json" "$SERVE_SIM_DIR/serve_sim_traced.json" \
     || { echo "traced serve-sim report differs from untraced run"; exit 1; }
 
-echo "==> fleet serve-sim smoke (4 replicas behind the least_queue router)"
-python -m repro serve-sim --scenario bursty --policy slo --scale smoke \
-    --replicas 4 --router least_queue --seed 0
-
-echo "==> loadtest smoke (tiny grid; report must be bit-identical across runs)"
-LOADTEST_DIR_A="$(mktemp -d)"
-LOADTEST_DIR_B="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B"' EXIT
-python -m repro loadtest --config examples/loadtest_smoke.json \
-    --output-dir "$LOADTEST_DIR_A" --quiet
-python -m repro loadtest --config examples/loadtest_smoke.json \
-    --output-dir "$LOADTEST_DIR_B" --quiet
-for artifact in loadtest_report.json loadtest_report.md \
-        trace_bursty.jsonl trace_flash_crowd.jsonl; do
-    test -f "$LOADTEST_DIR_A/$artifact" \
-        || { echo "missing loadtest artifact: $artifact"; exit 1; }
-done
-diff -r "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" \
-    || { echo "loadtest run is not deterministic"; exit 1; }
-grep -q '"energy_per_request_pj"' "$LOADTEST_DIR_A/loadtest_report.json" \
-    || { echo "loadtest report lacks the energy-per-request column"; exit 1; }
-
-echo "==> obs smoke (tracing must not change the deterministic report)"
-OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$LOADTEST_DIR_A" "$LOADTEST_DIR_B" "$OBS_DIR"' EXIT
-python -m repro loadtest --config examples/loadtest_smoke.json \
-    --output-dir "$OBS_DIR" --obs --quiet
-cmp "$LOADTEST_DIR_A/loadtest_report.json" "$OBS_DIR/loadtest_report.json" \
-    || { echo "traced loadtest report differs from untraced run"; exit 1; }
+echo "==> fleet serve-sim + obs smoke (4 replicas behind least_queue; the report"
+echo "    must be deterministic and unchanged by tracing, and the trace must render)"
+FLEET_DIR="$(mktemp -d)"
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$FLEET_DIR"' EXIT
+python -m repro serve-sim --replicas 4 --router least_queue \
+    --output "$FLEET_DIR/A.json"
+python -m repro serve-sim --replicas 4 --router least_queue \
+    --output "$FLEET_DIR/B.json" --obs-dir "$FLEET_DIR/run"
+cmp "$FLEET_DIR/A.json" "$FLEET_DIR/B.json" \
+    || { echo "traced fleet report differs from untraced run"; exit 1; }
+grep -q '"energy_per_request_pj"' "$FLEET_DIR/A.json" \
+    || { echo "fleet report lacks the energy-per-request column"; exit 1; }
 for artifact in obs/trace_events.jsonl obs/metrics.prom obs/metrics.jsonl; do
-    test -f "$OBS_DIR/$artifact" \
+    test -f "$FLEET_DIR/run/$artifact" \
         || { echo "missing obs artifact: $artifact"; exit 1; }
 done
-python -m repro obs "$OBS_DIR" > /dev/null \
+python -m repro obs "$FLEET_DIR/run" > /dev/null \
     || { echo "repro obs failed to render the traced run dir"; exit 1; }
-python -m repro obs "$OBS_DIR" --profile > /dev/null \
+python -m repro obs "$FLEET_DIR/run" --profile > /dev/null \
     || { echo "repro obs --profile failed on the traced run dir"; exit 1; }
 
 echo "==> observability tour (record, verify, export, inspect)"

@@ -6,8 +6,8 @@ Usage::
     python -m repro run table1 --scale smoke --seed 0
     python -m repro run all --scale default
     python -m repro serve-sim --scenario bursty --policy all --scale smoke
-    python -m repro loadtest --config examples/loadtest_smoke.json --obs
-    python -m repro obs runs/loadtest-smoke
+    python -m repro serve-sim --replicas 4 --router least_queue --obs-dir runs/fleet
+    python -m repro obs runs/fleet
     python -m repro check --fail-on error --json
     python -m repro pipeline validate --config examples/pipeline_smoke.json
     python -m repro pipeline run --config examples/pipeline_smoke.json
@@ -51,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "micro-batched inference engine and report latency "
             "percentiles, throughput, and the per-bit-width occupancy "
             "histogram for each precision policy; --replicas switches "
-            "to a sharded replica fleet behind the chosen router, "
-            "optionally autoscaled up to --autoscale-max replicas"
+            "to a sharded replica fleet behind the chosen router"
         ),
     )
     serve.add_argument("--scenario", default="bursty",
@@ -72,18 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fleet request router (with --replicas)",
     )
     serve.add_argument(
-        "--autoscale-max", type=int, default=None, metavar="MAX",
-        help="enable the fleet autoscaler, growing from --replicas "
-             "up to MAX replicas (implies the fleet layer)",
-    )
-    serve.add_argument(
         "--output", default=None, metavar="PATH",
         help="also write the reports as JSON",
-    )
-    serve.add_argument(
-        "--record-trace", default=None, metavar="PATH",
-        help="save the simulated arrival schedule as a replayable "
-             "JSONL trace (see repro.workload.trace)",
     )
     serve.add_argument(
         "--obs-dir", default=None, metavar="DIR",
@@ -109,49 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
         )
     )
 
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="sweep policy x router x replicas x scenario and report "
-             "the latency/accuracy/energy Pareto frontier",
-        description=(
-            "run the workload-lab grid harness: every cell of the "
-            "configured scenarios x policies x routers x replicas grid "
-            "is fleet-simulated deterministically (optionally with the "
-            "config's fault plan injected) and summarised in "
-            "loadtest_report.json / .md with p50/p95/p99, throughput, "
-            "accuracy proxy, AutoMapper-priced energy per request, and "
-            "the Pareto frontier across the three objectives"
-        ),
-    )
-    loadtest.add_argument(
-        "--config", required=True, metavar="PATH",
-        help="loadtest config JSON (see examples/loadtest_smoke.json)",
-    )
-    loadtest.add_argument(
-        "--output-dir", default=None, metavar="DIR",
-        help="artifact directory (default: runs/<config name>)",
-    )
-    loadtest.add_argument(
-        "--quiet", action="store_true",
-        help="only write artifacts, do not print the summary table",
-    )
-    loadtest.add_argument(
-        "--obs", action="store_true",
-        help="record span tracing + metrics for the sweep into the "
-             "output dir's obs/ sidecar (the report itself stays "
-             "byte-identical to an untraced run)",
-    )
-
     obs = sub.add_parser(
         "obs",
         help="inspect a recorded run dir: timeline, Gantt, time "
              "series, profile",
         description=(
             "read the obs/trace_events.jsonl a traced run wrote "
-            "(repro loadtest --obs, serve-sim --obs-dir, pipeline run "
-            "--obs) and render per-replica timelines, a bit-occupancy "
-            "Gantt summary, queue-depth/p95 time series, and the "
-            "slowest-requests table as markdown"
+            "(serve-sim --obs-dir, pipeline run --obs) and render "
+            "per-replica timelines, a bit-occupancy Gantt summary, "
+            "queue-depth/p95 time series, and the slowest-requests "
+            "table as markdown"
         ),
     )
     obs.add_argument(
@@ -257,17 +213,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 
     from .obs.tracer import NULL_TRACER
 
-    fixture = None
-    if args.record_trace:
-        # Prepare once, up front: the same fixture both drives the
-        # simulation below and is recorded, so --record-trace does not
-        # pay for a second model build + cost-model search.
-        from . import rng as rng_mod
-        from .serve.simulator import prepare_simulation
-
-        rng_mod.set_seed(args.seed)
-        fixture = prepare_simulation(args.scenario, args.scale)
-
     tracer = NULL_TRACER
     metrics = None
     if args.obs_dir:
@@ -277,36 +222,16 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         tracer = Tracer(sinks=(MetricsRecorder(metrics),))
 
-    fleet_mode = args.replicas is not None or args.autoscale_max is not None
-    if fleet_mode:
-        from .api.config import AutoscaleConfig, ConfigError
+    if args.replicas is not None:
         from .serve import format_fleet_reports, run_fleet_sim
 
-        replicas = args.replicas if args.replicas is not None else 1
-        autoscale = None
-        if args.autoscale_max is not None:
-            try:
-                autoscale = AutoscaleConfig(
-                    min_replicas=min(replicas, args.autoscale_max),
-                    max_replicas=args.autoscale_max,
-                )
-            except ConfigError as exc:
-                error(f"invalid --autoscale-max: {exc}")
-                return 2
-        if replicas < 1:
-            error(f"--replicas {replicas} must be >= 1")
-            return 2
-        if autoscale is not None and replicas > autoscale.max_replicas:
-            error(
-                f"--replicas {replicas} exceeds --autoscale-max "
-                f"{autoscale.max_replicas}"
-            )
+        if args.replicas < 1:
+            error(f"--replicas {args.replicas} must be >= 1")
             return 2
         reports = run_fleet_sim(
             scenario=args.scenario, policy=args.policy,
             scale=args.scale, seed=args.seed,
-            replicas=replicas, router=args.router, autoscale=autoscale,
-            fixture=fixture, tracer=tracer,
+            replicas=args.replicas, router=args.router, tracer=tracer,
         )
         info(format_fleet_reports(reports))
     else:
@@ -314,8 +239,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 
         reports = run_serve_sim(
             scenario=args.scenario, policy=args.policy,
-            scale=args.scale, seed=args.seed, fixture=fixture,
-            tracer=tracer,
+            scale=args.scale, seed=args.seed, tracer=tracer,
         )
         info(format_reports(reports))
     if args.output:
@@ -326,12 +250,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             )
             handle.write("\n")
         info(f"\nwrote {args.output}")
-    if args.record_trace:
-        from .workload.trace import record_trace
-
-        trace = record_trace(fixture, args.scenario, args.seed)
-        trace.save(args.record_trace)
-        info(f"recorded {len(trace)}-request trace -> {args.record_trace}")
     if args.obs_dir:
         from .obs.artifacts import write_obs_artifacts
 
@@ -339,30 +257,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                                     metrics=metrics)
         info(f"recorded {len(tracer)} span events -> {paths['trace']} "
              f"(inspect with `repro obs {args.obs_dir}`)")
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from .api.config import ConfigError, LoadTestConfig, ObsConfig
-
-    try:
-        config = LoadTestConfig.load(args.config)
-    except ConfigError as exc:
-        error(f"invalid loadtest config {args.config}: {exc}")
-        return 2
-    from .workload.loadtest import (
-        render_markdown,
-        run_loadtest,
-        write_loadtest_artifacts,
-    )
-
-    payload = run_loadtest(config, obs=ObsConfig() if args.obs else None)
-    out_dir = args.output_dir or f"runs/{config.name}"
-    paths = write_loadtest_artifacts(payload, out_dir)
-    if not args.quiet:
-        info(render_markdown(payload))
-    for kind, path in sorted(paths.items()):
-        info(f"  {kind:<16} {path}")
     return 0
 
 
@@ -482,8 +376,6 @@ def main(argv=None) -> int:
         from .analysis.cli import run_from_args as run_check_cli
 
         return run_check_cli(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "pipeline":

@@ -3,8 +3,8 @@
 The codebase's correctness rests on conventions that no single test
 exercises end-to-end: deterministic reports must never read the wall
 clock, the import graph must respect the plane layering
-(core <- serve <- workload/obs), and the tracer span vocabulary must
-not drift between the planes that emit events and the planes that
+(core <- serve <- analysis/obs.views), and the tracer span vocabulary
+must not drift between the planes that emit events and the planes that
 render them.  Reviewer memory enforced all of that — until a PR forgot
 (the policy-statefulness sweep was a convention violation that
 shipped).

@@ -1,6 +1,6 @@
 """Rule ``determinism``: deterministic planes must not read wall clocks.
 
-The simulator, workload lab, pipeline, and every report they write are
+The simulator, pipeline, and every report they write are
 byte-identical across runs *because* nothing in those paths reads
 ``time.time``/``perf_counter`` or draws from an unseeded RNG.  This rule
 machine-checks that:
@@ -12,10 +12,10 @@ machine-checks that:
   the stdlib ``random`` module's global-singleton functions, numpy's
   legacy global RNG (``np.random.rand`` et al., ``np.random.seed``),
   and zero-argument ``np.random.default_rng()`` (entropy from the OS);
-* **strict virtual planes** (``repro.serve``, ``repro.workload``): even
-  the blessed :func:`repro.obs.wallclock.wall_clock_s` seam is banned —
-  these modules run on the simulation clock only and take any clock
-  they need as a parameter.
+* **strict virtual planes** (``repro.serve``): even the blessed
+  :func:`repro.obs.wallclock.wall_clock_s` seam is banned — these
+  modules run on the simulation clock only and take any clock they
+  need as a parameter.
 
 References count, not just calls: passing ``time.monotonic`` as a clock
 callable leaks wall time exactly like calling it.  An intentional site
@@ -75,10 +75,7 @@ DEFAULT_ALLOWLIST = (
     "repro.analysis",
 )
 
-DEFAULT_STRICT_VIRTUAL = (
-    "repro.serve",
-    "repro.workload",
-)
+DEFAULT_STRICT_VIRTUAL = ("repro.serve",)
 
 WALLCLOCK_SEAM = "repro.obs.wallclock.wall_clock_s"
 
@@ -94,7 +91,7 @@ class DeterminismChecker(Checker):
     severity = "error"
     description = (
         "no wall clocks or unseeded RNGs outside the sanctioned seams; "
-        "serve/workload stay virtual-clock only"
+        "serve stays virtual-clock only"
     )
 
     def __init__(
@@ -152,7 +149,7 @@ class DeterminismChecker(Checker):
         if strict and dotted == self.seam:
             return (
                 "wall_clock_s is banned in strict virtual-clock planes "
-                "(repro.serve, repro.workload); take a clock parameter"
+                "(repro.serve); take a clock parameter"
             )
         return ""
 

@@ -3,11 +3,11 @@
 The repo is layered: foundation (tensor/data/api registry/obs core)
 under the model zoo (nn/optim/quant/hardware), under training and
 baselines (core/baselines), under the serving simulator (serve), under
-the lab planes (workload/obs.views/analysis), under the orchestrator
+the inspection planes (obs.views/analysis), under the orchestrator
 (api.pipeline), with experiments and the CLI as leaves nothing else may
-import.  A ``core`` module importing ``workload`` — or anything
-importing ``experiments`` — couples a lower plane to the code it
-exists to serve.
+import.  A ``core`` module importing ``serve`` — or anything importing
+``experiments`` — couples a lower plane to the code it exists to
+serve.
 
 Mechanics:
 
@@ -39,7 +39,7 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("nn", "optim", "quant", "hardware"),
     ("core", "baselines"),
     ("serve",),
-    ("workload", "analysis", "obs.views"),
+    ("analysis", "obs.views"),
     ("api.pipeline",),
     ("experiments", "__main__"),
 )
@@ -50,7 +50,7 @@ class LayeringChecker(Checker):
     severity = "error"
     description = (
         "imports respect the plane layering (core <- serve <- "
-        "workload/obs); module cycles are errors"
+        "analysis/obs.views); module cycles are errors"
     )
 
     def __init__(self, layers: Sequence[Sequence[str]] = DEFAULT_LAYERS):

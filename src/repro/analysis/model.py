@@ -103,8 +103,8 @@ def _collect_imports(
     """Every import edge plus the local-name -> dotted-origin table.
 
     Relative imports are resolved against the module's own package:
-    ``from ..api.registry import SCENARIOS`` inside
-    ``repro.workload.scenarios`` targets ``repro.api.registry``.
+    ``from ..api.registry import ROUTERS`` inside
+    ``repro.serve.routing`` targets ``repro.api.registry``.
     """
     edges: List[ImportEdge] = []
     origins: Dict[str, str] = {}

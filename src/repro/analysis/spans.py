@@ -12,7 +12,7 @@ drifts shipped before; this rule pins the vocabulary from three sides:
   tree must use a declared kind — error at the emit site (an emit
   whose kind is not a literal is skipped);
 * every **literal kind comparison** in a consumer module
-  (``kind == "batch"``, ``e["kind"] in ("autoscale", "fault")``) must
+  (``kind == "batch"``, ``e["kind"] in ("batch", "complete")``) must
   use a declared kind — error at the comparison;
 * every declared kind must be **consumed** by at least one consumer
   module — an error at the vocabulary line (unrendered telemetry), and

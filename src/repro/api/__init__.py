@@ -31,9 +31,9 @@ _CONFIG_EXPORTS = {
 }
 _REGISTRY_EXPORTS = {
     "Registry", "RegistryError", "REGISTRIES", "MODELS", "QUANTIZERS",
-    "POLICIES", "ROUTERS", "SCENARIOS", "TRACE_TRANSFORMS",
-    "SEARCH_SPACES", "DEVICES", "STRATEGIES", "EXPERIMENTS", "SCALES",
-    "SERVE_SCALES", "CHECKERS", "choices",
+    "POLICIES", "ROUTERS", "SCENARIOS", "SEARCH_SPACES", "DEVICES",
+    "STRATEGIES", "EXPERIMENTS", "SCALES", "SERVE_SCALES", "CHECKERS",
+    "choices",
 }
 _PIPELINE_EXPORTS = {
     "Pipeline", "PipelineError", "PipelineResult", "STAGES", "run_pipeline",

@@ -32,12 +32,9 @@ __all__ = [
     "SearchConfig",
     "TrainConfig",
     "DeployConfig",
-    "AutoscaleConfig",
     "ObsConfig",
     "ServeConfig",
     "PipelineConfig",
-    "FaultConfig",
-    "LoadTestConfig",
 ]
 
 BitWidths = Tuple[Union[int, Tuple[int, int]], ...]
@@ -329,49 +326,11 @@ class DeployConfig(_StageConfig):
 
 
 @dataclass(frozen=True)
-class AutoscaleConfig(_StageConfig):
-    """Fleet autoscaler bounds and signal thresholds.
-
-    Thresholds are scale-free: pressures are measured in full
-    micro-batches of backlog per active replica, and the cooldown in
-    full-batch service times at the highest precision — so one config
-    means the same thing whatever the model or device.
-    """
-
-    min_replicas: int = 1
-    max_replicas: int = 4
-    up_pressure: float = 2.0          # backlog batches/replica -> scale up
-    down_pressure: float = 0.25       # backlog batches/replica -> scale down
-    cooldown_batches: float = 4.0     # quiet period between scale events
-
-    def _validate(self) -> None:
-        self._require_positive(
-            "min_replicas", "max_replicas", "up_pressure", "cooldown_batches"
-        )
-        if self.down_pressure < 0:
-            raise ConfigError(
-                f"AutoscaleConfig.down_pressure must be >= 0, "
-                f"got {self.down_pressure!r}"
-            )
-        if self.max_replicas < self.min_replicas:
-            raise ConfigError(
-                f"AutoscaleConfig.max_replicas ({self.max_replicas}) must "
-                f"be >= min_replicas ({self.min_replicas})"
-            )
-        if self.down_pressure >= self.up_pressure:
-            raise ConfigError(
-                f"AutoscaleConfig.down_pressure ({self.down_pressure}) "
-                f"must be < up_pressure ({self.up_pressure}) or the "
-                f"autoscaler would flap"
-            )
-
-
-@dataclass(frozen=True)
 class ObsConfig(_StageConfig):
     """Telemetry plane toggles (span tracing and/or metrics).
 
-    Deliberately NOT nested inside :class:`LoadTestConfig` /
-    :class:`PipelineConfig`: configs are embedded verbatim in the
+    Deliberately NOT nested inside :class:`PipelineConfig`: configs
+    are embedded verbatim in the
     deterministic report artifacts, and telemetry must never change a
     report's bytes (the CI gate diffs traced vs untraced runs).
     Enablement therefore flows through CLI flags (``--obs``,
@@ -394,14 +353,13 @@ class ObsConfig(_StageConfig):
 class ServeConfig(_StageConfig):
     """``serve`` stage: traffic replay against the inference engine.
 
-    ``replicas > 1`` (or an ``autoscale`` section) serves through a
+    ``replicas > 1`` serves through a
     :class:`~repro.serve.cluster.ReplicaFleet` — engine replicas
     materialized from the stage's checkpoint behind the named
     ``router`` — instead of a single engine.  With ``replicas == 1``
-    and no ``autoscale`` section the fleet layer is skipped entirely
-    and ``router`` is unused (add ``autoscale`` — or use
-    ``repro serve-sim --replicas 1`` — to route through a
-    single-replica fleet).
+    the fleet layer is skipped entirely and ``router`` is unused (use
+    ``repro serve-sim --replicas 1`` to route through a single-replica
+    fleet).
     """
 
     scenario: str = "bursty"
@@ -412,7 +370,6 @@ class ServeConfig(_StageConfig):
     mapper_generations: int = 3       # latency pricing when deploy skipped
     replicas: int = 1
     router: str = "least_queue"
-    autoscale: Optional[AutoscaleConfig] = None
 
     _CHOICES = {"scenario": "scenarios", "router": "routers"}
 
@@ -427,196 +384,6 @@ class ServeConfig(_StageConfig):
                 f"ServeConfig.policy: unknown policy {self.policy!r}; "
                 f"available: {list(valid)}"
             )
-        if self.autoscale is not None:
-            low, high = (
-                self.autoscale.min_replicas, self.autoscale.max_replicas
-            )
-            if not low <= self.replicas <= high:
-                raise ConfigError(
-                    f"ServeConfig.replicas ({self.replicas}) must lie in "
-                    f"the autoscale range [{low}, {high}]"
-                )
-
-
-@dataclass(frozen=True)
-class FaultConfig(_StageConfig):
-    """One injected fault, with times as fractions of the trace span.
-
-    ``at`` / ``duration`` are fractions of the request stream's total
-    span (0..1), so one fault plan stresses every scale and scenario at
-    the same *relative* moment — the workload lab resolves them to
-    virtual seconds per run (:func:`repro.workload.faults.resolve_fault_plan`).
-    ``replica`` is an explicit index or ``-1`` ("highest-index active
-    replica" for outages, "all replicas" for spikes); ``factor`` is the
-    latency-spike service-time multiplier.
-    """
-
-    kind: str = "replica_outage"
-    at: float = 0.25
-    duration: float = 0.25
-    replica: int = -1
-    factor: float = 4.0
-
-    def _validate(self) -> None:
-        if self.kind not in ("replica_outage", "latency_spike"):
-            raise ConfigError(
-                f"FaultConfig.kind must be replica_outage|latency_spike, "
-                f"got {self.kind!r}"
-            )
-        if not 0.0 <= self.at <= 1.0:
-            raise ConfigError(
-                f"FaultConfig.at must be a fraction in [0, 1], "
-                f"got {self.at!r}"
-            )
-        if self.duration < 0 or self.at + self.duration > 1.0 + 1e-9:
-            raise ConfigError(
-                f"FaultConfig window [at={self.at}, at+duration="
-                f"{self.at + self.duration}] must stay inside [0, 1]"
-            )
-        if self.replica < -1:
-            raise ConfigError(
-                f"FaultConfig.replica must be >= -1 (-1: auto), "
-                f"got {self.replica!r}"
-            )
-        if self.factor < 1.0:
-            raise ConfigError(
-                f"FaultConfig.factor must be >= 1.0 (a slowdown), "
-                f"got {self.factor!r}"
-            )
-
-
-def _normalize_name_tuple(value: Any, owner: str, field_name: str) -> tuple:
-    """JSON list of names -> tuple, rejecting empties and non-strings."""
-    if isinstance(value, str):
-        value = (value,)
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(
-            f"{owner}.{field_name} must be a non-empty list, got {value!r}"
-        )
-    return tuple(value)
-
-
-@dataclass(frozen=True)
-class LoadTestConfig(_StageConfig):
-    """The grid a ``repro loadtest`` run sweeps, in one JSON object.
-
-    The harness simulates every cell of
-    ``scenarios x policies x routers x replicas`` over one shared model
-    and latency pricing, optionally injecting the ``faults`` plan into
-    each cell, and reports the latency/accuracy/energy Pareto frontier
-    (:mod:`repro.workload.loadtest`).
-    """
-
-    name: str = "loadtest"
-    seed: int = 0
-    scale: str = "smoke"
-    scenarios: Tuple[str, ...] = ("bursty",)
-    policies: Tuple[str, ...] = ("slo",)
-    routers: Tuple[str, ...] = ("least_queue",)
-    replicas: Tuple[int, ...] = (1,)
-    num_requests: int = 0             # 0: the serve scale's default
-    autoscale: Optional[AutoscaleConfig] = None
-    faults: Tuple[FaultConfig, ...] = ()
-    record_traces: bool = False
-
-    def __post_init__(self):
-        for field_name in ("scenarios", "policies", "routers", "replicas"):
-            object.__setattr__(
-                self, field_name,
-                _normalize_name_tuple(
-                    getattr(self, field_name), "LoadTestConfig", field_name
-                ),
-            )
-        normalized = []
-        for fault in self.faults:
-            if isinstance(fault, dict):
-                fault = FaultConfig.from_dict(fault)
-            elif not isinstance(fault, FaultConfig):
-                raise ConfigError(
-                    f"LoadTestConfig.faults entries must be fault objects, "
-                    f"got {fault!r}"
-                )
-            normalized.append(fault)
-        object.__setattr__(self, "faults", tuple(normalized))
-        super().__post_init__()
-
-    def _validate(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigError(
-                f"LoadTestConfig.name must be a non-empty string, "
-                f"got {self.name!r}"
-            )
-        if self.num_requests < 0:
-            raise ConfigError(
-                f"LoadTestConfig.num_requests must be >= 0 (0: scale "
-                f"default), got {self.num_requests!r}"
-            )
-        for field_name, family in (
-            ("scale", "serve_scales"), ("scenarios", "scenarios"),
-            ("policies", "policies"), ("routers", "routers"),
-        ):
-            values = getattr(self, field_name)
-            if isinstance(values, str):
-                values = (values,)
-            valid = choices(family)
-            for value in values:
-                if value not in valid:
-                    raise ConfigError(
-                        f"LoadTestConfig.{field_name}: unknown value "
-                        f"{value!r}; available: {list(valid)}"
-                    )
-        for count in self.replicas:
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ConfigError(
-                    f"LoadTestConfig.replicas entries must be ints, "
-                    f"got {count!r}"
-                )
-            if count < 1:
-                raise ConfigError(
-                    f"LoadTestConfig.replicas entries must be >= 1, "
-                    f"got {count!r}"
-                )
-            if self.autoscale is not None and not (
-                self.autoscale.min_replicas
-                <= count
-                <= self.autoscale.max_replicas
-            ):
-                raise ConfigError(
-                    f"LoadTestConfig.replicas entry {count} outside the "
-                    f"autoscale range [{self.autoscale.min_replicas}, "
-                    f"{self.autoscale.max_replicas}]"
-                )
-        self._validate_fault_targets()
-
-    def _validate_fault_targets(self) -> None:
-        # Explicit fault targets must exist in EVERY cell of the grid:
-        # the smallest fleet a cell can run is min(replicas) replicas
-        # (autoscaling only ever grows past the initial count during a
-        # run, and a fault may fire before any scale-up), so an index
-        # must fail at load time rather than as an IndexError mid-sweep.
-        max_index = min(self.replicas) - 1
-        for fault in self.faults:
-            if fault.replica > max_index:
-                raise ConfigError(
-                    f"LoadTestConfig.faults: replica {fault.replica} does "
-                    f"not exist in every grid cell (smallest fleet has "
-                    f"{max_index + 1} replica(s), indices 0..{max_index}; "
-                    f"use -1 to target dynamically)"
-                )
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        for field_name in ("scenarios", "policies", "routers", "replicas"):
-            payload[field_name] = list(payload[field_name])
-        payload["faults"] = [f.to_dict() for f in self.faults]
-        return payload
-
-    @property
-    def grid_size(self) -> int:
-        return (
-            len(self.scenarios) * len(self.policies)
-            * len(self.routers) * len(self.replicas)
-        )
 
 
 _NESTED: Dict[str, type] = {}
@@ -669,5 +436,4 @@ _NESTED.update(
     train=TrainConfig,
     deploy=DeployConfig,
     serve=ServeConfig,
-    autoscale=AutoscaleConfig,
 )

@@ -387,10 +387,10 @@ class Pipeline:
         what serving simulates.  Otherwise the serve stage runs its own
         (cheaper) latency-metric search.
 
-        ``serve.replicas > 1`` (or a ``serve.autoscale`` section) serves
-        through a :class:`~repro.serve.cluster.ReplicaFleet` behind the
-        configured router, every replica materialized independently
-        from the stage's checkpoint via
+        ``serve.replicas > 1`` serves through a
+        :class:`~repro.serve.cluster.ReplicaFleet` behind the configured
+        router, every replica materialized independently from the
+        stage's checkpoint via
         :class:`~repro.serve.registry.ModelRegistry`.
         """
         from ..serve.engine import BitLatencyModel
@@ -456,9 +456,7 @@ class Pipeline:
             list(POLICIES.names()) if cfg.serve.policy == "all"
             else [cfg.serve.policy]
         )
-        fleet_mode = (
-            cfg.serve.replicas > 1 or cfg.serve.autoscale is not None
-        )
+        fleet_mode = cfg.serve.replicas > 1
         reports = []
         if fleet_mode:
             from ..serve.cluster import (
@@ -476,7 +474,6 @@ class Pipeline:
                     fixture, name,
                     replicas=cfg.serve.replicas,
                     router=cfg.serve.router,
-                    autoscale=cfg.serve.autoscale,
                     registry=registry, model_name="checkpoint",
                     tracer=self.tracer.bind(
                         scenario=cfg.serve.scenario, policy=name,

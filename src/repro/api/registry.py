@@ -1,9 +1,9 @@
 """Component registries: the one declaration of every built-in name.
 
 Every pluggable component family in the reproduction — models,
-quantisers, precision policies, routers, traffic scenarios, trace
-transforms, SP-NAS search spaces, accelerator devices, training
-strategies, experiments, scale presets and static-analysis rules — is
+quantisers, precision policies, routers, traffic scenarios, SP-NAS
+search spaces, accelerator devices, training strategies, experiments,
+scale presets and static-analysis rules — is
 enumerated here, and only here.  Built-ins are declared lazily as
 ``"module:attr"`` strings, so importing this module imports no
 subsystem: the CLI renders ``--help`` choices and ``repro pipeline
@@ -37,7 +37,6 @@ __all__ = [
     "POLICIES",
     "ROUTERS",
     "SCENARIOS",
-    "TRACE_TRANSFORMS",
     "SEARCH_SPACES",
     "DEVICES",
     "STRATEGIES",
@@ -180,24 +179,6 @@ SCENARIOS = Registry("scenario")
 SCENARIOS.register_lazy("constant", "repro.serve.simulator:constant_gaps")
 SCENARIOS.register_lazy("bursty", "repro.serve.simulator:bursty_gaps")
 SCENARIOS.register_lazy("diurnal", "repro.serve.simulator:diurnal_gaps")
-# Workload-lab scenario library (repro.workload.scenarios).
-SCENARIOS.register_lazy(
-    "flash_crowd", "repro.workload.scenarios:flash_crowd_gaps"
-)
-SCENARIOS.register_lazy("ramp", "repro.workload.scenarios:ramp_gaps")
-SCENARIOS.register_lazy("sawtooth", "repro.workload.scenarios:sawtooth_gaps")
-SCENARIOS.register_lazy("on_off", "repro.workload.scenarios:on_off_gaps")
-SCENARIOS.register_lazy(
-    "pareto_heavy_tail", "repro.workload.scenarios:pareto_heavy_tail_gaps"
-)
-
-TRACE_TRANSFORMS = Registry("trace transform")
-TRACE_TRANSFORMS.register_lazy("time_scale", "repro.workload.trace:time_scale")
-TRACE_TRANSFORMS.register_lazy("splice", "repro.workload.trace:splice")
-TRACE_TRANSFORMS.register_lazy("tenant_mix", "repro.workload.trace:tenant_mix")
-TRACE_TRANSFORMS.register_lazy(
-    "amplitude_modulate", "repro.workload.trace:amplitude_modulate"
-)
 
 SEARCH_SPACES = Registry("search space")
 SEARCH_SPACES.register_lazy("cifar", "repro.core.spnas.space:cifar_search_space")
@@ -253,7 +234,6 @@ REGISTRIES: Dict[str, Registry] = {
     "policies": POLICIES,
     "routers": ROUTERS,
     "scenarios": SCENARIOS,
-    "trace_transforms": TRACE_TRANSFORMS,
     "search_spaces": SEARCH_SPACES,
     "devices": DEVICES,
     "strategies": STRATEGIES,

@@ -1,10 +1,10 @@
 """Telemetry sidecar layout inside a run directory.
 
 Telemetry never lands in the deterministic report files — the CI gate
-asserts a traced run's ``loadtest_report.json`` is byte-identical to an
-untraced one.  Instead every producer (``repro serve-sim --obs-dir``,
-``repro loadtest --obs``, ``repro pipeline run --obs``) writes the same
-sidecar bundle under ``<run_dir>/obs/``:
+asserts a traced serve-sim report is byte-identical to an untraced
+one.  Instead every producer (``repro serve-sim --obs-dir``,
+``repro pipeline run --obs``) writes the same sidecar bundle under
+``<run_dir>/obs/``:
 
 ========================  =============================================
 ``trace_events.jsonl``    span/event log (one JSON object per line)
@@ -84,7 +84,6 @@ def load_run_events(path: str) -> List[Dict]:
     if trace_path is None:
         raise FileNotFoundError(
             f"no {TRACE_FILENAME} under {path!r} — record one with "
-            f"`repro loadtest --obs`, `repro serve-sim --obs-dir`, or "
-            f"`repro pipeline run --obs`"
+            f"`repro serve-sim --obs-dir` or `repro pipeline run --obs`"
         )
     return load_events_jsonl(trace_path)

@@ -364,7 +364,7 @@ class MetricsRecorder:
     metric is a change *here*, not another thread through the engine.
     Cell labels bound onto events (``scenario``/``policy``/...) are NOT
     copied onto every metric to keep cardinality sane; the high-value
-    dimensions (replica, bits, action, fault kind, stage) are.
+    dimensions (replica, bits, stage) are.
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -401,14 +401,6 @@ class MetricsRecorder:
             "repro_forwards_total",
             "switched forward passes executed, by replica and bit-width",
         )
-        self._autoscale = registry.counter(
-            "repro_autoscale_events_total",
-            "autoscaler decisions applied, by action",
-        )
-        self._faults = registry.counter(
-            "repro_fault_events_total",
-            "injected fault events applied, by fault kind",
-        )
         self._stages = registry.counter(
             "repro_pipeline_stage_seconds_total",
             "wall-clock seconds per pipeline stage",
@@ -416,10 +408,6 @@ class MetricsRecorder:
         self._queue_depth = registry.gauge(
             "repro_queue_depth",
             "queued requests per replica after the last dispatch",
-        )
-        self._active = registry.gauge(
-            "repro_active_replicas",
-            "active replica count after the last autoscale event",
         )
         self._latency = registry.histogram(
             "repro_request_latency_seconds",
@@ -461,10 +449,5 @@ class MetricsRecorder:
             self._switches.inc(replica=event.get("replica", 0))
         elif kind == "policy_decision":
             self._decisions.inc(bits=bits_label(event.get("bits")))
-        elif kind == "autoscale":
-            self._autoscale.inc(action=event["action"])
-            self._active.set(event["to_replicas"])
-        elif kind == "fault":
-            self._faults.inc(fault_kind=event["fault_kind"])
         elif kind == "stage":
             self._stages.inc(event.get("seconds", 0.0), stage=event["stage"])

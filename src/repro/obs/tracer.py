@@ -5,10 +5,9 @@ aggregated scalar block per (scenario, policy) cell.  The tracer turns a
 run into a *timeline*: every request's lifecycle
 (``enqueue -> route -> batch -> bit_switch -> forward -> complete``)
 plus the control-plane moments around it (``policy_decision``,
-``autoscale``, ``fault``, pipeline ``stage`` spans) is recorded as one
-event on the virtual clock, so "why did p99 spike at t=42s?" and "which
-replica flapped bits during the flash crowd?" become greppable
-questions instead of folklore.
+pipeline ``stage`` spans) is recorded as one event on the virtual
+clock, so "why did p99 spike at t=42s?" and "which replica flapped bits
+during the burst?" become greppable questions instead of folklore.
 
 Design constraints, in order:
 
@@ -56,8 +55,6 @@ EVENT_KINDS = (
     "forward",          # one switched forward pass for the micro-batch
     "batch",            # the dispatched micro-batch span (start..finish)
     "complete",         # one request finished (latency decomposition)
-    "autoscale",        # autoscaler changed the active replica count
-    "fault",            # injected fault applied (outage/recovery/spike)
     "stage",            # pipeline stage span (wall clock, not sim clock)
 )
 
@@ -102,10 +99,10 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Collects events in order; optionally fans them out to sinks.
 
-    One tracer spans one run (a serve-sim, a loadtest grid, a pipeline
-    execution); concurrent cells of a grid share it through
-    :meth:`bind`, which stamps cell identity onto every event without
-    the instrumented component knowing it is part of a grid.
+    One tracer spans one run (a serve-sim or a pipeline execution); the
+    run's (scenario, policy) cells share it through :meth:`bind`, which
+    stamps cell identity onto every event without the instrumented
+    component knowing it is one cell of several.
     """
 
     __slots__ = ("events", "_sinks")
@@ -149,10 +146,10 @@ class Tracer:
 class BoundTracer:
     """A label-stamping view over a live :class:`Tracer`.
 
-    Binding is how grid cells (``scenario``/``policy``/``router``/
-    ``replicas``) and per-policy sweeps tag their events while sharing
-    one event stream.  Bind again to add more labels; explicit fields
-    at the emit site win over bound ones.
+    Binding is how simulated cells (``scenario``/``policy``/``router``/
+    ``replicas``) tag their events while sharing one event stream.
+    Bind again to add more labels; explicit fields at the emit site win
+    over bound ones.
     """
 
     __slots__ = ("base", "fields")

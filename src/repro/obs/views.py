@@ -5,8 +5,8 @@ traced run wrote and answers the timeline questions the aggregated
 reports cannot:
 
 * **per-replica timeline** — contiguous same-bit batch segments per
-  replica, so "which replica flapped bits during the flash crowd?" is
-  one glance;
+  replica, so "which replica flapped bits during the burst?" is one
+  glance;
 * **bit-occupancy Gantt** — an ASCII lane per replica across the run's
   virtual span, one glyph per time slice showing the bit-width that
   dominated it (``.`` = idle);
@@ -15,12 +15,13 @@ reports cannot:
   at t=42s?" points at the bucket where the backlog built;
 * **slowest-requests table** — the tail, decomposed into queue wait vs
   service time at the served bit-width;
-* autoscale / fault logs and pipeline stage spans when present.
+* pipeline stage spans when present.
 
-A loadtest grid binds cell identity (scenario/policy/router/replicas)
-onto every event; views group by cell so one trace file yields one
-report section per simulated cell.  Everything here is read-only over
-plain event dicts — the renderer never touches the serving stack.
+A serve-sim binds cell identity (scenario/policy, plus router/replicas
+for a fleet) onto every event; views group by cell so one trace file
+yields one report section per simulated cell.  Everything here is
+read-only over plain event dicts — the renderer never touches the
+serving stack.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "render_events",
 ]
 
-# Labels a grid/sweep binds onto events; together they name one cell.
+# Labels a serve-sim binds onto events; together they name one cell.
 CELL_KEYS = ("scenario", "policy", "router", "replicas")
 
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -275,34 +276,6 @@ def _slowest_section(completes: List[Dict], top: int = 10) -> List[str]:
     return lines
 
 
-def _control_plane_section(events: List[Dict]) -> List[str]:
-    """Autoscale decisions and injected faults."""
-    control = [e for e in events if e["kind"] in ("autoscale", "fault")]
-    if not control:
-        return []
-    lines = ["### Autoscale / fault events", ""]
-    for event in sorted(control, key=lambda e: e["time_s"]):
-        if event["kind"] == "autoscale":
-            lines.append(
-                f"- t={event['time_s']:.4f}s autoscale "
-                f"{event['action']} {event['from_replicas']}->"
-                f"{event['to_replicas']} ({event['reason']})"
-            )
-        else:
-            detail = ", ".join(
-                f"{k}={event[k]}"
-                for k in ("replica", "factor", "rerouted", "applied",
-                          "reason")
-                if k in event
-            )
-            lines.append(
-                f"- t={event['time_s']:.4f}s fault "
-                f"{event['fault_kind']} ({detail})"
-            )
-    lines.append("")
-    return lines
-
-
 def _stage_section(stages: List[Dict]) -> List[str]:
     lines = ["## Pipeline stages", ""]
     lines.append("| stage | wall (s) |")
@@ -367,7 +340,6 @@ def render_events(
         lines.extend(_series_section(cell_events, c_start, c_end,
                                      buckets=buckets))
         lines.extend(_slowest_section(completes, top=top))
-        lines.extend(_control_plane_section(cell_events))
     return "\n".join(lines)
 
 

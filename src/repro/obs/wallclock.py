@@ -8,8 +8,8 @@ there so a wall clock can never leak into *computed results*.  Those
 modules call :func:`wall_clock_s` instead: a single, greppable,
 monkeypatchable point where wall time enters.
 
-The strict virtual-clock planes (``repro.serve``, ``repro.workload``)
-may not use even this seam — they take the time as a parameter (see
+The strict virtual-clock plane (``repro.serve``) may not use even this
+seam — it takes the time as a parameter (see
 ``InferenceEngine.dispatch(now)``).
 """
 

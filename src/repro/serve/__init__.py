@@ -7,11 +7,11 @@ is picked by a pluggable
 :class:`~repro.serve.policies.PrecisionController`, a
 :class:`~repro.serve.cluster.ReplicaFleet` that shards traffic across
 engine replicas behind a pluggable
-:class:`~repro.serve.routing.Router` with deterministic autoscaling,
-and a deterministic traffic simulator (:mod:`repro.serve.simulator`,
-``python -m repro serve-sim``) that replays constant / bursty / diurnal
-arrival scenarios against an engine or a whole fleet using the hardware
-cost model's latency estimates as the service-time oracle.
+:class:`~repro.serve.routing.Router`, and a deterministic traffic
+simulator (:mod:`repro.serve.simulator`, ``python -m repro serve-sim``)
+that replays constant / bursty / diurnal arrival scenarios against an
+engine or a whole fleet using the hardware cost model's latency
+estimates as the service-time oracle.
 """
 
 from .checkpoint import (
@@ -43,10 +43,8 @@ from .policies import (
     make_policy,
 )
 from .cluster import (
-    Autoscaler,
     FleetReport,
     ReplicaFleet,
-    ScaleEvent,
     build_fleet_report,
     format_fleet_reports,
     make_fleet,
@@ -104,10 +102,8 @@ __all__ = [
     "LatencySummary",
     "optional_percentile_s",
     "percentile_s",
-    "Autoscaler",
     "FleetReport",
     "ReplicaFleet",
-    "ScaleEvent",
     "build_fleet_report",
     "format_fleet_reports",
     "make_fleet",

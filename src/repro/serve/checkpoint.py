@@ -279,7 +279,6 @@ def build_engine(
     max_batch: int,
     slo_s: Optional[float] = None,
     batch_timeout_s: Optional[float] = None,
-    stats_window: int = 128,
     tracer=None,
 ):
     """One engine + controller over an already-materialized network."""
@@ -292,7 +291,6 @@ def build_engine(
         latency_model,
         max_batch=max_batch,
         batch_timeout_s=batch_timeout_s,
-        stats_window=stats_window,
         tracer=NULL_TRACER if tracer is None else tracer,
     )
 
@@ -305,7 +303,6 @@ def materialize_engine(
     max_batch: int,
     slo_s: Optional[float] = None,
     batch_timeout_s: Optional[float] = None,
-    stats_window: int = 128,
     tracer=None,
 ):
     """Checkpoint -> private network -> engine.
@@ -323,6 +320,5 @@ def materialize_engine(
         max_batch=max_batch,
         slo_s=slo_s,
         batch_timeout_s=batch_timeout_s,
-        stats_window=stats_window,
         tracer=tracer,
     )

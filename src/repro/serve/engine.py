@@ -15,8 +15,7 @@ The engine is the request path of the serving layer:
   uses, and is deterministic (simulations are exactly reproducible).
 
 The engine owns no clock: the traffic simulator passes its virtual
-``now`` to every :meth:`~InferenceEngine.dispatch` and
-:meth:`~InferenceEngine.drain` call.
+``now`` to every :meth:`~InferenceEngine.dispatch` call.
 """
 
 from __future__ import annotations
@@ -295,7 +294,6 @@ class InferenceEngine:
         latency_model: BitLatencyModel,
         max_batch: int = 8,
         batch_timeout_s: Optional[float] = None,
-        stats_window: int = 128,
         tracer=NULL_TRACER,
     ):
         if max_batch < 1:
@@ -319,17 +317,13 @@ class InferenceEngine:
                 sp_net.highest, self.max_batch
             )
         self.batch_timeout_s = float(batch_timeout_s)
-        # Transient service-time multiplier (>= 1.0 during an injected
-        # latency spike, 1.0 otherwise).  Owned by the fault-injection
-        # layer (repro.workload.faults); the engine only applies it.
-        self.service_scale = 1.0
         # Telemetry is strictly observational: NULL_TRACER by default,
         # and every emit site is guarded on ``tracer.enabled`` so the
         # disabled path builds no event kwargs.  ``replica_index`` is
         # stamped by ReplicaFleet so fleet traces name their lanes.
         self.tracer = tracer
         self.replica_index = 0
-        self.stats = EngineStats(sp_net.bit_widths, window=stats_window)
+        self.stats = EngineStats(sp_net.bit_widths)
         self._queue: Deque[InferenceRequest] = deque()
         self._current_bits: BitSpec = sp_net.highest
         sp_net.eval()
@@ -356,12 +350,6 @@ class InferenceEngine:
     @property
     def current_bits(self) -> BitSpec:
         return self._current_bits
-
-    def take_queue(self) -> List[InferenceRequest]:
-        """Remove and return every queued request (outage re-routing)."""
-        taken = list(self._queue)
-        self._queue.clear()
-        return taken
 
     def next_release_s(self) -> Optional[float]:
         """When the oldest pending request's timeout expires (None: idle)."""
@@ -431,10 +419,7 @@ class InferenceEngine:
                     to_bits=bits,
                 )
         predictions = self._forward(batch, bits)
-        service_s = (
-            self.latency_model.batch_latency_s(bits, len(batch))
-            * self.service_scale
-        )
+        service_s = self.latency_model.batch_latency_s(bits, len(batch))
         finish = now + service_s
         results = tuple(
             InferenceResult(
@@ -487,15 +472,6 @@ class InferenceEngine:
                     latency_s=result.latency_s,
                 )
         return record
-
-    def drain(self, now: float) -> List[BatchRecord]:
-        """Flush every pending request (back-to-back batches)."""
-        records = []
-        while self._queue:
-            record = self.dispatch(now, flush=True)
-            records.append(record)
-            now = record.finish_s
-        return records
 
     def _forward(
         self, batch: List[InferenceRequest], bits: BitSpec

@@ -1,6 +1,6 @@
 """Pluggable request routers for the replica fleet.
 
-A :class:`Router` decides, per arriving request, which active replica's
+A :class:`Router` decides, per arriving request, which replica's
 queue the request joins.  Routers are registered under
 :data:`repro.api.registry.ROUTERS` (exactly like precision policies
 under ``POLICIES``), so downstream code can plug in new balancing
@@ -9,7 +9,7 @@ name.
 
 Three built-in routers:
 
-* :class:`RoundRobinRouter` — cycle through the active replicas; the
+* :class:`RoundRobinRouter` — cycle through the replicas; the
   classic load balancer baseline, oblivious to queue state;
 * :class:`LeastQueueRouter` — join the shortest queue (ties broken by
   replica index), the standard join-shortest-queue heuristic;
@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """One routable replica's queue state at routing time.
+    """One replica's queue state at routing time.
 
     ``busy_until_s`` is the virtual time the replica finishes its
     in-flight batch (<= now when idle); ``current_bits`` is the
@@ -68,7 +68,7 @@ class ReplicaSnapshot:
 
 @dataclass(frozen=True)
 class RouterInputs:
-    """Everything a router decides from: the routable replica set."""
+    """Everything a router decides from: every replica, in index order."""
 
     now: float
     replicas: Tuple[ReplicaSnapshot, ...]
@@ -78,8 +78,8 @@ class RouterInputs:
 class Router:
     """Interface: pick the replica an arriving request joins.
 
-    ``route`` returns a position into ``inputs.replicas`` (NOT a
-    fleet-wide index — the fleet translates).  ``attach`` is called by
+    ``route`` returns a position into ``inputs.replicas``, which is
+    also the chosen replica's fleet index.  ``attach`` is called by
     the fleet that adopts the router; it must reset any run state so a
     re-attached instance starts clean, and must not bake fleet-derived
     configuration into the instance.
@@ -96,7 +96,7 @@ class Router:
 
 
 class RoundRobinRouter(Router):
-    """Cycle through the routable replicas in index order."""
+    """Cycle through the replicas in index order."""
 
     name = "round_robin"
 
@@ -147,17 +147,11 @@ class LatencyAwareRouter(Router):
         self, inputs: RouterInputs, snapshot: ReplicaSnapshot
     ) -> float:
         model = inputs.latency_model
-        bits = snapshot.current_bits
-        if bits not in model.per_image_s:
-            # Replica serving a bit-width this model cannot price (cannot
-            # happen for fleets built from one checkpoint; defensive for
-            # heterogeneous fleets): assume the slowest known precision.
-            bits = max(model.per_image_s, key=model.per_image_s.get)
         backlog = snapshot.queue_depth + 1
         batches = math.ceil(backlog / snapshot.max_batch)
         busy_s = max(snapshot.busy_until_s - inputs.now, 0.0)
         return busy_s + batches * model.batch_latency_s(
-            bits, snapshot.max_batch
+            snapshot.current_bits, snapshot.max_batch
         )
 
     def route(self, inputs: RouterInputs) -> int:

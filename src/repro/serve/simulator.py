@@ -19,9 +19,7 @@ HIGHEST precision, so every scenario stresses any model the same way):
 * ``diurnal``  — sinusoidal rate sweeping from ~0.1x to ~1.1x capacity:
   a day/night load curve compressed into one simulation.
 
-The workload lab (:mod:`repro.workload.scenarios`) extends the gallery
-(flash crowds, ramps, sawtooths, on/off duty cycles, heavy tails);
-anything registered under ``SCENARIOS`` is served here by name.
+Anything registered under ``SCENARIOS`` is served here by name.
 
 This module owns traffic, setup and the single-engine report; it has no
 event loop of its own.  A single engine is a one-replica fleet:
@@ -419,8 +417,7 @@ def run_serve_sim(
     ``config`` to serve an existing (e.g. checkpoint-loaded) model
     instead of a freshly initialised one, or a prepared ``fixture`` to
     skip setup entirely (the caller is then responsible for having
-    built it under ``seed`` — e.g. the CLI's trace-recording path,
-    which prepares once and both simulates and records from it).
+    built it under ``seed``).
     """
     rng_mod.set_seed(seed)
     if fixture is None:

@@ -10,21 +10,22 @@ exactly once:
 * :func:`percentile_s` — report-level statistics: an empty input is a
   *result* ("no requests completed") and comes back as ``nan`` so it
   still formats and serialises;
-* :func:`optional_percentile_s` — control-loop signals (SLO feedback,
-  autoscaler): an empty window is the *absence* of a signal and comes
+* :func:`optional_percentile_s` — control-loop signals (SLO
+  feedback): an empty window is the *absence* of a signal and comes
   back as ``None`` so callers branch instead of comparing against nan
   (a comparison that is always False and silently disables the signal).
 
 :class:`LatencySummary` bundles the p50/p95/p99/mean/max block every
 report repeats, and :func:`merge_engine_stats` is the one aggregation
 of per-replica engine stats behind every serving report: the
-single-engine report (one replica) and the simulated fleet.
+single-engine report (one replica) and the simulated fleet, which also
+lists :func:`replica_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "optional_percentile_s",
     "LatencySummary",
     "merge_engine_stats",
+    "replica_rows",
 ]
 
 
@@ -88,19 +90,13 @@ class LatencySummary:
         )
 
 
-def merge_engine_stats(
-    stats: Sequence,
-    end_s: float,
-    slo_s: float,
-    states: Optional[Sequence[str]] = None,
-) -> Dict:
+def merge_engine_stats(stats: Sequence, end_s: float, slo_s: float) -> Dict:
     """Report fields shared by every serving report, over replica stats.
 
     ``stats`` holds one :class:`~repro.serve.engine.EngineStats` per
     replica (a single engine is a one-replica sequence); ``end_s`` is
     the virtual completion time of the run.  The returned dict holds
-    keyword arguments for a report dataclass.  With ``states`` (each
-    replica's lifecycle state) it also carries the ``per_replica`` rows.
+    keyword arguments for a report dataclass.
     """
     bit_widths = stats[0].bit_widths
     latencies = np.asarray([lat for s in stats for lat in s.latencies_s])
@@ -111,7 +107,7 @@ def merge_engine_stats(
     energy_pj = float(sum(s.energy_pj for s in stats))
     energy_priced = sum(s.energy_priced for s in stats)
     duration = max(end_s, 1e-12)
-    merged = dict(
+    return dict(
         num_requests=completed,
         duration_s=float(end_s),
         throughput_rps=completed / duration,
@@ -137,21 +133,24 @@ def merge_engine_stats(
             energy_pj / energy_priced if energy_priced else None
         ),
     )
-    if states is not None:
-        merged["per_replica"] = []
-        for idx, (s, state) in enumerate(zip(stats, states)):
-            busy_s = float(sum(s.busy_s_per_bit.values()))
-            merged["per_replica"].append({
-                "replica": idx,
-                "state": state,
-                "requests": s.completed,
-                "batches": s.batches,
-                "mean_batch_size": s.mean_batch_size(),
-                "switches": s.switches,
-                "busy_s": busy_s,
-                "utilization": busy_s / duration,
-                "occupancy": {
-                    bits_label(b): s.requests_per_bit[b] for b in bit_widths
-                },
-            })
-    return merged
+
+
+def replica_rows(stats: Sequence, end_s: float) -> List[Dict]:
+    """One ``per_replica`` report row per replica's engine stats."""
+    duration = max(end_s, 1e-12)
+    rows = []
+    for idx, s in enumerate(stats):
+        busy_s = float(sum(s.busy_s_per_bit.values()))
+        rows.append({
+            "replica": idx,
+            "requests": s.completed,
+            "batches": s.batches,
+            "mean_batch_size": s.mean_batch_size(),
+            "switches": s.switches,
+            "busy_s": busy_s,
+            "utilization": busy_s / duration,
+            "occupancy": {
+                bits_label(b): s.requests_per_bit[b] for b in s.bit_widths
+            },
+        })
+    return rows

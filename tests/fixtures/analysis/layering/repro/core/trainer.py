@@ -1,5 +1,5 @@
-"""Core (layer 2) reaching up into the workload lab (layer 4)."""
+"""Core (layer 2) reaching up into the analysis plane (layer 4)."""
 
-from ..workload import alpha          # bad: upward import
+from ..analysis import alpha          # bad: upward import
 
 RATE = alpha.A

@@ -103,15 +103,15 @@ class TestProjectModel:
     def test_relative_imports_resolve(self):
         project = load_project(fixture_root("layering"))
         trainer = project.get("repro.core.trainer")
-        assert any(e.target == "repro.workload" for e in trainer.imports)
-        assert trainer.origins["alpha"] == "repro.workload.alpha"
+        assert any(e.target == "repro.analysis" for e in trainer.imports)
+        assert trainer.origins["alpha"] == "repro.analysis.alpha"
 
     def test_deferred_imports_marked(self):
         project = load_project(fixture_root("layering"))
-        beta = project.get("repro.workload.beta")
+        beta = project.get("repro.analysis.beta")
         deferred = [e for e in beta.imports if e.deferred]
         assert len(deferred) == 1
-        assert deferred[0].target == "repro.workload.alpha"
+        assert deferred[0].target == "repro.analysis.alpha"
 
     def test_non_package_root_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -188,8 +188,8 @@ class TestLayeringRule:
         cycles = [f for f in by_rule(result, "layering")
                   if "import cycle" in f.message]
         assert len(cycles) == 1
-        assert "repro.workload.alpha" in cycles[0].message
-        assert "repro.workload.beta" in cycles[0].message
+        assert "repro.analysis.alpha" in cycles[0].message
+        assert "repro.analysis.beta" in cycles[0].message
 
 
 class TestSpansRule:
@@ -248,6 +248,41 @@ class TestBaseline:
         ])
         assert result.stale_baseline == stale
         assert result.failed()
+
+    def test_text_report_flags_muted_findings_only_when_verbose(self):
+        from repro.analysis.report import format_text
+
+        suppressed = check_fixture("determinism")
+        assert "[suppressed]" not in format_text(suppressed)
+        assert "[suppressed]" in format_text(suppressed, verbose=True)
+        assert "1 suppressed/baselined" in format_text(suppressed)
+
+        first = check_fixture("layering")
+        baselined = check_fixture("layering", baseline=[
+            f.to_json_dict() for f in first.active
+        ])
+        text = format_text(baselined, verbose=True)
+        assert text.count("[baselined]") == len(first.active)
+        assert "0 active finding(s)" in text
+
+    def test_text_report_names_stale_baseline_entries(self):
+        from repro.analysis.report import format_text
+
+        stale = [{"path": "repro/gone.py", "line": 7,
+                  "rule": "layering", "severity": "error",
+                  "message": "paid off long ago"}]
+        result = check_fixture("layering", baseline=stale)
+        text = format_text(result)
+        assert "repro/gone.py:7: stale baseline entry [layering]" in text
+        assert text.endswith("1 stale baseline entr(y/ies)")
+
+    def test_load_baseline_accepts_a_bare_entry_list(self, tmp_path):
+        entries = [{"path": "repro/a.py", "line": 1, "rule": "spans",
+                    "severity": "error", "message": "m"}]
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(entries))
+        assert load_baseline(str(path)) == entries
+        assert load_baseline(None) is None
 
     def test_load_baseline_rejects_other_schema(self, tmp_path):
         path = tmp_path / "base.json"
@@ -342,9 +377,9 @@ class TestInjectedViolations:
         self.expect(tree_copy, "determinism",
                     "repro/serve/simulator.py", line + 1)
 
-    def test_core_importing_workload(self, tree_copy):
+    def test_core_importing_serve(self, tree_copy):
         line = inject(tree_copy, "core/trainer.py",
-                      "from repro.workload import trace as _trace\n")
+                      "from repro.serve import routing as _routing\n")
         self.expect(tree_copy, "layering", "repro/core/trainer.py", line)
 
     def test_unknown_span_kind(self, tree_copy):

@@ -5,10 +5,10 @@ import dataclasses
 import pytest
 
 from repro.api.config import (
-    AutoscaleConfig,
     ConfigError,
     DeployConfig,
     ModelConfig,
+    ObsConfig,
     PipelineConfig,
     SearchConfig,
     ServeConfig,
@@ -16,8 +16,8 @@ from repro.api.config import (
 )
 
 ALL_CONFIG_CLASSES = (
-    ModelConfig, SearchConfig, TrainConfig, DeployConfig, AutoscaleConfig,
-    ServeConfig, PipelineConfig,
+    ModelConfig, SearchConfig, TrainConfig, DeployConfig, ServeConfig,
+    PipelineConfig, ObsConfig,
 )
 
 NON_DEFAULT = {
@@ -39,16 +39,12 @@ NON_DEFAULT = {
         device="zc706", metric="latency", generations=2, pipeline=True,
         warm_start=False, batch=4,
     ),
-    AutoscaleConfig: dict(
-        min_replicas=2, max_replicas=6, up_pressure=1.5,
-        down_pressure=0.5, cooldown_batches=2.0,
-    ),
     ServeConfig: dict(
         scenario="diurnal", policy="queue", num_requests=32, max_batch=4,
         slo_batches=1.5, mapper_generations=2, replicas=3,
         router="latency_aware",
-        autoscale=AutoscaleConfig(min_replicas=1, max_replicas=4),
     ),
+    ObsConfig: dict(trace=False, metrics=False),
     PipelineConfig: dict(
         name="trip", seed=7, run_dir="runs/elsewhere",
         model=ModelConfig(name="resnet8", num_classes=3),
@@ -139,22 +135,21 @@ class TestLoadErrors:
         with pytest.raises(ConfigError, match="must be positive"):
             cls(**{field: 0})
 
-    def test_nested_autoscale_section_round_trips_from_json(self):
-        config = ServeConfig.from_dict({
-            "replicas": 2,
-            "router": "round_robin",
-            "autoscale": {"min_replicas": 1, "max_replicas": 3},
-        })
-        assert isinstance(config.autoscale, AutoscaleConfig)
-        assert config.autoscale.max_replicas == 3
-        assert ServeConfig.from_json(config.to_json()) == config
-
-    def test_replicas_outside_autoscale_range_rejected(self):
-        with pytest.raises(ConfigError, match="autoscale range"):
-            ServeConfig(
-                replicas=8,
-                autoscale=AutoscaleConfig(min_replicas=1, max_replicas=4),
-            )
+    @pytest.mark.parametrize("cls,kwargs,match", [
+        (ModelConfig, {"bit_widths": (4, "8")}, "ints or pairs"),
+        (ModelConfig, {"bit_widths": (True,)}, "ints or pairs"),
+        (ModelConfig, {"activation": "gelu"}, "relu6"),
+        (SearchConfig, {"arch_bits": "middle"}, "lowest|highest"),
+        (SearchConfig, {"weight_mode": "random"}, "cdt|highest|lowest"),
+        (DeployConfig, {"metric": "throughput"}, "edp|energy|latency"),
+        (PipelineConfig, {"name": ""}, "non-empty string"),
+        (PipelineConfig, {"run_dir": 3}, "string path or null"),
+        (ObsConfig, {"trace": 1}, "ObsConfig.trace must be a bool"),
+        (ObsConfig, {"metrics": "yes"}, "ObsConfig.metrics must be a bool"),
+    ])
+    def test_out_of_range_values_rejected(self, cls, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            cls(**kwargs)
 
     def test_empty_bit_widths_rejected(self):
         with pytest.raises(ConfigError, match="bit_widths"):

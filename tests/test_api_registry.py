@@ -127,29 +127,13 @@ class TestManifestConsistency:
     def test_every_scenario_function_is_registered(self):
         from repro.api.registry import SCENARIOS
         from repro.serve import simulator
-        from repro.workload import scenarios as workload_scenarios
 
         registered = {SCENARIOS.get(name) for name in SCENARIOS.names()}
         defined = {
             obj
-            for module in (simulator, workload_scenarios)
-            for name, obj in vars(module).items()
+            for name, obj in vars(simulator).items()
             if name.endswith("_gaps") and not name.startswith("_")
             and callable(obj)
-        }
-        assert defined == registered
-
-    def test_every_trace_transform_is_registered(self):
-        from repro.api.registry import TRACE_TRANSFORMS
-        from repro.workload import trace as module
-
-        registered = {
-            TRACE_TRANSFORMS.get(name) for name in TRACE_TRANSFORMS.names()
-        }
-        defined = {
-            vars(module)[name]
-            for name in ("time_scale", "splice", "tenant_mix",
-                         "amplitude_modulate")
         }
         assert defined == registered
 

@@ -67,26 +67,39 @@ class TestHelp:
             main([])
         assert excinfo.value.code == 2
 
-    def test_loadtest_help(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["loadtest", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--config" in out and "--output-dir" in out
 
+class TestServeSim:
+    """`repro serve-sim` end to end at smoke scale, single and fleet."""
 
-class TestLoadtest:
-    def test_missing_config_is_error(self, capsys, tmp_path):
-        assert main(
-            ["loadtest", "--config", str(tmp_path / "nope.json")]
-        ) == 2
-        assert "invalid loadtest config" in capsys.readouterr().err
+    def test_single_engine_reports_every_policy(self, tmp_path, capsys):
+        import json
 
-    def test_invalid_config_is_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"scenarios": ["warp-speed"]}')
-        assert main(["loadtest", "--config", str(path)]) == 2
-        assert "warp-speed" in capsys.readouterr().err
+        out = tmp_path / "r.json"
+        assert main(["serve-sim", "--scenario", "constant",
+                     "--output", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert [r["policy"] for r in reports] == ["static", "slo", "queue"]
+        assert all("per_replica" not in r for r in reports)
+        assert "serve-sim scenario=constant" in capsys.readouterr().out
+
+    def test_replicas_switch_to_the_fleet_report(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "r.json"
+        assert main(["serve-sim", "--policy", "slo", "--replicas", "3",
+                     "--router", "round_robin", "--output", str(out)]) == 0
+        (report,) = json.loads(out.read_text())
+        assert (report["router"], report["replicas"]) == ("round_robin", 3)
+        assert [r["replica"] for r in report["per_replica"]] == [0, 1, 2]
+        assert sum(r["requests"] for r in report["per_replica"]) == \
+            report["num_requests"]
+        text = capsys.readouterr().out
+        assert "serve-sim fleet scenario=bursty" in text
+        assert "router=round_robin replicas=3" in text
+
+    def test_replicas_below_one_is_an_error(self, capsys):
+        assert main(["serve-sim", "--replicas", "0"]) == 2
+        assert "--replicas 0 must be >= 1" in capsys.readouterr().err
 
 
 class TestChoicesComeFromManifest:
@@ -127,28 +140,6 @@ class TestChoicesComeFromManifest:
         assert main(check + [",".join(CHECKERS.names())]) == 0
         assert main(check + ["nosuch"]) == 2
         assert str(list(CHECKERS.names())) in capsys.readouterr().err
-
-    def test_workload_scenarios_reach_parser_without_hand_edits(self):
-        """Scenarios declared for repro.workload appear in the serve-sim
-        parser purely through the registry — the parser has no literal
-        scenario list to forget to update."""
-        from repro.api.registry import choices
-
-        serve = self._subparser("serve-sim")
-        scenario_choices = next(
-            a.choices for a in serve._actions if a.dest == "scenario"
-        )
-        for name in ("flash_crowd", "ramp", "sawtooth", "on_off",
-                     "pareto_heavy_tail"):
-            assert name in choices("scenarios")
-            assert name in scenario_choices
-
-    def test_trace_transforms_in_manifest(self):
-        from repro.api.registry import choices
-
-        assert choices("trace_transforms") == (
-            "time_scale", "splice", "tenant_mix", "amplitude_modulate",
-        )
 
     def test_run_scale_choices_match_manifest(self):
         from repro.api.registry import choices

@@ -28,6 +28,9 @@ class TestCommon:
         assert "a" in text and "c" in text
         assert len(text.splitlines()) == 4
 
+    def test_format_table_without_rows(self):
+        assert format_table([]) == "(no rows)"
+
     def test_result_columns(self):
         res = ExperimentResult("x", "t")
         res.add_row(a=1)

@@ -135,6 +135,48 @@ class TestOrderSensitivity:
         assert e_a != pytest.approx(e_b, rel=1e-3)
 
 
+class TestDeviceDescription:
+    def test_capacity_words_is_unbounded_only_for_dram(self):
+        dram, buffer = DEV.hierarchy.level("DRAM"), DEV.hierarchy.level(
+            "GlobalBuffer"
+        )
+        assert dram.capacity_words(8) == float("inf")
+        assert buffer.capacity_words(8) == buffer.capacity_bits / 8
+        assert buffer.capacity_words(4) == 2 * buffer.capacity_words(8)
+
+    def test_level_lookup_by_name(self):
+        assert DEV.hierarchy.names == [
+            "DRAM", "GlobalBuffer", "NoC", "RegisterFile",
+        ]
+        assert [lvl.name for lvl in DEV.hierarchy] == DEV.hierarchy.names
+        with pytest.raises(KeyError, match="no level named 'L3'"):
+            DEV.hierarchy.level("L3")
+
+    def test_hierarchy_needs_an_on_chip_level(self):
+        from repro.hardware.hierarchy import MemoryHierarchy
+
+        with pytest.raises(ValueError, match="at least DRAM"):
+            MemoryHierarchy(levels=(DEV.hierarchy.level("DRAM"),))
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("platform", "gpu", "asic|fpga"),
+        ("num_pes", 0, "num_pes must be >= 1"),
+        ("clock_ghz", 0.0, "clock_ghz must be positive"),
+    ])
+    def test_invalid_device_rejected(self, field, value, match):
+        import dataclasses
+
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(DEV, **{field: value})
+
+    def test_without_packing_throughput_ignores_bits(self):
+        import dataclasses
+
+        flat = dataclasses.replace(DEV, precision_packing=False)
+        assert flat.macs_per_cycle(4) == flat.macs_per_cycle(16) == 168.0
+        assert DEV.macs_per_cycle(4) == 4 * DEV.macs_per_cycle(16)
+
+
 class TestNetworkCost:
     def _flows(self, workloads, device=DEV):
         return [valid_flow(5, w, device) for w in workloads]

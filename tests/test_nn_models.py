@@ -20,6 +20,10 @@ class TestBlocks:
         x = Tensor(np.zeros((1, 8, 8, 8), dtype=np.float32))
         assert block(x).shape == (1, 8, 8, 8)
 
+    def test_factory_rejects_unknown_activation(self):
+        with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+            FloatFactory("gelu")
+
     def test_inverted_residual_residual_used_only_when_legal(self):
         same = InvertedResidual(FloatFactory(), 8, 8, stride=1)
         diff = InvertedResidual(FloatFactory(), 8, 16, stride=1)

@@ -80,7 +80,7 @@ class TestTracer:
 
     def test_event_kinds_cover_request_lifecycle(self):
         for kind in ("enqueue", "route", "bit_switch", "batch",
-                     "complete", "autoscale", "fault", "stage"):
+                     "complete", "stage"):
             assert kind in EVENT_KINDS
 
 
@@ -225,10 +225,6 @@ class TestMetricsRecorder:
                     arrival_s=0.0, start_s=0.1, finish_s=0.2, latency_s=0.2)
         tracer.emit("bit_switch", 0.3, replica=0, from_bits=16,
                     to_bits=(4, 8))
-        tracer.emit("autoscale", 0.4, action="scale_up",
-                    from_replicas=1, to_replicas=2, reason="pressure")
-        tracer.emit("fault", 0.5, fault_kind="latency_spike", factor=3.0,
-                    replica=None, applied=True)
         tracer.emit("stage", 0.0, stage="serve", seconds=1.25)
 
         assert reg.counter("repro_requests_enqueued_total").value(
@@ -238,16 +234,30 @@ class TestMetricsRecorder:
         assert reg.counter("repro_batches_total").value(
             replica=0, bits="W4A8") == 1
         assert reg.counter("repro_bit_switches_total").value(replica=0) == 1
-        assert reg.counter("repro_autoscale_events_total").value(
-            action="scale_up") == 1
-        assert reg.counter("repro_fault_events_total").value(
-            fault_kind="latency_spike") == 1
         assert reg.counter("repro_pipeline_stage_seconds_total").value(
             stage="serve") == pytest.approx(1.25)
         assert reg.gauge("repro_queue_depth").value(replica=0) == 3
-        assert reg.gauge("repro_active_replicas").value() == 2
         assert reg.histogram("repro_request_latency_seconds").count() == 1
         assert reg.histogram("repro_batch_size").count() == 1
+
+
+    def test_route_forward_and_decision_counters(self):
+        reg = MetricsRegistry()
+        tracer = Tracer(sinks=(MetricsRecorder(reg),))
+        for replica in (0, 1, 1):
+            tracer.emit("route", 0.0, request_id=0, replica=replica,
+                        active=2)
+        tracer.emit("policy_decision", 0.1, replica=1, bits=8,
+                    batch_size=2, queue_depth=0, oldest_wait_s=0.0)
+        tracer.emit("forward", 0.1, replica=1, bits=8, size=2)
+        assert reg.counter("repro_requests_routed_total").value(
+            replica=1) == 2
+        assert reg.counter("repro_requests_routed_total").value(
+            replica=0) == 1
+        assert reg.counter("repro_policy_decisions_total").value(
+            bits="8") == 1
+        assert reg.counter("repro_forwards_total").value(
+            replica=1, bits="8") == 1
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +301,8 @@ class TestArtifacts:
         assert load_run_events(run_dir) == tracer.events
 
     def test_missing_trace_raises_with_guidance(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="repro loadtest --obs"):
+        with pytest.raises(FileNotFoundError,
+                           match="repro serve-sim --obs-dir"):
             load_run_events(str(tmp_path))
 
 
@@ -299,7 +310,7 @@ class TestArtifacts:
 # Views
 # ----------------------------------------------------------------------
 def _synthetic_cell_events():
-    """A small two-replica run with a switch, a fault and a scale-up."""
+    """A small two-replica run with one bit switch."""
     tracer = Tracer()
     cell = tracer.bind(scenario="bursty", policy="slo",
                        router="least_queue", replicas=2)
@@ -322,10 +333,6 @@ def _synthetic_cell_events():
                       finish_s=finish,
                       latency_s=finish - rid * 0.01)
     cell.emit("bit_switch", 0.2, replica=0, from_bits=8, to_bits=16)
-    cell.emit("autoscale", 0.22, action="scale_up", from_replicas=2,
-              to_replicas=3, reason="queue_pressure=2.10")
-    cell.emit("fault", 0.25, fault_kind="replica_outage", replica=1,
-              applied=True, rerouted=1)
     return tracer
 
 
@@ -339,9 +346,6 @@ class TestViews:
         assert "### Bit-occupancy Gantt" in out
         assert "### Queue depth / p95 time series" in out
         assert "### Slowest requests (top 10)" in out
-        assert "### Autoscale / fault events" in out
-        assert "autoscale scale_up 2->3" in out
-        assert "fault replica_outage" in out
 
     def test_timeline_merges_consecutive_same_bits_batches(self):
         out = render_events(_synthetic_cell_events().events)
@@ -373,6 +377,41 @@ class TestViews:
 
     def test_empty_events(self):
         assert "(no events recorded)" in render_events([])
+
+    def test_unlabelled_events_form_one_run_cell(self):
+        tracer = Tracer()
+        tracer.emit("enqueue", 0.0, request_id=0, replica=0, queue_depth=1)
+        tracer.emit("enqueue", 0.1, request_id=1, replica=0, queue_depth=2)
+        out = render_events(tracer.events)
+        assert "## Cell: run" in out
+
+    def test_cell_that_never_dispatched(self):
+        tracer = Tracer()
+        cell = tracer.bind(scenario="bursty", policy="slo")
+        cell.emit("enqueue", 0.0, request_id=0, replica=0, queue_depth=1)
+        cell.emit("enqueue", 0.2, request_id=1, replica=0, queue_depth=2)
+        out = render_events(tracer.events)
+        assert "0 requests over 0 batches, 0 bit switches" in out
+        # The timeline and the Gantt both have nothing to draw.
+        assert out.count("(no batches dispatched)") == 2
+        assert "(no completed requests)" in out
+        assert "### Queue depth / p95 time series" in out
+
+    def test_single_instant_cell_has_an_empty_series(self):
+        tracer = Tracer()
+        tracer.emit("enqueue", 0.5, request_id=0, replica=0, queue_depth=1)
+        assert "(empty span)" in render_events(tracer.events)
+
+    def test_timeline_caps_segments_per_replica(self):
+        tracer = Tracer()
+        for j in range(30):
+            bits = 8 if j % 2 else 16
+            start = 0.01 * j
+            tracer.emit("batch", start, replica=0, bits=bits, size=1,
+                        start_s=start, finish_s=start + 0.01,
+                        service_s=0.01, queue_depth=0)
+        out = render_events(tracer.events)
+        assert "| 0 | … | … | (6 more segments) | … | … |" in out
 
     def test_render_run_dir_reads_sidecar(self, tmp_path):
         tracer = _synthetic_cell_events()
@@ -543,7 +582,9 @@ class TestObsCli:
         from repro.__main__ import main
 
         assert main(["obs", str(tmp_path / "nope")]) == 2
-        assert "repro loadtest --obs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "repro serve-sim --obs-dir" in err
+        assert "repro pipeline run --obs" in err
 
     def test_output_flag_writes_markdown(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -84,6 +84,30 @@ class TestAdam:
         opt.step()
         assert abs(float(p.data[0])) == pytest.approx(0.01, rel=1e-3)
 
+    def test_weight_decay_adds_to_the_gradient(self):
+        decayed = Parameter(np.array([2.0], dtype=np.float32))
+        plain = Parameter(np.array([2.0], dtype=np.float32))
+        opts = [Adam([decayed], lr=0.1, weight_decay=0.5),
+                Adam([plain], lr=0.1)]
+        for opt, p in zip(opts, (decayed, plain)):
+            opt.zero_grad()
+            p.grad = np.array([-1.0], dtype=np.float32)
+            opt.step()
+        # grad + wd * w = 0 leaves the decayed weight in place, while
+        # the plain one moves by lr against its gradient.
+        assert decayed.data[0] == pytest.approx(2.0)
+        assert plain.data[0] == pytest.approx(2.1, rel=1e-4)
+
+    def test_parameters_without_grad_are_left_alone(self):
+        used = Parameter(np.array([1.0], dtype=np.float32))
+        unused = Parameter(np.array([1.0], dtype=np.float32))
+        opt = Adam([used, unused], lr=0.1)
+        opt.zero_grad()
+        used.grad = np.array([1.0], dtype=np.float32)
+        opt.step()
+        assert used.data[0] < 1.0
+        assert unused.data[0] == 1.0
+
     def test_validates_betas(self):
         p = Parameter(np.ones(1, dtype=np.float32))
         with pytest.raises(ValueError):

@@ -124,16 +124,13 @@ class TestEndToEnd:
 
     def test_fleet_serve_stage_materializes_replicas(self, tmp_path):
         """serve.replicas > 1 runs the fleet path: replicas built from
-        the stage checkpoint, fleet metrics + per-replica occupancy and
-        autoscale events in the artifact."""
-        from repro.api.config import AutoscaleConfig
-
+        the stage checkpoint, fleet metrics + per-replica occupancy in
+        the artifact."""
         config = zoo_config(
             serve=ServeConfig(
                 scenario="bursty", policy="slo", num_requests=48,
                 max_batch=8, mapper_generations=2,
                 replicas=2, router="least_queue",
-                autoscale=AutoscaleConfig(min_replicas=1, max_replicas=4),
             ),
         )
         result = run_pipeline(config, run_dir=str(tmp_path / "run"))
@@ -142,10 +139,8 @@ class TestEndToEnd:
         assert serve["latency_source"] == "deploy"
         (report,) = serve["reports"]
         assert report["router"] == "least_queue"
-        assert report["replicas"] == 2 and report["max_replicas"] == 4
-        assert report["autoscaled"] is True
-        assert len(report["per_replica"]) >= 2
-        assert isinstance(report["scale_events"], list)
+        assert report["replicas"] == 2
+        assert len(report["per_replica"]) == 2
         for key in ("latency_p50_s", "latency_p95_s", "latency_p99_s"):
             assert report[key] > 0
         assert sum(report["occupancy"].values()) == 48
@@ -210,6 +205,66 @@ class TestStageIndependence:
         assert result.stages_run == ["generate", "train"]
 
 
+def _without_seconds(value):
+    """A report with its wall-clock ``seconds`` fields removed."""
+    if isinstance(value, dict):
+        return {k: _without_seconds(v) for k, v in value.items()
+                if k != "seconds"}
+    if isinstance(value, list):
+        return [_without_seconds(v) for v in value]
+    return value
+
+
+class TestPipelineTelemetry:
+    """``obs=`` records stage spans and serve telemetry beside the run's
+    reports, never inside them."""
+
+    STAGES = ["train", "serve"]
+
+    def test_traced_run_writes_sidecar_and_keeps_reports(self, tmp_path):
+        from repro.api.config import ObsConfig
+        from repro.obs import load_run_events
+
+        plain = run_pipeline(zoo_config(), run_dir=str(tmp_path / "a"),
+                             stages=self.STAGES)
+        traced = run_pipeline(zoo_config(), run_dir=str(tmp_path / "b"),
+                              stages=self.STAGES, obs=ObsConfig())
+        for stage in self.STAGES:
+            assert _without_seconds(traced.reports[stage]) == \
+                _without_seconds(plain.reports[stage])
+        assert not (tmp_path / "a" / "obs").exists()
+        for name in ("trace_events.jsonl", "metrics.prom", "metrics.jsonl"):
+            assert (tmp_path / "b" / "obs" / name).is_file()
+        events = load_run_events(str(tmp_path / "b"))
+        assert [e["stage"] for e in events if e["kind"] == "stage"] == \
+            self.STAGES
+        completes = [e for e in events if e["kind"] == "complete"]
+        assert len(completes) == 24
+        assert {e["policy"] for e in completes} == {"static"}
+
+    def test_metrics_only_run_writes_no_trace(self, tmp_path):
+        from repro.api.config import ObsConfig
+
+        run_pipeline(zoo_config(), run_dir=str(tmp_path),
+                     stages=self.STAGES, obs=ObsConfig(trace=False))
+        obs_dir = tmp_path / "obs"
+        assert sorted(p.name for p in obs_dir.iterdir()) == \
+            ["metrics.jsonl", "metrics.prom"]
+        prom = (obs_dir / "metrics.prom").read_text()
+        assert 'repro_pipeline_stage_seconds_total{stage="serve"}' in prom
+        assert 'repro_requests_completed_total{bits="8",replica="0"} 24' \
+            in prom
+
+    def test_obs_with_nothing_enabled_writes_no_sidecar(self, tmp_path):
+        from repro.api.config import ObsConfig
+
+        pipe = Pipeline(zoo_config(), run_dir=str(tmp_path),
+                        obs=ObsConfig(trace=False, metrics=False))
+        assert not pipe.tracer.enabled
+        pipe.run(stages=self.STAGES)
+        assert not (tmp_path / "obs").exists()
+
+
 class TestPipelineCLI:
     def test_validate_ok_exit_zero(self, capsys):
         assert main(["pipeline", "validate", "--config", str(EXAMPLE)]) == 0
@@ -260,6 +315,24 @@ class TestPipelineCLI:
             "--run-dir", str(tmp_path / "empty"), "--stages", "deploy",
         ]) == 1
         assert "pipeline failed" in capsys.readouterr().err
+
+    def test_run_with_obs_and_seed_then_profile(self, tmp_path, capsys):
+        config_path = zoo_config().save(str(tmp_path / "zoo.json"))
+        run_dir = tmp_path / "run"
+        assert main([
+            "pipeline", "run", "--config", config_path,
+            "--run-dir", str(run_dir), "--stages", "train,serve",
+            "--seed", "5", "--obs",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "train -> serve" in out
+        assert f"telemetry {run_dir}/obs" in out
+        saved = json.loads((run_dir / "config.json").read_text())
+        assert saved["seed"] == 5
+        assert main(["obs", str(run_dir), "--profile"]) == 0
+        profile = capsys.readouterr().out
+        assert "## Pipeline stages" in profile
+        assert "### Self-time by bit-width" in profile
 
     @pytest.mark.slow
     def test_example_config_runs_end_to_end(self, tmp_path, capsys):

@@ -149,6 +149,23 @@ class TestSwitchableNetwork:
         with pytest.raises(ValueError, match="no switchable"):
             SwitchablePrecisionNetwork(model, [4, 8])
 
+    def test_empty_candidate_set_rejected(self):
+        fac = SwitchableFactory([4, 8], quantizer="sbm")
+        model = models.mobilenet_v2(num_classes=5, setting="tiny",
+                                    factory=fac, width_mult=0.5)
+        with pytest.raises(ValueError, match="must be non-empty"):
+            SwitchablePrecisionNetwork(model, [])
+
+    def test_switch_outside_candidates_rejected(self):
+        sp = self._network()
+        sp.set_bitwidth(8)
+        with pytest.raises(ValueError, match="not in candidate set"):
+            sp.set_bitwidth(16)
+        from repro.quant import QuantConv2d as QC
+        active = {m.active_bits for m in sp.model.modules()
+                  if isinstance(m, QC)}
+        assert active == {8}
+
     def test_quantization_noise_ordering(self):
         """Output deviation from FP32 must shrink as bits grow."""
         sp = self._network((4, 8, 16, 32))

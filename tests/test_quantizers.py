@@ -123,6 +123,44 @@ class TestMinMax:
         assert MinMaxQuantizer().quantize_weight(x, 4) is x
 
 
+    def test_activation_levels_and_ste_gradient(self):
+        x = Tensor(np.array([-1.0, -0.2, 0.4, 2.0], dtype=np.float32),
+                   requires_grad=True)
+        q = MinMaxQuantizer().quantize_activation(x, 2)
+        assert len(np.unique(q.data)) <= 4
+        assert q.data.min() == pytest.approx(-1.0, abs=1e-6)
+        assert q.data.max() == pytest.approx(2.0, abs=1e-6)
+        q.sum().backward()
+        assert np.allclose(x.grad, 1.0)
+
+    def test_constant_activation_passthrough(self):
+        x = Tensor(np.full(4, 0.5, dtype=np.float32))
+        assert MinMaxQuantizer().quantize_activation(x, 4) is x
+
+
+class TestBitWidthGuards:
+    def test_dorefa_zero_weights_pass_through(self):
+        w = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        assert DoReFaQuantizer().quantize_weight(w, 4) is w
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: DoReFaQuantizer().quantize_weight(weights(), 0),
+         "weight bits must be >= 1"),
+        (lambda: DoReFaQuantizer().quantize_activation(weights(), 0),
+         "activation bits must be >= 1"),
+        (lambda: SBMQuantizer().quantize_activation(weights(), 1),
+         "SBM activation bits must be >= 2"),
+        (lambda: MinMaxQuantizer().quantize_weight(weights(), 0),
+         "bits must be >= 1"),
+        (lambda: MinMaxQuantizer().quantize_activation(weights(), 0),
+         "bits must be >= 1"),
+    ], ids=["dorefa-weight", "dorefa-activation", "sbm-activation",
+            "minmax-weight", "minmax-activation"])
+    def test_bits_below_minimum_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 1000))
 def test_property_sbm_error_decreases_with_bits(seed):

@@ -1,13 +1,14 @@
-"""Replica fleet: routing, scaling, determinism, report shape."""
+"""Replica fleet: routing, determinism, report shape."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api.config import AutoscaleConfig, ConfigError
+from repro.obs import Tracer
 from repro.serve import (
-    Autoscaler,
     BitLatencyModel,
     InferenceEngine,
     InferenceRequest,
@@ -17,11 +18,13 @@ from repro.serve import (
     ReplicaFleet,
     ReplicaSnapshot,
     RoundRobinRouter,
+    Router,
     RouterInputs,
     SPNetConfig,
     StaticPolicy,
     build_fleet_report,
     build_sp_net,
+    format_fleet_reports,
     make_fleet,
     make_router,
     run_fleet_sim,
@@ -117,6 +120,47 @@ class TestRouters:
         )
         assert router.route(inputs) == 0
 
+    def test_round_robin_over_one_replica_always_picks_it(self):
+        router = RoundRobinRouter()
+        inputs = RouterInputs(
+            now=0.0, replicas=snapshots((5, 1.0, 4)),
+            latency_model=latency_model(),
+        )
+        assert [router.route(inputs) for _ in range(3)] == [0, 0, 0]
+
+    def test_least_queue_ignores_busy_time_and_bits(self):
+        router = LeastQueueRouter()
+        inputs = RouterInputs(
+            now=0.0,
+            replicas=snapshots((2, 0.0, 4), (1, 9.0, 16)),
+            latency_model=latency_model(),
+        )
+        assert router.route(inputs) == 1
+
+    def test_latency_aware_treats_past_busy_time_as_idle(self):
+        router = LatencyAwareRouter()
+        # Replica 0 frees up exactly now, replica 1 finished long ago:
+        # both are idle, so the tie goes to the lower index instead of
+        # replica 1's stale busy time counting as negative wait.
+        inputs = RouterInputs(
+            now=5.0,
+            replicas=snapshots((0, 5.0, 16), (0, 1.0, 16)),
+            latency_model=latency_model(),
+        )
+        assert router.route(inputs) == 0
+
+    def test_latency_aware_prices_whole_batches_of_backlog(self):
+        router = LatencyAwareRouter()
+        # With max_batch 4, a queue of 3 still drains in one batch with
+        # the new request, while a queue of 4 needs two: one 16-bit
+        # batch (17 ms) beats two 8-bit batches (2 x 9 ms).
+        inputs = RouterInputs(
+            now=0.0,
+            replicas=snapshots((4, 0.0, 8), (3, 0.0, 16)),
+            latency_model=latency_model(),
+        )
+        assert router.route(inputs) == 1
+
     def test_make_router_registry(self):
         assert make_router("round_robin").name == "round_robin"
         assert make_router("least_queue").name == "least_queue"
@@ -160,180 +204,198 @@ class TestFleetRouting:
         targets = [fleet.submit(request(i, 0.0)) for i in range(4)]
         assert targets == [0, 1, 0, 1]
 
-    def test_draining_replica_not_routable_but_finishes_queue(self):
-        fleet = ReplicaFleet(
-            engine_factory(), replicas=2, router="round_robin"
-        )
-        fleet.submit(request(0, 0.0))   # -> replica 0
-        fleet._scale_down()             # drains replica 1 (empty -> stopped)
-        assert fleet.replica_states() == ("active", "stopped")
-        assert all(fleet.submit(request(i, 0.0)) == 0 for i in range(1, 4))
-        # Now drain replica 0 while it holds the whole queue.
-        fleet._replicas[0].state = "draining"
-        fleet._replicas[1].state = "active"
-        records = fleet.step(0.0)
-        assert sum(r.size for r in records) == 4
-        assert fleet.replica_states()[0] == "stopped"
+class TestReplicaFleet:
+    """The fleet's own bookkeeping: construction, routing guard, the
+    per-replica busy clock and the event-time queries the loop uses."""
 
-    def test_no_active_replicas_rejected(self):
-        fleet = ReplicaFleet(engine_factory(), replicas=1)
-        fleet._replicas[0].state = "stopped"
-        with pytest.raises(RuntimeError, match="no active replicas"):
+    def test_replicas_below_one_rejected(self):
+        with pytest.raises(ValueError, match="replicas must be >= 1"):
+            ReplicaFleet(engine_factory(), replicas=0)
+
+    def test_factory_called_once_per_index_and_engines_stamped(self):
+        calls = []
+        build = engine_factory()
+
+        def factory(index):
+            calls.append(index)
+            return build(index)
+
+        tracer = Tracer()
+        fleet = ReplicaFleet(factory, replicas=3, tracer=tracer)
+        assert calls == [0, 1, 2]
+        assert fleet.size == 3
+        assert [e.replica_index for e in fleet.engines()] == [0, 1, 2]
+        assert all(e.tracer is tracer for e in fleet.engines())
+
+    def test_router_choice_outside_fleet_rejected(self):
+        class Overshoot(Router):
+            name = "overshoot"
+
+            def route(self, inputs):
+                return len(inputs.replicas)
+
+        fleet = ReplicaFleet(engine_factory(), replicas=2, router=Overshoot())
+        with pytest.raises(ValueError, match="outside the fleet of 2"):
             fleet.submit(request(0, 0.0))
-
-
-class TestAutoscaler:
-    def autoscaled_fleet(self, **overrides):
-        cfg = dict(
-            min_replicas=1, max_replicas=3,
-            up_pressure=1.0, down_pressure=0.25, cooldown_batches=1.0,
-        )
-        cfg.update(overrides)
-        return ReplicaFleet(
-            engine_factory(), replicas=1, router="least_queue",
-            autoscaler=Autoscaler(AutoscaleConfig(**cfg)),
-        )
-
-    def test_burst_scales_up_then_quiet_scales_down(self):
-        fleet = self.autoscaled_fleet()
-        # A synthetic burst, then a slow trickle giving the fleet time
-        # to observe low pressure and retire the extra replicas.
-        burst = [request(i, 0.0001 * i) for i in range(40)]
-        trickle = [request(40 + i, 0.5 + 0.05 * i) for i in range(20)]
-        simulate_fleet(fleet, burst + trickle)
-        actions = [e.action for e in fleet.scale_events]
-        assert "scale_up" in actions and "scale_down" in actions
-        assert actions[0] == "scale_up"
-        # Every event moves the active count by one, in range.
-        for event in fleet.scale_events:
-            assert abs(event.to_replicas - event.from_replicas) == 1
-            assert 1 <= event.to_replicas <= 3
-        times = [e.time_s for e in fleet.scale_events]
-        assert times == sorted(times)
-        # The quiet tail retires the burst capacity down to the minimum.
-        assert fleet.num_active == 1
         assert fleet.pending() == 0
 
-    def test_scale_up_honors_max_replicas(self):
-        fleet = self.autoscaled_fleet(max_replicas=2)
-        simulate_fleet(fleet, [request(i, 0.0001 * i) for i in range(64)])
-        assert max(e.to_replicas for e in fleet.scale_events) <= 2
-        assert fleet.size <= 2
+    def test_router_sees_every_replica_in_index_order(self):
+        seen = []
 
-    def test_cooldown_spaces_events(self):
-        fleet = self.autoscaled_fleet(cooldown_batches=2.0)
-        simulate_fleet(fleet, [request(i, 0.0001 * i) for i in range(64)])
-        cooldown = 2.0 * fleet.full_batch_service_s()
-        times = [e.time_s for e in fleet.scale_events]
-        assert all(
-            later - earlier >= cooldown - 1e-12
-            for earlier, later in zip(times, times[1:])
-        )
+        class Spy(Router):
+            name = "spy"
 
-    def test_initial_replicas_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="autoscale range"):
-            ReplicaFleet(
-                engine_factory(), replicas=5,
-                autoscaler=Autoscaler(
-                    AutoscaleConfig(min_replicas=1, max_replicas=3)
-                ),
-            )
+            def route(self, inputs):
+                seen.append(tuple(
+                    (r.index, r.queue_depth) for r in inputs.replicas
+                ))
+                return 1
 
-    def test_autoscale_config_validation(self):
-        with pytest.raises(ConfigError, match="max_replicas"):
-            AutoscaleConfig(min_replicas=4, max_replicas=2)
-        with pytest.raises(ConfigError, match="flap"):
-            AutoscaleConfig(up_pressure=0.5, down_pressure=0.5)
-        with pytest.raises(ConfigError, match="positive"):
-            AutoscaleConfig(min_replicas=0)
+        fleet = ReplicaFleet(engine_factory(), replicas=3, router=Spy())
+        fleet.submit(request(0, 0.0))
+        fleet.submit(request(1, 0.0))
+        assert seen == [((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 1), (2, 0))]
 
-
-class TestAutoscalerLifecycleEdges:
-    """Regressions for the replica lifecycle the autoscaler drives:
-    draining replicas are invisible to every router, warm re-activation
-    reuses the drained engine instead of re-materializing, and
-    scale-down stops at the configured floor."""
-
-    def drained_fleet(self, router):
-        """3 replicas, middle one draining with work still queued."""
-        fleet = ReplicaFleet(engine_factory(), replicas=3, router=router)
-        fleet._replicas[1].engine.submit(request(99, 0.0))
-        fleet._replicas[1].state = "draining"
-        return fleet
-
-    @pytest.mark.parametrize(
-        "router", ["round_robin", "least_queue", "latency_aware"]
-    )
-    def test_draining_replica_excluded_by_every_router(self, router):
-        fleet = self.drained_fleet(router)
-        # The draining replica has the SHORTEST queue after one submit
-        # lands elsewhere, so a router that forgot to filter by state
-        # (least_queue, latency_aware) would pick it immediately.
-        targets = [fleet.submit(request(i, 0.0)) for i in range(6)]
-        assert 1 not in targets
-        assert set(targets) <= {0, 2}
-
-    def test_warm_reactivation_keeps_the_engine_instance(self):
+    def test_route_event_names_replica_and_fleet_size(self):
+        tracer = Tracer()
         fleet = ReplicaFleet(
-            engine_factory(), replicas=2, router="least_queue",
-            autoscaler=Autoscaler(
-                AutoscaleConfig(min_replicas=1, max_replicas=3)
-            ),
+            engine_factory(), replicas=2, router="round_robin",
+            tracer=tracer,
         )
-        drained_engine = fleet._replicas[1].engine
-        fleet._scale_down()
-        assert fleet.replica_states() == ("active", "stopped")
-        fleet._scale_up()
-        # Re-activation restores the SAME engine (and its model): no
-        # new replica was materialized and no weights were rebuilt.
-        assert fleet.replica_states() == ("active", "active")
-        assert fleet._replicas[1].engine is drained_engine
-        assert fleet.size == 2
+        fleet.submit(request(0, 0.0))
+        fleet.submit(request(1, 0.5))
+        routes = [e for e in tracer.events if e["kind"] == "route"]
+        assert [(e["replica"], e["active"], e["time_s"]) for e in routes] \
+            == [(0, 2, 0.0), (1, 2, 0.5)]
 
-    def test_scale_up_prefers_draining_over_stopped_over_new(self):
-        fleet = ReplicaFleet(engine_factory(), replicas=3)
-        fleet.max_replicas = 4
-        fleet._replicas[1].state = "stopped"
-        fleet._replicas[2].engine.submit(request(0, 0.0))
-        fleet._replicas[2].state = "draining"
-        fleet._scale_up()
-        # The draining replica (work in flight) comes back first.
-        assert fleet.replica_states() == ("active", "stopped", "active")
-        fleet._scale_up()
-        assert fleet.replica_states() == ("active", "active", "active")
-        fleet._scale_up()            # only now is a new one materialized
-        assert fleet.size == 4
+    def test_pending_counts_every_replica(self):
+        fleet = ReplicaFleet(engine_factory(), replicas=3,
+                             router="round_robin")
+        for i in range(5):
+            fleet.submit(request(i, 0.0))
+        assert [e.queue_depth for e in fleet.engines()] == [2, 2, 1]
+        assert fleet.pending() == 5
 
-    def test_scale_down_never_drops_below_min_replicas(self):
-        fleet = ReplicaFleet(
-            engine_factory(), replicas=2, router="least_queue",
-            autoscaler=Autoscaler(AutoscaleConfig(
-                min_replicas=2, max_replicas=3,
-                up_pressure=50.0,        # never scale up
-                down_pressure=10.0,      # always "quiet": pressure tiny
-            )),
-        )
-        # A long trickle of idle time: the down signal holds at every
-        # evaluation, yet the floor must hold too.
+    def test_busy_replica_is_skipped_until_its_batch_finishes(self):
+        fleet = ReplicaFleet(engine_factory(max_batch=4), replicas=1)
+        for i in range(8):
+            fleet.submit(request(i, 0.0))
+        (first,) = fleet.step(0.0)
+        assert first.size == 4
+        # A full batch is queued, but the replica is still serving.
+        assert fleet.step(first.finish_s / 2) == []
+        (second,) = fleet.step(first.finish_s)
+        assert second.start_s == first.finish_s
+        assert fleet.finish_time_s() == second.finish_s
+
+    def test_next_event_is_free_time_for_full_queue(self):
+        fleet = ReplicaFleet(engine_factory(max_batch=4), replicas=1)
+        for i in range(8):
+            fleet.submit(request(i, 0.0))
+        (record,) = fleet.step(0.0)
+        assert fleet.next_event_s() == record.finish_s
+
+    def test_next_event_waits_for_the_batch_timeout_when_partial(self):
+        fleet = ReplicaFleet(engine_factory(max_batch=4), replicas=2,
+                             router="round_robin")
+        fleet.submit(request(0, 0.001))
+        fleet.submit(request(1, 0.003))
+        # engine_factory's timeout is 10 ms: replica 0 releases first.
+        assert fleet.next_event_s() == pytest.approx(0.011)
+        # Flushing releases a partial batch as soon as a replica is free.
+        assert fleet.next_event_s(flush=True) == 0.0
+
+    def test_idle_fleet_has_no_next_event_and_finishes_at_zero(self):
+        fleet = ReplicaFleet(engine_factory(), replicas=2)
+        assert fleet.next_event_s() is None
+        assert fleet.next_event_s(flush=True) is None
+        assert fleet.finish_time_s() == 0.0
+
+    def test_empty_request_stream_simulates_to_zero(self):
+        fleet = ReplicaFleet(engine_factory(), replicas=2)
+        assert simulate_fleet(fleet, []) == 0.0
+        assert all(e.stats.batches == 0 for e in fleet.engines())
+
+    def test_simulate_sorts_arrivals_before_routing(self):
+        tracer = Tracer()
+        fleet = ReplicaFleet(engine_factory(), replicas=2,
+                             router="round_robin", tracer=tracer)
+        arrivals = [0.004, 0.0, 0.002, 0.006]
         simulate_fleet(
-            fleet, [request(i, 0.05 * i) for i in range(24)]
+            fleet, [request(i, t) for i, t in enumerate(arrivals)]
         )
-        assert fleet.num_active == 2
-        assert all(e.to_replicas >= 2 for e in fleet.scale_events)
+        # Round robin in arrival order (ids 1, 2, 0, 3) alternates.
+        served = {0: [], 1: []}
+        for e in tracer.events:
+            if e["kind"] == "complete":
+                served[e["replica"]].append(e["request_id"])
+        assert {k: sorted(v) for k, v in served.items()} == {
+            0: [0, 1], 1: [2, 3],
+        }
 
-    def test_min_floor_holds_even_after_burst_cycle(self):
-        fleet = ReplicaFleet(
-            engine_factory(), replicas=2, router="least_queue",
-            autoscaler=Autoscaler(AutoscaleConfig(
-                min_replicas=2, max_replicas=3,
-                up_pressure=1.0, down_pressure=0.5, cooldown_batches=1.0,
-            )),
+
+class TestFleetLoopEdges:
+    def test_end_of_stream_flushes_without_waiting_for_the_timeout(self):
+        fleet = ReplicaFleet(engine_factory(max_batch=4), replicas=1)
+        end_s = simulate_fleet(
+            fleet, [request(i, 0.0) for i in range(3)]
         )
-        burst = [request(i, 0.0001 * i) for i in range(48)]
-        trickle = [request(48 + i, 0.5 + 0.05 * i) for i in range(20)]
-        simulate_fleet(fleet, burst + trickle)
-        assert fleet.num_active >= 2
-        assert all(e.to_replicas >= 2 for e in fleet.scale_events)
+        # No arrival is left to fill the batch, so it leaves at t=0
+        # instead of at the 10 ms timeout.
+        assert end_s == pytest.approx(OVERHEAD + 3 * PER_IMAGE[16])
+
+    def test_partial_batch_waits_for_the_timeout_mid_stream(self):
+        fleet = ReplicaFleet(engine_factory(max_batch=4), replicas=1)
+        end_s = simulate_fleet(
+            fleet, [request(0, 0.0), request(1, 0.050)]
+        )
+        (first,) = [e.stats for e in fleet.engines()]
+        assert first.batches == 2
+        # Request 0 waited out its 10 ms timeout; request 1, the last
+        # arrival, was flushed on landing.
+        assert end_s == pytest.approx(0.050 + OVERHEAD + PER_IMAGE[16])
+        assert max(first.latencies_s) == pytest.approx(
+            0.010 + OVERHEAD + PER_IMAGE[16]
+        )
+
+
+class TestFleetLoopInvariants:
+    """Properties of simulate_fleet over arbitrary arrival streams."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.floats(0.0, 0.05, allow_nan=False), max_size=24
+        ),
+        replicas=st.integers(1, 4),
+        router=st.sampled_from(("round_robin", "least_queue",
+                                "latency_aware")),
+        max_batch=st.integers(1, 5),
+    )
+    def test_every_request_served_once_in_order_without_overlap(
+        self, arrivals, replicas, router, max_batch
+    ):
+        tracer = Tracer()
+        fleet = ReplicaFleet(
+            engine_factory(max_batch=max_batch), replicas=replicas,
+            router=router, tracer=tracer,
+        )
+        requests = [request(i, t) for i, t in enumerate(arrivals)]
+        end_s = simulate_fleet(fleet, requests)
+
+        completes = [e for e in tracer.events if e["kind"] == "complete"]
+        assert sorted(e["request_id"] for e in completes) == \
+            list(range(len(requests)))
+        assert all(e["start_s"] >= e["arrival_s"] for e in completes)
+        batches = [e for e in tracer.events if e["kind"] == "batch"]
+        assert all(1 <= b["size"] <= max_batch for b in batches)
+        for index in range(replicas):
+            lane = [b for b in batches if b["replica"] == index]
+            for prev, nxt in zip(lane, lane[1:]):
+                assert nxt["start_s"] >= prev["finish_s"]
+        assert end_s == max((b["finish_s"] for b in batches), default=0.0)
+        assert sum(e.stats.completed for e in fleet.engines()) == \
+            len(requests)
 
 
 class TestMaterialize:
@@ -387,17 +449,6 @@ class TestFleetEndToEnd:
         assert json.dumps([r.to_json_dict() for r in a], sort_keys=True) == \
             json.dumps([r.to_json_dict() for r in b], sort_keys=True)
 
-    def test_autoscaled_fleet_is_deterministic(self):
-        kwargs = dict(
-            scenario="bursty", policy="slo", scale=FLEET_TINY, seed=0,
-            replicas=1, router="latency_aware",
-            autoscale=AutoscaleConfig(min_replicas=1, max_replicas=4),
-        )
-        a = run_fleet_sim(**kwargs)
-        b = run_fleet_sim(**kwargs)
-        assert json.dumps([r.to_json_dict() for r in a], sort_keys=True) == \
-            json.dumps([r.to_json_dict() for r in b], sort_keys=True)
-
     def test_more_replicas_strictly_raise_throughput(self):
         (one,) = run_fleet_sim(
             "bursty", "slo", FLEET_TINY, seed=0, replicas=1,
@@ -430,8 +481,7 @@ class TestFleetEndToEnd:
             "bursty", "slo", FLEET_TINY, seed=0, replicas=2,
             router="least_queue",
         )
-        assert report.replicas == 2 and report.max_replicas == 2
-        assert not report.autoscaled and report.scale_events == []
+        assert report.replicas == 2
         assert (
             report.latency_p50_s
             <= report.latency_p95_s
@@ -440,12 +490,26 @@ class TestFleetEndToEnd:
         )
         assert len(report.per_replica) == 2
         for rep in report.per_replica:
-            assert rep["state"] == "active"
             assert 0.0 <= rep["utilization"] <= 1.0
             assert rep["requests"] == sum(rep["occupancy"].values())
         payload = report.to_json_dict()
         assert set(payload["occupancy"]) == {"4", "8", "16"}
         json.dumps(payload)  # JSON-serialisable end to end
+
+    def test_format_lists_every_replica_of_every_policy(self):
+        reports = run_fleet_sim(
+            "bursty", "all", FLEET_TINY, seed=0, replicas=2,
+            router="latency_aware",
+        )
+        text = format_fleet_reports(reports)
+        assert text.splitlines()[0].startswith(
+            "serve-sim fleet scenario=bursty scale=fleet-tiny "
+            "router=latency_aware replicas=2 slo="
+        )
+        for report in reports:
+            for index in (0, 1):
+                assert f"  {report.policy:<8} replica {index} [util " in text
+        assert format_fleet_reports([]) == "(no reports)"
 
     def test_make_fleet_via_registry_materializes_replicas(self, tmp_path):
         registry = ModelRegistry(str(tmp_path))
@@ -465,28 +529,41 @@ class TestFleetEndToEnd:
         )
         assert report.num_requests == len(fixture.requests)
 
+    def test_report_json_keys_are_pinned(self):
+        (report,) = run_fleet_sim(
+            "constant", "static", FLEET_TINY, seed=0, replicas=2,
+            router="round_robin",
+        )
+        payload = report.to_json_dict()
+        assert list(payload) == [
+            "scenario", "policy", "router", "scale", "replicas",
+            "num_requests", "duration_s", "throughput_rps",
+            "latency_p50_s", "latency_p95_s", "latency_p99_s",
+            "latency_mean_s", "latency_max_s", "slo_s", "slo_violations",
+            "occupancy", "batches", "mean_batch_size", "switches",
+            "accuracy", "energy_pj", "energy_per_request_pj",
+            "per_replica",
+        ]
+        assert list(payload["per_replica"][0]) == [
+            "replica", "requests", "batches", "mean_batch_size",
+            "switches", "busy_s", "utilization", "occupancy",
+        ]
+
+    def test_make_fleet_gives_each_replica_private_state(self):
+        fixture = prepare_simulation("constant", FLEET_TINY, config=CFG)
+        fleet = make_fleet(fixture, "slo", replicas=3)
+        engines = fleet.engines()
+        assert len({id(e.controller) for e in engines}) == 3
+        assert len({id(e.sp_net) for e in engines}) == 3
+        assert fixture.sp_net not in [e.sp_net for e in engines]
+        reference = fixture.sp_net.state_dict()
+        for engine in engines:
+            state = engine.sp_net.state_dict()
+            assert set(state) == set(reference)
+            for name, value in reference.items():
+                np.testing.assert_array_equal(state[name], value)
+
     def test_make_fleet_registry_requires_model_name(self):
         fixture = prepare_simulation("constant", FLEET_TINY, config=CFG)
         with pytest.raises(ValueError, match="model_name"):
             make_fleet(fixture, "static", registry=ModelRegistry())
-
-
-class TestScaleEvent:
-    def test_to_json_dict_round_trips(self):
-        from repro.serve import ScaleEvent
-
-        event = ScaleEvent(
-            time_s=1.25, action="scale_up", from_replicas=2,
-            to_replicas=3, reason="queue_pressure=2.10",
-        )
-        assert ScaleEvent(**event.to_json_dict()) == event
-
-    def test_json_dict_survives_serialization(self):
-        from repro.serve import ScaleEvent
-
-        event = ScaleEvent(
-            time_s=0.5, action="scale_down", from_replicas=4,
-            to_replicas=3, reason="idle",
-        )
-        wire = json.loads(json.dumps(event.to_json_dict()))
-        assert ScaleEvent(**wire) == event

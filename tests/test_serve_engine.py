@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     BitLatencyModel,
@@ -48,6 +50,16 @@ def make_engine(sp_net, policy=None, **kwargs):
     return InferenceEngine(
         sp_net, policy or StaticPolicy(), latency_model(), **kwargs
     )
+
+
+def flush_all(engine, now):
+    """Dispatch flushed batches back to back until the queue is empty."""
+    records = []
+    while engine.queue_depth:
+        record = engine.dispatch(now, flush=True)
+        records.append(record)
+        now = record.finish_s
+    return records
 
 
 class TestBitLatencyModel:
@@ -103,6 +115,22 @@ class TestMicroBatching:
         assert record.results[0].latency_s == pytest.approx(0.010 + service)
         assert record.results[1].latency_s == pytest.approx(0.008 + service)
 
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        arrival=st.floats(0.0, 1e4, allow_nan=False),
+        timeout=st.floats(1e-6, 1.0, allow_nan=False),
+    )
+    def test_dispatch_at_next_release_always_releases(
+        self, sp_net, arrival, timeout
+    ):
+        """The simulator advances its clock to exactly next_release_s;
+        that instant must release the batch, with no float shortfall."""
+        engine = make_engine(sp_net, batch_timeout_s=timeout)
+        engine.submit(request(0, arrival))
+        release = engine.next_release_s()
+        assert engine.dispatch(release) is not None
+
     def test_full_batch_releases_immediately(self, sp_net):
         engine = make_engine(sp_net)
         for i in range(6):
@@ -115,7 +143,7 @@ class TestMicroBatching:
         engine = make_engine(sp_net)
         for i in range(6):
             engine.submit(request(i, 0.0))
-        records = engine.drain(0.0)
+        records = flush_all(engine, 0.0)
         assert [r.size for r in records] == [4, 2]
         # Second batch starts when the first finishes.
         assert records[1].start_s == pytest.approx(records[0].finish_s)
@@ -160,13 +188,6 @@ class TestCallerOwnedTime:
             engine.dispatch()
         assert engine.queue_depth == 1
 
-    def test_drain_requires_now(self, sp_net):
-        engine = make_engine(sp_net)
-        engine.submit(request(0, 0.0))
-        with pytest.raises(TypeError):
-            engine.drain()
-        assert engine.queue_depth == 1
-
     def test_batch_starts_at_the_callers_now(self, sp_net):
         engine = make_engine(sp_net)
         engine.submit(request(0, 0.0))
@@ -181,7 +202,7 @@ class TestCallerOwnedTime:
         engine = make_engine(sp_net)
         for i in range(10):
             engine.submit(request(i, 0.0))
-        records = engine.drain(1.0)
+        records = flush_all(engine, 1.0)
         assert [r.size for r in records] == [4, 4, 2]
         assert records[0].start_s == 1.0
         for prev, nxt in zip(records, records[1:]):
@@ -189,10 +210,9 @@ class TestCallerOwnedTime:
         served = [res.request_id for r in records for res in r.results]
         assert served == list(range(10))
 
-    def test_idle_engine_dispatch_and_drain_are_noops(self, sp_net):
+    def test_idle_engine_dispatch_is_a_noop(self, sp_net):
         engine = make_engine(sp_net)
         assert engine.dispatch(0.0, flush=True) is None
-        assert engine.drain(0.0) == []
         assert engine.stats.batches == 0
 
     def test_identical_calls_give_identical_records(self, sp_net):
@@ -201,29 +221,11 @@ class TestCallerOwnedTime:
             for i in range(6):
                 engine.submit(request(i, 0.001 * i, label=i % 3))
             records = [engine.dispatch(0.004), engine.dispatch(0.020)]
-            return records + engine.drain(0.050)
+            return records + flush_all(engine, 0.050)
 
         first = run()
         assert all(r is not None for r in first)
         assert first == run()
-
-    def test_take_queue_hands_back_fifo_order(self, sp_net):
-        engine = make_engine(sp_net)
-        for i in (3, 1, 2):
-            engine.submit(request(i, 0.001 * i))
-        taken = engine.take_queue()
-        assert [r.request_id for r in taken] == [3, 1, 2]
-        assert engine.queue_depth == 0
-        assert engine.next_release_s() is None
-
-    def test_service_scale_stretches_service_time(self, sp_net):
-        engine = make_engine(sp_net)
-        engine.service_scale = 3.0
-        engine.submit(request(0, 0.0))
-        record = engine.dispatch(0.0, flush=True)
-        assert record.service_s == pytest.approx(
-            3.0 * (OVERHEAD + PER_IMAGE[16])
-        )
 
     def test_priced_batches_accumulate_energy(self, sp_net):
         model = BitLatencyModel(
@@ -235,7 +237,7 @@ class TestCallerOwnedTime:
         )
         for i in range(6):
             engine.submit(request(i, 0.0))
-        records = engine.drain(0.0)
+        records = flush_all(engine, 0.0)
         assert [r.energy_pj for r in records] == [640.0, 320.0]
         assert engine.stats.energy_pj == pytest.approx(960.0)
         assert engine.stats.energy_priced == 6
@@ -282,6 +284,23 @@ class TestPolicies:
     def test_static_rejects_non_candidate(self, sp_net):
         with pytest.raises(ValueError):
             make_engine(sp_net, policy=StaticPolicy(12))
+
+    def test_static_explicit_bits_serve_every_batch(self, sp_net):
+        engine = make_engine(sp_net, policy=StaticPolicy(8))
+        for i in range(6):
+            engine.submit(request(i, 0.0))
+        records = flush_all(engine, 0.0)
+        assert [r.bits for r in records] == [8, 8]
+        assert engine.stats.switches == 0
+        assert engine.current_bits == 8
+
+    def test_static_choice_revalidated_per_decision(self):
+        from dataclasses import replace
+
+        policy = StaticPolicy(8)
+        assert policy.choose_bits(inputs()) == 8
+        with pytest.raises(ValueError, match="not in candidate set"):
+            policy.choose_bits(replace(inputs(), bit_widths=(4, 16)))
 
     def test_slo_picks_highest_fitting_precision(self):
         policy = LatencySLOPolicy(slo_s=0.100, safety=1.0)
@@ -543,14 +562,12 @@ class TestMergeEngineStats:
         assert stats.correct_per_bit[8] == 1
 
     def test_replicas_sum_and_list_per_replica_rows(self):
-        from repro.serve.stats import merge_engine_stats
+        from repro.serve.stats import merge_engine_stats, replica_rows
 
         a = self.stats(self.record(8, [0.01, 0.02], labels=[0, 0]),
                        self.record(4, [0.03], labels=[1]))
         b = self.stats(self.record(16, [0.04], labels=[0]))
-        merged = merge_engine_stats(
-            [a, b], end_s=2.0, slo_s=1.0, states=["active", "draining"]
-        )
+        merged = merge_engine_stats([a, b], end_s=2.0, slo_s=1.0)
         assert merged["num_requests"] == 4
         assert merged["throughput_rps"] == pytest.approx(2.0)
         assert merged["batches"] == 3
@@ -558,11 +575,28 @@ class TestMergeEngineStats:
         assert merged["occupancy"] == {"4": 1, "8": 2, "16": 1}
         assert merged["switches"] == 1
         assert merged["accuracy"] == pytest.approx(3 / 4)
-        rows = merged["per_replica"]
-        assert [r["state"] for r in rows] == ["active", "draining"]
+        rows = replica_rows([a, b], end_s=2.0)
         assert [r["requests"] for r in rows] == [3, 1]
         assert rows[0]["busy_s"] == pytest.approx(0.05)
         assert rows[1]["utilization"] == pytest.approx(0.04 / 2.0)
+
+    def test_idle_replica_row_is_all_zero(self):
+        from repro.serve.stats import replica_rows
+
+        busy = self.stats(self.record(4, [0.01, 0.03]))
+        idle = self.stats()
+        rows = replica_rows([busy, idle], end_s=0.5)
+        assert [r["replica"] for r in rows] == [0, 1]
+        assert rows[0]["occupancy"] == {"4": 2, "8": 0, "16": 0}
+        assert rows[0]["utilization"] == pytest.approx(0.03 / 0.5)
+        assert {k: rows[1][k] for k in (
+            "requests", "batches", "mean_batch_size", "switches",
+            "busy_s", "utilization",
+        )} == {
+            "requests": 0, "batches": 0, "mean_batch_size": 0.0,
+            "switches": 0, "busy_s": 0.0, "utilization": 0.0,
+        }
+        assert rows[1]["occupancy"] == {"4": 0, "8": 0, "16": 0}
 
     def test_slo_violations_count_strictly_above(self):
         from repro.serve.stats import merge_engine_stats

@@ -66,6 +66,16 @@ class TestTraffic:
         min_gap = lambda reqs: np.diff([r.arrival_s for r in reqs]).min()
         assert min_gap(bursty) < min_gap(constant)
 
+    @pytest.mark.parametrize("scenario", ["constant", "bursty", "diurnal"])
+    def test_every_scenario_yields_a_well_formed_stream(self, scenario):
+        model = fixed_latency_model()
+        requests = generate_requests(scenario, TINY, model, 16)
+        assert [r.request_id for r in requests] == list(range(72))
+        arrivals = [r.arrival_s for r in requests]
+        assert arrivals == sorted(arrivals) and arrivals[0] >= 0.0
+        assert all(r.image.shape == (3, 8, 8) for r in requests)
+        assert all(0 <= r.label < TINY.num_classes for r in requests)
+
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             generate_requests("flashmob", TINY, fixed_latency_model(), 16)
@@ -118,6 +128,21 @@ class TestEndToEnd:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             run_serve_sim("tsunami", "all", TINY, seed=0)
+
+    def test_unknown_policy_and_router_list_the_choices(self):
+        from repro.serve.cluster import run_fleet_sim
+        from repro.serve.simulator import prepare_simulation
+
+        fixture = prepare_simulation(
+            "constant", TINY, latency_model=fixed_latency_model()
+        )
+        with pytest.raises(ValueError, match=r"unknown policy 'yolo'.*slo"):
+            run_serve_sim("constant", "yolo", fixture=fixture)
+        with pytest.raises(ValueError,
+                           match=r"unknown router 'dice'.*least_queue"):
+            run_fleet_sim("constant", "slo", replicas=2, router="dice",
+                          fixture=fixture)
+        assert format_reports([]) == "(no reports)"
 
     def test_existing_model_gets_matching_traffic(self):
         """A passed model's config overrides the scale's model fields."""
@@ -217,3 +242,148 @@ class TestDispatchSchedule:
             assert r.occupancy == occupancy
             assert r.batches == batches
             assert r.switches == switches
+
+
+class TestOtherScenarioSchedules:
+    """Pin the constant and diurnal single-engine schedules on the same
+    fixed latency model as :class:`TestDispatchSchedule`."""
+
+    # (scenario, policy) -> (duration_s, (p50, p95, p99, max) latency,
+    #                        occupancy, batches, switches)
+    CONSTANT = (
+        0.6229816847948506,
+        (0.04200000000000002, 0.05858981439568872,
+         0.062334655231168296, 0.06315398355575258),
+        {"4": 0, "8": 0, "16": 72}, 16, 0,
+    )
+    DIURNAL_FULL_PRECISION = (
+        1.054970358564186,
+        (0.04458528791316102, 0.06478468879981526,
+         0.06989697896203327, 0.07071530778354018),
+        {"4": 0, "8": 0, "16": 72}, 18, 0,
+    )
+    EXPECTED = {
+        ("constant", "static"): CONSTANT,
+        ("constant", "slo"): CONSTANT,
+        ("constant", "queue"): CONSTANT,
+        ("diurnal", "static"): DIURNAL_FULL_PRECISION,
+        ("diurnal", "slo"): (
+            1.054970358564186,
+            (0.04200000000000001, 0.06200000000000003,
+             0.06380036306226344, 0.0638999910961079),
+            {"4": 0, "8": 8, "16": 64}, 18, 2,
+        ),
+        ("diurnal", "queue"): DIURNAL_FULL_PRECISION,
+    }
+
+    @pytest.mark.parametrize("scenario, policy", list(EXPECTED))
+    def test_schedule_is_pinned(self, scenario, policy):
+        from repro.serve.simulator import prepare_simulation
+
+        rng_mod.set_seed(0)
+        fixture = prepare_simulation(
+            scenario, TINY, latency_model=fixed_latency_model()
+        )
+        (r,) = run_serve_sim(scenario, policy, seed=0, fixture=fixture)
+        duration, tail, occupancy, batches, switches = (
+            self.EXPECTED[scenario, policy]
+        )
+        assert r.duration_s == pytest.approx(duration, rel=1e-12)
+        assert (
+            r.latency_p50_s, r.latency_p95_s,
+            r.latency_p99_s, r.latency_max_s,
+        ) == pytest.approx(tail, rel=1e-12)
+        assert r.slo_violations == 0
+        assert r.occupancy == occupancy
+        assert r.batches == batches
+        assert r.switches == switches
+
+
+class TestOneReplicaFleetIsTheEngine:
+    """A one-replica fleet serves exactly the single-engine schedule:
+    every field the two reports share is equal."""
+
+    @pytest.mark.parametrize("policy", ["static", "slo", "queue"])
+    @pytest.mark.parametrize("scenario", ["constant", "bursty", "diurnal"])
+    def test_reports_agree(self, scenario, policy):
+        from repro.serve.cluster import run_fleet_sim
+        from repro.serve.simulator import prepare_simulation
+
+        rng_mod.set_seed(0)
+        fixture = prepare_simulation(
+            scenario, TINY, latency_model=fixed_latency_model()
+        )
+        (single,) = run_serve_sim(scenario, policy, seed=0, fixture=fixture)
+        (fleet,) = run_fleet_sim(
+            scenario, policy, seed=0, replicas=1, fixture=fixture,
+        )
+        one = single.to_json_dict()
+        shared = {
+            k: v for k, v in fleet.to_json_dict().items() if k in one
+        }
+        assert set(shared) == set(one) - {"accuracy_per_bit"}
+        assert shared == {k: one[k] for k in shared}
+        (row,) = fleet.per_replica
+        assert (row["requests"], row["batches"], row["switches"]) == (
+            single.num_requests, single.batches, single.switches,
+        )
+        assert row["occupancy"] == single.occupancy
+
+
+class TestFleetDispatchSchedule:
+    """Pin the 3-replica fleet schedule under each built-in router.
+
+    Same fixed latency model and ``slo`` policy as
+    :class:`TestDispatchSchedule`; every asserted field follows from
+    arrivals, routing and the latency model alone, so a change to the
+    fleet loop that moves a single request or batch shows up here.
+    """
+
+    # router -> (duration_s, (p50, p95, p99, max) latency, batches,
+    #            switches, per-replica (requests, batches, switches))
+    EXPECTED = {
+        "round_robin": (
+            0.6669423665892784,
+            (0.038000000000000034, 0.052926914336856354,
+             0.057804995957569716, 0.06355939390086485),
+            36, 0, [(24, 11, 0), (24, 12, 0), (24, 13, 0)],
+        ),
+        "least_queue": (
+            0.6669423665892784,
+            (0.03840782456895689, 0.06101415255404078,
+             0.062000000000000055, 0.062000000000000055),
+            37, 0, [(27, 15, 0), (27, 13, 0), (18, 9, 0)],
+        ),
+        "latency_aware": (
+            0.6709423665892784,
+            (0.038000000000000034, 0.05834697912245088,
+             0.061794685055512846, 0.062),
+            21, 0, [(40, 12, 0), (24, 8, 0), (8, 1, 0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("router", list(EXPECTED))
+    def test_bursty_fleet_schedule_is_pinned(self, router):
+        from repro.serve.cluster import run_fleet_sim
+        from repro.serve.simulator import prepare_simulation
+
+        rng_mod.set_seed(0)
+        fixture = prepare_simulation(
+            "bursty", TINY, latency_model=fixed_latency_model()
+        )
+        (r,) = run_fleet_sim(
+            "bursty", "slo", seed=0, replicas=3, router=router,
+            fixture=fixture,
+        )
+        duration, tail, batches, switches, per_replica = self.EXPECTED[router]
+        assert r.duration_s == pytest.approx(duration, rel=1e-12)
+        assert (
+            r.latency_p50_s, r.latency_p95_s,
+            r.latency_p99_s, r.latency_max_s,
+        ) == pytest.approx(tail, rel=1e-12)
+        assert r.batches == batches
+        assert r.switches == switches
+        assert [
+            (p["requests"], p["batches"], p["switches"])
+            for p in r.per_replica
+        ] == per_replica

@@ -123,3 +123,60 @@ class TestTensorBasics:
 
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor(np.zeros(2), requires_grad=True))
+
+
+class TestGradcheckItself:
+    """check_gradients must fail loudly on a wrong backward."""
+
+    @staticmethod
+    def square_with_backward(scale):
+        from repro.tensor.autograd import make_op
+
+        def fn(x):
+            return make_op(x.data ** 2, (x,),
+                           lambda grad: (scale * grad * x.data,))
+        return fn
+
+    def test_correct_backward_passes(self):
+        from repro.tensor.gradcheck import check_gradients
+
+        x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+        check_gradients(self.square_with_backward(2.0), [x])
+
+    def test_wrong_backward_is_reported(self):
+        from repro.tensor.gradcheck import check_gradients
+
+        x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+        with pytest.raises(AssertionError,
+                           match="gradient mismatch for input 0"):
+            check_gradients(self.square_with_backward(3.0), [x])
+
+    def test_inputs_without_grad_are_skipped(self):
+        from repro.tensor.gradcheck import check_gradients
+
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        c = Tensor(np.array([3.0, 4.0]))
+        check_gradients(lambda a, b: a * b, [x, c])
+        assert c.grad is None
+
+
+class TestTransposedStraightThrough:
+    def test_forward_is_transposed_and_gradient_flows_back(self):
+        from repro.tensor.ste import straight_through_t
+
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = straight_through_t(x, np.round(x.data.T / 2) * 2)
+        assert out.shape == (3, 2)
+        (out * Tensor(np.arange(6.0).reshape(3, 2))).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T)
+
+    @pytest.mark.parametrize("x_shape, q_shape, match", [
+        ((2, 3, 1), (1, 3, 2), "expects a 2-D tensor"),
+        ((2, 3), (2, 3), "must match input"),
+    ])
+    def test_shape_mismatch_rejected(self, x_shape, q_shape, match):
+        from repro.tensor.ste import straight_through_t
+
+        with pytest.raises(ValueError, match=match):
+            straight_through_t(Tensor(np.zeros(x_shape)), np.zeros(q_shape))
+

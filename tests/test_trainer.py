@@ -51,6 +51,14 @@ class TestTrainer:
         assert history.epoch_losses[-1] < history.epoch_losses[0]
         assert history.wall_seconds > 0
 
+    def test_final_loss_is_last_epoch_or_nan_before_any(self):
+        import math
+
+        from repro.core.trainer import TrainHistory
+
+        assert math.isnan(TrainHistory().final_loss)
+        assert TrainHistory(epoch_losses=[2.0, 1.5]).final_loss == 1.5
+
     def test_evaluate_all_bits_keys(self, data):
         train, test = data
         sp = SwitchablePrecisionNetwork(
