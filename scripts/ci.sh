@@ -64,6 +64,9 @@ if [[ "$TREE_BEFORE" != "$TREE_AFTER" ]]; then
     exit 1
 fi
 
+echo "==> slow claims collect (tier-1 deselects them; they must still import)"
+python -m pytest --collect-only -q -m slow
+
 if [[ "${1:-}" == "--fast" ]]; then
     echo "==> done (fast mode: skipped the smokes and perfbench)"
     exit 0

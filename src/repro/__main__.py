@@ -188,7 +188,6 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from . import rng
     from .api.registry import EXPERIMENTS
 
     names = (
@@ -201,7 +200,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"try `python -m repro list`")
         return 2
     for name in names:
-        rng.set_seed(args.seed)
         result = EXPERIMENTS.get(name)(scale=args.scale, seed=args.seed)
         info(result.to_text())
         info()

@@ -51,6 +51,7 @@ def run_cdt_comparison(
     table layout (bit-width rows x method columns).
     """
     start = wall_clock_s()
+    rng_mod.set_seed(seed)  # the datasets derive from the global seed
     result = ExperimentResult(
         experiment=experiment,
         title=title,

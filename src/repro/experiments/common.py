@@ -1,11 +1,12 @@
 """Shared experiment infrastructure: scale presets and result tables.
 
-Every experiment module exposes ``run(scale=..., seed=...) -> ExperimentResult``.
+Every experiment module exposes ``run(scale=..., seed=...) -> ExperimentResult``
+and seeds the library RNG itself, so a run is a function of its arguments.
 Three scales trade fidelity for wall-clock (the substitution in DESIGN.md):
 
 * ``smoke``   — seconds; exercises every code path (used by tests),
 * ``default`` — minutes; enough training for the paper's *orderings* to
-  emerge (used by the benchmark harness),
+  emerge (``python -m repro run <exp> --scale default``),
 * ``full``    — tens of minutes per experiment; closest CPU-feasible
   match to the paper's settings.
 

@@ -67,6 +67,7 @@ def _distribution_stats(sp_net, dataset, low_bits, high_bits, batch_size=128):
 def run(scale="default", seed: int = 0) -> ExperimentResult:
     """Regenerate Fig. 2's evidence at the requested scale."""
     scale = get_scale(scale)
+    rng_mod.set_seed(seed)
     start = wall_clock_s()
     # Even the smoke scale needs >= 3 widths: with two, vanilla and
     # cascade distillation coincide (single-teacher degenerate case).
@@ -96,7 +97,6 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
     # teacher's outputs ("only consider the distillation with 32-bit",
     # Fig. 2's text) with the paper's SBM quantiser — isolating the
     # distillation scheme as the only difference from CDT.
-    rng_mod.set_seed(seed)
     vanilla = train_sp(builder, bit_set, train_set, test_set, config,
                        quantizer="sbm", ce_on_students=False)
     rng_mod.set_seed(seed)

@@ -77,6 +77,7 @@ def _budgets_for(scale, space) -> Dict[str, float]:
 def run(scale="default", seed: int = 0) -> ExperimentResult:
     """Regenerate Fig. 4 at the requested scale."""
     scale = get_scale(scale)
+    rng_mod.set_seed(seed)
     start = wall_clock_s()
     result = ExperimentResult(
         experiment="fig4",

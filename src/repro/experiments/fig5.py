@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from .. import rng as rng_mod
 from ..baselines.dataflows import baseline_mapper
 from ..core.automapper import AutoMapper, AutoMapperConfig
 from ..hardware import eyeriss_like_asic, network_by_name, zc706_like_fpga
@@ -51,6 +52,7 @@ def _metric_value(cost, metric: str) -> float:
 def run(scale="default", seed: int = 0) -> ExperimentResult:
     """Regenerate Fig. 5 at the requested scale."""
     scale = get_scale(scale)
+    rng_mod.set_seed(seed)
     start = wall_clock_s()
     result = ExperimentResult(
         experiment="fig5",

@@ -68,6 +68,7 @@ def _edp_at_bits(model, input_size, device, mapper=None, mapper_flows=None,
 def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
     """Regenerate Fig. 6 at the requested scale."""
     scale = get_scale(scale)
+    rng_mod.set_seed(seed)
     start = wall_clock_s()
     result = ExperimentResult(
         experiment="fig6",

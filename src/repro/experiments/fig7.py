@@ -42,6 +42,7 @@ PAPER_FIG7 = {
 def run(scale="default", seed: int = 0) -> ExperimentResult:
     """Regenerate Fig. 7 at the requested scale."""
     scale = get_scale(scale)
+    rng_mod.set_seed(seed)
     start = wall_clock_s()
     bit_set = [4, 8] if scale.name == "smoke" else BIT_SET
     result = ExperimentResult(
@@ -60,7 +61,6 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
     config = TrainConfig(epochs=scale.epochs, batch_size=scale.batch_size)
 
     # --- InstantNet: SP-NAS + CDT + AutoMapper(latency) ----------------
-    rng_mod.set_seed(seed)
     space = tiny_search_space(image_size)
     search = search_spnas(
         space, bit_set, scale.num_classes, train_set,

@@ -41,7 +41,6 @@ class TestRun:
             main(["run", "table1", "--scale", "galactic"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.slow
     def test_smoke_run_exit_code(self, capsys):
         assert main(["run", "fig5", "--scale", "smoke"]) == 0
         assert "fig5" in capsys.readouterr().out

@@ -334,7 +334,6 @@ class TestPipelineCLI:
         assert "## Pipeline stages" in profile
         assert "### Self-time by bit-width" in profile
 
-    @pytest.mark.slow
     def test_example_config_runs_end_to_end(self, tmp_path, capsys):
         assert main([
             "pipeline", "run", "--config", str(EXAMPLE),

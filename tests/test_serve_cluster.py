@@ -435,7 +435,6 @@ class TestMaterialize:
             ModelRegistry(str(tmp_path)).materialize("ghost")
 
 
-@pytest.mark.slow
 class TestFleetEndToEnd:
     def test_fleet_reports_are_deterministic(self):
         a = run_fleet_sim(

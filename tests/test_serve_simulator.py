@@ -81,7 +81,6 @@ class TestTraffic:
             generate_requests("flashmob", TINY, fixed_latency_model(), 16)
 
 
-@pytest.mark.slow
 class TestEndToEnd:
     def test_run_is_deterministic(self):
         a = run_serve_sim("bursty", "all", TINY, seed=3)
