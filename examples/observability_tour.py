@@ -1,17 +1,14 @@
-"""Telemetry-plane walkthrough: trace a fleet, export metrics, inspect.
+"""Telemetry-plane walkthrough: trace a fleet, verify, inspect.
 
-Demonstrates the four observability moves:
+Demonstrates the three observability moves:
 
 1. **Record** — run a deterministic fleet simulation with a live
-   :class:`repro.obs.Tracer` (span events on the simulation clock) and
-   a :class:`repro.obs.MetricsRegistry` fed by a ``MetricsRecorder``
-   sink;
+   :class:`repro.obs.Tracer` (span events on the simulation clock);
 2. **Verify** — re-run the identical simulation untraced and check the
    fleet report is *byte-identical*: telemetry is observational, never
    behavioural;
-3. **Export** — write the ``obs/`` sidecar bundle (span JSONL,
-   Prometheus text exposition, metrics JSONL) into a run directory;
-4. **Inspect** — render the run-dir report (per-replica timeline,
+3. **Inspect** — write the trace into a run directory's ``obs/``
+   sidecar and render the run-dir report (per-replica timeline,
    bit-occupancy Gantt, queue-depth/p95 series, slowest requests) —
    the same view ``python -m repro obs <run-dir>`` prints.
 
@@ -30,8 +27,6 @@ import tempfile
 from repro import rng
 from repro.obs import (
     NULL_TRACER,
-    MetricsRecorder,
-    MetricsRegistry,
     Tracer,
     render_run_dir,
     write_obs_artifacts,
@@ -65,10 +60,8 @@ def run_fleet(tracer):
 
 
 def main():
-    # 1. Record: spans accumulate in the tracer, metrics fold into the
-    #    registry event-by-event via the sink.
-    registry = MetricsRegistry()
-    tracer = Tracer(sinks=(MetricsRecorder(registry),))
+    # 1. Record: span events accumulate in the tracer.
+    tracer = Tracer()
     traced_report = run_fleet(tracer.bind(scenario="bursty", policy="slo"))
     print(f"recorded {len(tracer)} span events")
     kinds = {}
@@ -84,17 +77,11 @@ def main():
     assert traced_json == untraced_json, "tracing changed the report!"
     print("traced and untraced reports are byte-identical")
 
-    # 3. Export the sidecar bundle and peek at the Prometheus text.
+    # 3. Inspect: write the sidecar and render it with the same renderer
+    #    as `python -m repro obs <run-dir>`.
     with tempfile.TemporaryDirectory() as run_dir:
-        paths = write_obs_artifacts(run_dir, tracer=tracer, metrics=registry)
-        for name, path in sorted(paths.items()):
-            print(f"wrote {name}: {path}")
-        prom_lines = registry.to_prometheus().splitlines()
-        print("metrics.prom (first 8 lines):")
-        for line in prom_lines[:8]:
-            print(f"  {line}")
-
-        # 4. Inspect: same renderer as `python -m repro obs <run-dir>`.
+        paths = write_obs_artifacts(run_dir, tracer)
+        print(f"wrote trace: {paths['trace']}")
         print()
         print(render_run_dir(run_dir, buckets=8, width=40))
 

@@ -84,9 +84,21 @@ for artifact in architecture.json checkpoint.npz deploy_report.json \
         || { echo "missing pipeline artifact: $artifact"; exit 1; }
 done
 
+echo "==> traced pipeline smoke (--obs writes the trace; repro obs renders it)"
+PIPELINE_OBS_DIR="$(mktemp -d)"
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR"' EXIT
+python -m repro pipeline run --config examples/pipeline_smoke.json \
+    --run-dir "$PIPELINE_OBS_DIR" --obs
+[[ "$(ls -A "$PIPELINE_OBS_DIR/obs")" == "trace_events.jsonl" ]] \
+    || { echo "pipeline obs/ must hold exactly trace_events.jsonl"; exit 1; }
+python -m repro obs "$PIPELINE_OBS_DIR" > /dev/null \
+    || { echo "repro obs failed to render the traced pipeline run dir"; exit 1; }
+python -m repro obs "$PIPELINE_OBS_DIR" --profile > /dev/null \
+    || { echo "repro obs --profile failed on the traced pipeline run dir"; exit 1; }
+
 echo "==> serve-sim smoke (bursty scenario, all policies; tracing must not change the report)"
 SERVE_SIM_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR" "$SERVE_SIM_DIR"' EXIT
 python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
     --output "$SERVE_SIM_DIR/serve_sim.json"
 python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
@@ -97,7 +109,7 @@ cmp "$SERVE_SIM_DIR/serve_sim.json" "$SERVE_SIM_DIR/serve_sim_traced.json" \
 echo "==> fleet serve-sim + obs smoke (4 replicas behind least_queue; the report"
 echo "    must be deterministic and unchanged by tracing, and the trace must render)"
 FLEET_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$SERVE_SIM_DIR" "$FLEET_DIR"' EXIT
+trap 'rm -rf "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR" "$SERVE_SIM_DIR" "$FLEET_DIR"' EXIT
 python -m repro serve-sim --replicas 4 --router least_queue \
     --output "$FLEET_DIR/A.json"
 python -m repro serve-sim --replicas 4 --router least_queue \
@@ -106,16 +118,14 @@ cmp "$FLEET_DIR/A.json" "$FLEET_DIR/B.json" \
     || { echo "traced fleet report differs from untraced run"; exit 1; }
 grep -q '"energy_per_request_pj"' "$FLEET_DIR/A.json" \
     || { echo "fleet report lacks the energy-per-request column"; exit 1; }
-for artifact in obs/trace_events.jsonl obs/metrics.prom obs/metrics.jsonl; do
-    test -f "$FLEET_DIR/run/$artifact" \
-        || { echo "missing obs artifact: $artifact"; exit 1; }
-done
+[[ "$(ls -A "$FLEET_DIR/run/obs")" == "trace_events.jsonl" ]] \
+    || { echo "obs/ must hold exactly trace_events.jsonl"; exit 1; }
 python -m repro obs "$FLEET_DIR/run" > /dev/null \
     || { echo "repro obs failed to render the traced run dir"; exit 1; }
 python -m repro obs "$FLEET_DIR/run" --profile > /dev/null \
     || { echo "repro obs --profile failed on the traced run dir"; exit 1; }
 
-echo "==> observability tour (record, verify, export, inspect)"
+echo "==> observability tour (record, verify, inspect)"
 python examples/observability_tour.py > /dev/null
 
 echo "==> perfbench smoke (every workload runs, checks its outputs, prints its metrics)"

@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--obs-dir", default=None, metavar="DIR",
-        help="record span events + metrics and write the obs/ sidecar "
+        help="record span events and write the obs/ sidecar "
              "bundle under DIR (inspect with `repro obs DIR`)",
     )
 
@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             cmd.add_argument(
                 "--obs", action="store_true",
-                help="record stage spans + serve telemetry into the "
+                help="record stage spans + serve span events into the "
                      "run dir's obs/ sidecar (inspect with `repro obs`)",
             )
     return parser
@@ -212,13 +212,10 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from .obs.tracer import NULL_TRACER
 
     tracer = NULL_TRACER
-    metrics = None
     if args.obs_dir:
-        from .obs.metrics import MetricsRecorder, MetricsRegistry
         from .obs.tracer import Tracer
 
-        metrics = MetricsRegistry()
-        tracer = Tracer(sinks=(MetricsRecorder(metrics),))
+        tracer = Tracer()
 
     if args.replicas is not None:
         from .serve import format_fleet_reports, run_fleet_sim
@@ -251,8 +248,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     if args.obs_dir:
         from .obs.artifacts import write_obs_artifacts
 
-        paths = write_obs_artifacts(args.obs_dir, tracer=tracer,
-                                    metrics=metrics)
+        paths = write_obs_artifacts(args.obs_dir, tracer)
         info(f"recorded {len(tracer)} span events -> {paths['trace']} "
              f"(inspect with `repro obs {args.obs_dir}`)")
     return 0
@@ -321,7 +317,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         return 0
 
     # run
-    from .api.config import ObsConfig
     from .api.pipeline import STAGES, PipelineError, run_pipeline
 
     stages = None
@@ -340,7 +335,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         result = run_pipeline(
             config, run_dir=args.run_dir, stages=stages,
-            obs=ObsConfig() if args.obs else None,
+            obs=args.obs,
         )
     except PipelineError as exc:
         error(f"pipeline failed: {exc}")

@@ -1,12 +1,12 @@
 """Rule ``spans``: the tracer event vocabulary cannot drift.
 
 ``repro.obs.tracer.EVENT_KINDS`` is the contract between the planes
-that *emit* span events (engine, fleet, pipeline) and the
-planes that *render* them (``obs.views`` tables, ``obs.metrics``
-counters).  Nothing enforces it at runtime — ``emit("forwrd", ...)``
-happily records an event every consumer silently ignores, and a
-vocabulary entry no consumer handles is telemetry that vanishes.  Both
-drifts shipped before; this rule pins the vocabulary from three sides:
+that *emit* span events (engine, pipeline) and the plane that
+*renders* them (the ``obs.views`` tables).  Nothing enforces it at
+runtime — ``emit("batchh", ...)`` happily records an event every
+consumer silently ignores, and a vocabulary entry no consumer handles
+is telemetry that vanishes.  Both drifts shipped before; this rule
+pins the vocabulary from three sides:
 
 * every **literal emit** (``tracer.emit("kind", ...)``) anywhere in the
   tree must use a declared kind — error at the emit site (an emit
@@ -33,7 +33,7 @@ __all__ = ["SpanVocabularyChecker"]
 
 DEFAULT_VOCAB_MODULE = "obs.tracer"
 DEFAULT_VOCAB_NAME = "EVENT_KINDS"
-DEFAULT_CONSUMERS = ("obs.views", "obs.metrics")
+DEFAULT_CONSUMERS = ("obs.views",)
 
 
 class SpanVocabularyChecker(Checker):
@@ -41,7 +41,7 @@ class SpanVocabularyChecker(Checker):
     severity = "error"
     description = (
         "emitted tracer event kinds are declared in EVENT_KINDS and "
-        "every declared kind is consumed by obs views/metrics"
+        "every declared kind is consumed by obs views"
     )
 
     def __init__(

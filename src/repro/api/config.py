@@ -32,7 +32,6 @@ __all__ = [
     "SearchConfig",
     "TrainConfig",
     "DeployConfig",
-    "ObsConfig",
     "ServeConfig",
     "PipelineConfig",
 ]
@@ -323,30 +322,6 @@ class DeployConfig(_StageConfig):
                 f"DeployConfig.metric must be edp|energy|latency, "
                 f"got {self.metric!r}"
             )
-
-
-@dataclass(frozen=True)
-class ObsConfig(_StageConfig):
-    """Telemetry plane toggles (span tracing and/or metrics).
-
-    Deliberately NOT nested inside :class:`PipelineConfig`: configs
-    are embedded verbatim in the
-    deterministic report artifacts, and telemetry must never change a
-    report's bytes (the CI gate diffs traced vs untraced runs).
-    Enablement therefore flows through CLI flags (``--obs``,
-    ``--obs-dir``) and function parameters, carried by this object.
-    """
-
-    trace: bool = True        # record span events -> obs/trace_events.jsonl
-    metrics: bool = True      # fold events into metrics -> obs/metrics.*
-
-    def _validate(self) -> None:
-        for name in ("trace", "metrics"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(
-                    f"ObsConfig.{name} must be a bool, got {value!r}"
-                )
 
 
 @dataclass(frozen=True)

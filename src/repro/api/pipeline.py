@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.tracer import NULL_TRACER
 from ..obs.wallclock import wall_clock_s
-from .config import ObsConfig, PipelineConfig
+from .config import PipelineConfig
 from .registry import DEVICES, POLICIES, SEARCH_SPACES, STRATEGIES
 
 __all__ = [
@@ -94,7 +94,7 @@ class Pipeline:
         self,
         config: PipelineConfig,
         run_dir: Optional[str] = None,
-        obs: Optional[ObsConfig] = None,
+        obs: bool = False,
     ):
         self.config = config
         self.run_dir = run_dir or config.run_dir or os.path.join(
@@ -104,18 +104,11 @@ class Pipeline:
         # config is written verbatim into the run dir and embedded in
         # artifacts, and traced runs must produce byte-identical
         # reports.  ``run()`` writes the obs/ sidecar bundle at the end.
-        self._obs = obs
-        self._metrics = None
         self.tracer = NULL_TRACER
-        if obs is not None and (obs.trace or obs.metrics):
-            from ..obs.metrics import MetricsRecorder, MetricsRegistry
+        if obs:
             from ..obs.tracer import Tracer
 
-            self._metrics = MetricsRegistry() if obs.metrics else None
-            self.tracer = Tracer(
-                sinks=(MetricsRecorder(self._metrics),)
-                if self._metrics is not None else ()
-            )
+            self.tracer = Tracer()
 
     # ------------------------------------------------------------------
     # Artifact plumbing
@@ -545,14 +538,10 @@ class Pipeline:
                 )
         result.seconds = round(wall_clock_s() - start, 3)
         self._write_json("pipeline_report.json", result.to_json_dict())
-        if self._obs is not None and (self.tracer.enabled or self._metrics):
+        if self.tracer.enabled:
             from ..obs.artifacts import write_obs_artifacts
 
-            write_obs_artifacts(
-                self.run_dir,
-                tracer=self.tracer if self._obs.trace else None,
-                metrics=self._metrics,
-            )
+            write_obs_artifacts(self.run_dir, self.tracer)
         return result
 
 
@@ -560,7 +549,7 @@ def run_pipeline(
     config: PipelineConfig,
     run_dir: Optional[str] = None,
     stages: Optional[Sequence[str]] = None,
-    obs: Optional[ObsConfig] = None,
+    obs: bool = False,
 ) -> PipelineResult:
     """One-call facade: ``run_pipeline(PipelineConfig.load(path))``."""
     return Pipeline(config, run_dir=run_dir, obs=obs).run(stages)

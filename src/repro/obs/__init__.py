@@ -1,4 +1,4 @@
-"""Telemetry plane: tracing, metrics, and the views that render a run.
+"""Telemetry plane: tracing and the views that render a run.
 
 Stdlib-only by design — ``repro.obs`` is imported by the CLI front-end
 before any heavy dependency loads, and the parser-build import test
@@ -6,9 +6,6 @@ pins that property.  The package splits into:
 
 * :mod:`~repro.obs.tracer` — per-request span/event tracing on the
   simulation clock, with a zero-cost :data:`NULL_TRACER` disabled path;
-* :mod:`~repro.obs.metrics` — counters/gauges/histograms with
-  deterministic snapshots, Prometheus text and JSONL exporters, and the
-  :class:`MetricsRecorder` sink folding trace events into metrics;
 * :mod:`~repro.obs.artifacts` — the ``<run_dir>/obs/`` sidecar bundle;
 * :mod:`~repro.obs.views` — ``repro obs`` markdown rendering;
 * :mod:`~repro.obs.profile` — span-derived per-bit / queue-wait /
@@ -17,22 +14,11 @@ pins that property.  The package splits into:
 """
 
 from .artifacts import (
-    METRICS_JSONL_FILENAME,
-    METRICS_PROM_FILENAME,
     OBS_DIRNAME,
     TRACE_FILENAME,
     find_trace_file,
     load_run_events,
     write_obs_artifacts,
-)
-from .metrics import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRecorder,
-    MetricsRegistry,
 )
 from .profile import profile_events, render_profile
 from .tracer import (
@@ -54,17 +40,8 @@ __all__ = [
     "BoundTracer",
     "bits_label",
     "load_events_jsonl",
-    "LATENCY_BUCKETS_S",
-    "BATCH_SIZE_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsRecorder",
     "OBS_DIRNAME",
     "TRACE_FILENAME",
-    "METRICS_PROM_FILENAME",
-    "METRICS_JSONL_FILENAME",
     "write_obs_artifacts",
     "find_trace_file",
     "load_run_events",

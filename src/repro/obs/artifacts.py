@@ -8,8 +8,6 @@ one.  Instead every producer (``repro serve-sim --obs-dir``,
 
 ========================  =============================================
 ``trace_events.jsonl``    span/event log (one JSON object per line)
-``metrics.prom``          Prometheus text exposition snapshot
-``metrics.jsonl``         the same snapshot as JSONL samples
 ========================  =============================================
 
 ``repro obs <run_dir>`` consumes this layout (:mod:`repro.obs.views`,
@@ -21,14 +19,11 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
-from .metrics import MetricsRegistry
 from .tracer import Tracer, load_events_jsonl
 
 __all__ = [
     "OBS_DIRNAME",
     "TRACE_FILENAME",
-    "METRICS_PROM_FILENAME",
-    "METRICS_JSONL_FILENAME",
     "write_obs_artifacts",
     "find_trace_file",
     "load_run_events",
@@ -36,33 +31,15 @@ __all__ = [
 
 OBS_DIRNAME = "obs"
 TRACE_FILENAME = "trace_events.jsonl"
-METRICS_PROM_FILENAME = "metrics.prom"
-METRICS_JSONL_FILENAME = "metrics.jsonl"
 
 
-def write_obs_artifacts(
-    run_dir: str,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict[str, str]:
+def write_obs_artifacts(run_dir: str, tracer: Tracer) -> Dict[str, str]:
     """Write the sidecar bundle under ``run_dir/obs/``; returns paths."""
     obs_dir = os.path.join(run_dir, OBS_DIRNAME)
     os.makedirs(obs_dir, exist_ok=True)
-    paths: Dict[str, str] = {}
-    if tracer is not None:
-        paths["trace"] = tracer.save_jsonl(
-            os.path.join(obs_dir, TRACE_FILENAME)
-        )
-    if metrics is not None:
-        prom_path = os.path.join(obs_dir, METRICS_PROM_FILENAME)
-        with open(prom_path, "w") as handle:
-            handle.write(metrics.to_prometheus())
-        paths["metrics_prom"] = prom_path
-        jsonl_path = os.path.join(obs_dir, METRICS_JSONL_FILENAME)
-        with open(jsonl_path, "w") as handle:
-            handle.write(metrics.to_jsonl())
-        paths["metrics_jsonl"] = jsonl_path
-    return paths
+    return {
+        "trace": tracer.save_jsonl(os.path.join(obs_dir, TRACE_FILENAME)),
+    }
 
 
 def find_trace_file(path: str) -> Optional[str]:

@@ -27,18 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .tracer import bits_label
+from .tracer import bits_label, cell_key
 
 __all__ = [
     "profile_events",
     "render_profile",
 ]
-
-
-def _cell_key(event: Dict) -> Tuple[Tuple[str, object], ...]:
-    from .views import CELL_KEYS
-
-    return tuple((k, event[k]) for k in CELL_KEYS if k in event)
 
 
 def _per_bit_table(events: List[Dict]) -> List[Dict]:
@@ -122,7 +116,7 @@ def profile_events(events: List[Dict]) -> Dict:
         if event["kind"] == "stage":
             stages.append(event)
         else:
-            by_cell.setdefault(_cell_key(event), []).append(event)
+            by_cell.setdefault(cell_key(event), []).append(event)
     cells = []
     for key in sorted(by_cell, key=lambda k: tuple(str(i) for i in k)):
         cell_events = by_cell[key]

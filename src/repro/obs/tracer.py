@@ -3,9 +3,8 @@
 The serving plane's only window used to be the end-of-run report — one
 aggregated scalar block per (scenario, policy) cell.  The tracer turns a
 run into a *timeline*: every request's lifecycle
-(``enqueue -> route -> batch -> bit_switch -> forward -> complete``)
-plus the control-plane moments around it (``policy_decision``,
-pipeline ``stage`` spans) is recorded as one event on the virtual
+(``enqueue -> bit_switch -> batch -> complete``) plus the pipeline
+``stage`` spans around it is recorded as one event on the virtual
 clock, so "why did p99 spike at t=42s?" and "which replica flapped bits
 during the burst?" become greppable questions instead of folklore.
 
@@ -25,16 +24,12 @@ Design constraints, in order:
    ``time_s`` plus kind-specific fields; :meth:`Tracer.save_jsonl`
    writes one object per line (sorted keys, no timestamps), so a trace
    file from a deterministic run is itself byte-identical across runs.
-
-Sinks observe the live stream: a sink is any callable taking the event
-dict, invoked synchronously at emit time.  The metrics plane
-(:class:`repro.obs.metrics.MetricsRecorder`) is one sink.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Dict, List, Tuple
 
 __all__ = [
     "EVENT_KINDS",
@@ -42,21 +37,23 @@ __all__ = [
     "NullTracer",
     "Tracer",
     "BoundTracer",
+    "CELL_KEYS",
     "bits_label",
+    "cell_key",
     "load_events_jsonl",
 ]
 
-# The event vocabulary.  Request lifecycle first, control plane after.
+# The event vocabulary.  Request lifecycle first, pipeline stages after.
 EVENT_KINDS = (
     "enqueue",          # request landed in a replica's FIFO
-    "route",            # fleet router picked a replica for the request
-    "policy_decision",  # PrecisionController chose a bit-width for a batch
     "bit_switch",       # the chosen bits differ from the replica's current
-    "forward",          # one switched forward pass for the micro-batch
     "batch",            # the dispatched micro-batch span (start..finish)
     "complete",         # one request finished (latency decomposition)
     "stage",            # pipeline stage span (wall clock, not sim clock)
 )
+
+# Labels a serve-sim binds onto events; together they name one cell.
+CELL_KEYS = ("scenario", "policy", "router", "replicas")
 
 
 def bits_label(bits) -> str:
@@ -68,6 +65,11 @@ def bits_label(bits) -> str:
     if isinstance(bits, (tuple, list)):
         return f"W{bits[0]}A{bits[1]}"
     return str(bits)
+
+
+def cell_key(event: Dict) -> Tuple[Tuple[str, object], ...]:
+    """The (label, value) pairs naming the simulated cell of ``event``."""
+    return tuple((k, event[k]) for k in CELL_KEYS if k in event)
 
 
 class NullTracer:
@@ -97,7 +99,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects events in order; optionally fans them out to sinks.
+    """Collects events in order.
 
     One tracer spans one run (a serve-sim or a pipeline execution); the
     run's (scenario, policy) cells share it through :meth:`bind`, which
@@ -105,20 +107,17 @@ class Tracer:
     component knowing it is one cell of several.
     """
 
-    __slots__ = ("events", "_sinks")
+    __slots__ = ("events",)
     enabled = True
 
-    def __init__(self, sinks: Sequence[Callable[[Dict], None]] = ()):
+    def __init__(self):
         self.events: List[Dict] = []
-        self._sinks = tuple(sinks)
 
     def emit(self, kind: str, time_s: float, **fields) -> Dict:
         """Record one event; returns the stored dict."""
         event = {"kind": kind, "time_s": float(time_s)}
         event.update(fields)
         self.events.append(event)
-        for sink in self._sinks:
-            sink(event)
         return event
 
     def bind(self, **fields) -> "BoundTracer":

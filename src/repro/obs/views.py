@@ -30,23 +30,16 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .artifacts import load_run_events
-from .tracer import bits_label
+from .tracer import bits_label, cell_key
 
 __all__ = [
     "render_run_dir",
     "render_events",
 ]
 
-# Labels a serve-sim binds onto events; together they name one cell.
-CELL_KEYS = ("scenario", "policy", "router", "replicas")
-
 _SPARK = "▁▂▃▄▅▆▇█"
 _GANTT_IDLE = "."
 _GANTT_CHARS = "12345678abcdefghijklmnopqrstuvwxyz"
-
-
-def _cell_key(event: Dict) -> Tuple[Tuple[str, object], ...]:
-    return tuple((k, event[k]) for k in CELL_KEYS if k in event)
 
 
 def _cell_title(key: Tuple[Tuple[str, object], ...]) -> str:
@@ -307,20 +300,22 @@ def render_events(
         f"{len(events)} events: "
         + ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
     )
-    start, end = _span(events)
+    # Stage events sit on the wall clock; the virtual span covers only
+    # the simulation-clock events, as each cell's span does.
+    stages = [e for e in events if e["kind"] == "stage"]
+    simulated = [e for e in events if e["kind"] != "stage"]
+    start, end = _span(simulated)
     lines.append(
         f"virtual span: {start:.4f}s – {end:.4f}s"
     )
     lines.append("")
 
-    stages = [e for e in events if e["kind"] == "stage"]
     if stages:
         lines.extend(_stage_section(stages))
 
     cells: Dict[Tuple, List[Dict]] = defaultdict(list)
-    for event in events:
-        if event["kind"] != "stage":
-            cells[_cell_key(event)].append(event)
+    for event in simulated:
+        cells[cell_key(event)].append(event)
     for key in sorted(cells, key=lambda k: tuple(str(i) for i in k)):
         cell_events = cells[key]
         batches = [e for e in cell_events if e["kind"] == "batch"]

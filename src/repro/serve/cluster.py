@@ -84,7 +84,6 @@ class ReplicaFleet:
             engine.replica_index = index
             engine.tracer = tracer
             self._replicas.append(_Replica(engine))
-        self.tracer = tracer
         self.router = make_router(router) if isinstance(router, str) else router
         self.router.attach(self)
 
@@ -128,14 +127,6 @@ class ReplicaFleet:
             raise ValueError(
                 f"router {self.router.name!r} chose position {idx} "
                 f"outside the fleet of {len(self._replicas)}"
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "route",
-                request.arrival_s,
-                request_id=request.request_id,
-                replica=idx,
-                active=len(self._replicas),
             )
         self._replicas[idx].engine.submit(request)
         return idx

@@ -400,24 +400,14 @@ class InferenceEngine:
                 f"controller chose {bits} outside candidate set "
                 f"{self.sp_net.bit_widths}"
             )
-        if self.tracer.enabled:
+        if self.tracer.enabled and bits != self._current_bits:
             self.tracer.emit(
-                "policy_decision",
+                "bit_switch",
                 now,
                 replica=self.replica_index,
-                bits=bits,
-                batch_size=len(batch),
-                queue_depth=len(self._queue),
-                oldest_wait_s=inputs.oldest_wait_s,
+                from_bits=self._current_bits,
+                to_bits=bits,
             )
-            if bits != self._current_bits:
-                self.tracer.emit(
-                    "bit_switch",
-                    now,
-                    replica=self.replica_index,
-                    from_bits=self._current_bits,
-                    to_bits=bits,
-                )
         predictions = self._forward(batch, bits)
         service_s = self.latency_model.batch_latency_s(bits, len(batch))
         finish = now + service_s
@@ -440,13 +430,6 @@ class InferenceEngine:
         self._current_bits = bits
         self.stats.record_batch(record)
         if self.tracer.enabled:
-            self.tracer.emit(
-                "forward",
-                now,
-                replica=self.replica_index,
-                bits=bits,
-                size=len(batch),
-            )
             self.tracer.emit(
                 "batch",
                 now,

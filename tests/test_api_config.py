@@ -8,7 +8,6 @@ from repro.api.config import (
     ConfigError,
     DeployConfig,
     ModelConfig,
-    ObsConfig,
     PipelineConfig,
     SearchConfig,
     ServeConfig,
@@ -17,7 +16,7 @@ from repro.api.config import (
 
 ALL_CONFIG_CLASSES = (
     ModelConfig, SearchConfig, TrainConfig, DeployConfig, ServeConfig,
-    PipelineConfig, ObsConfig,
+    PipelineConfig,
 )
 
 NON_DEFAULT = {
@@ -44,7 +43,6 @@ NON_DEFAULT = {
         slo_batches=1.5, mapper_generations=2, replicas=3,
         router="latency_aware",
     ),
-    ObsConfig: dict(trace=False, metrics=False),
     PipelineConfig: dict(
         name="trip", seed=7, run_dir="runs/elsewhere",
         model=ModelConfig(name="resnet8", num_classes=3),
@@ -144,8 +142,6 @@ class TestLoadErrors:
         (DeployConfig, {"metric": "throughput"}, "edp|energy|latency"),
         (PipelineConfig, {"name": ""}, "non-empty string"),
         (PipelineConfig, {"run_dir": 3}, "string path or null"),
-        (ObsConfig, {"trace": 1}, "ObsConfig.trace must be a bool"),
-        (ObsConfig, {"metrics": "yes"}, "ObsConfig.metrics must be a bool"),
     ])
     def test_out_of_range_values_rejected(self, cls, kwargs, match):
         with pytest.raises(ConfigError, match=match):

@@ -1,18 +1,13 @@
-"""Telemetry plane: tracer, metrics, exporters, sidecars, views, profile,
-CLI."""
+"""Telemetry plane: tracer, sidecars, views, profile, CLI."""
 
-import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.obs import (
-    BATCH_SIZE_BUCKETS,
     EVENT_KINDS,
     NULL_TRACER,
-    MetricsRecorder,
-    MetricsRegistry,
     NullTracer,
     Tracer,
     bits_label,
@@ -26,6 +21,7 @@ from repro.obs import (
     write_obs_artifacts,
 )
 from repro.obs import console
+from repro.obs.tracer import CELL_KEYS, cell_key
 
 
 # ----------------------------------------------------------------------
@@ -41,13 +37,6 @@ class TestTracer:
         assert tracer.events == [event]
         assert len(tracer) == 1
 
-    def test_sinks_see_events_at_emit_time(self):
-        seen = []
-        tracer = Tracer(sinks=(seen.append,))
-        tracer.emit("route", 0.0, replica=1)
-        tracer.emit("route", 0.1, replica=2)
-        assert [e["replica"] for e in seen] == [1, 2]
-
     def test_bind_stamps_fields_and_emit_site_wins(self):
         tracer = Tracer()
         cell = tracer.bind(policy="slo", replica=0)
@@ -59,7 +48,7 @@ class TestTracer:
 
     def test_bind_is_stackable(self):
         tracer = Tracer()
-        tracer.bind(scenario="bursty").bind(policy="slo").emit("route", 0.0)
+        tracer.bind(scenario="bursty").bind(policy="slo").emit("enqueue", 0.0)
         assert tracer.events[0]["scenario"] == "bursty"
         assert tracer.events[0]["policy"] == "slo"
 
@@ -79,9 +68,69 @@ class TestTracer:
         assert build() == build()
 
     def test_event_kinds_cover_request_lifecycle(self):
-        for kind in ("enqueue", "route", "bit_switch", "batch",
-                     "complete", "stage"):
+        for kind in ("enqueue", "bit_switch", "batch", "complete", "stage"):
             assert kind in EVENT_KINDS
+
+    def test_vocabulary_is_exactly_what_the_views_read(self):
+        # route/forward/policy_decision restated enqueue/batch and are
+        # no longer emitted; the vocabulary holds the five kinds left.
+        assert EVENT_KINDS == (
+            "enqueue", "bit_switch", "batch", "complete", "stage",
+        )
+
+    def test_emit_stores_time_as_float(self):
+        tracer = Tracer()
+        event = tracer.emit("stage", 2, stage="serve")
+        assert event["time_s"] == 2.0 and isinstance(event["time_s"], float)
+
+    def test_rebinding_leaves_the_parent_view_unchanged(self):
+        tracer = Tracer()
+        cell = tracer.bind(scenario="bursty")
+        cell.bind(policy="slo").emit("enqueue", 0.0)
+        cell.emit("enqueue", 1.0)
+        assert cell.fields == {"scenario": "bursty"}
+        assert "policy" not in tracer.events[1]
+
+    def test_jsonl_is_one_sorted_object_per_line(self):
+        tracer = Tracer()
+        tracer.emit("enqueue", 0.0, replica=1, request_id=3)
+        tracer.emit("complete", 0.5, request_id=3)
+        lines = tracer.to_jsonl().splitlines()
+        assert len(lines) == 2
+        assert lines[0] == (
+            '{"kind": "enqueue", "replica": 1, "request_id": 3, '
+            '"time_s": 0.0}'
+        )
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"kind": "enqueue", "time_s": 0.0}\n\n  \n'
+                        '{"kind": "stage", "time_s": 1.0}\n')
+        assert [e["kind"] for e in load_events_jsonl(str(path))] == [
+            "enqueue", "stage",
+        ]
+
+
+class TestCellKey:
+    def test_pairs_follow_cell_keys_order_and_skip_other_fields(self):
+        event = {"kind": "batch", "time_s": 0.0, "replicas": 2,
+                 "policy": "slo", "replica": 1, "scenario": "bursty",
+                 "router": "least_queue"}
+        assert cell_key(event) == (
+            ("scenario", "bursty"), ("policy", "slo"),
+            ("router", "least_queue"), ("replicas", 2),
+        )
+        assert CELL_KEYS == ("scenario", "policy", "router", "replicas")
+
+    def test_single_engine_cell_has_no_fleet_labels(self):
+        event = {"kind": "enqueue", "time_s": 0.0, "scenario": "constant",
+                 "policy": "static"}
+        assert cell_key(event) == (
+            ("scenario", "constant"), ("policy", "static"),
+        )
+
+    def test_unlabelled_event_has_the_empty_key(self):
+        assert cell_key({"kind": "enqueue", "time_s": 0.0}) == ()
 
 
 class TestNullTracer:
@@ -103,161 +152,6 @@ class TestBitsLabel:
         assert bits_label((4, 8)) == "W4A8"
         assert bits_label([4, 8]) == "W4A8"      # JSON round-trip form
         assert bits_label(8) == "8"
-
-
-# ----------------------------------------------------------------------
-# Metrics
-# ----------------------------------------------------------------------
-class TestMetrics:
-    def test_counter_accumulates_per_label_set(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_requests_total", "requests")
-        c.inc(replica=0)
-        c.inc(2, replica=0)
-        c.inc(replica=1)
-        assert c.value(replica=0) == 3
-        assert c.value(replica=1) == 1
-        assert c.value(replica=2) == 0
-
-    def test_counter_rejects_decrease(self):
-        c = MetricsRegistry().counter("c")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_keeps_last_value(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(5, replica=0)
-        g.set(2, replica=0)
-        assert g.value(replica=0) == 2
-        assert g.value(replica=1) is None
-
-    def test_histogram_buckets_are_cumulative(self):
-        h = MetricsRegistry().histogram("lat", buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.05, 0.5, 5.0):
-            h.observe(v)
-        (sample,) = h.samples()
-        assert sample["buckets"] == {"0.01": 1, "0.1": 2, "1": 3}
-        assert sample["count"] == 4
-        assert sample["sum"] == pytest.approx(5.555)
-
-    def test_histogram_rejects_bad_bounds(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("h1", buckets=())
-        with pytest.raises(ValueError):
-            reg.histogram("h2", buckets=(1.0, 0.5))
-
-    def test_registry_get_or_create_and_kind_mismatch(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
-    def test_prometheus_exposition_format(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_requests_total", "requests served").inc(
-            3, replica=0, bits="W4A8"
-        )
-        reg.histogram("repro_lat", buckets=(0.1, 1.0)).observe(0.5)
-        text = reg.to_prometheus()
-        assert "# HELP repro_requests_total requests served" in text
-        assert "# TYPE repro_requests_total counter" in text
-        assert 'repro_requests_total{bits="W4A8",replica="0"} 3' in text
-        assert "# TYPE repro_lat histogram" in text
-        assert 'repro_lat_bucket{le="0.1"} 0' in text
-        assert 'repro_lat_bucket{le="1"} 1' in text
-        assert 'repro_lat_bucket{le="+Inf"} 1' in text
-        assert "repro_lat_sum 0.5" in text
-        assert "repro_lat_count 1" in text
-
-    def test_label_values_are_escaped_and_round_trip(self):
-        reg = MetricsRegistry()
-        hostile = 'quote:" backslash:\\ newline:\nend'
-        reg.counter("c_total").inc(2, note=hostile)
-        text = reg.to_prometheus()
-        # Raw specials never leak into the exposition line.
-        [line] = [l for l in text.splitlines() if l.startswith("c_total{")]
-        assert '\\"' in line and "\\\\" in line and "\\n" in line
-        assert "\n" not in line
-        # Unescaping the label value recovers the original byte-for-byte
-        # (the Prometheus text-format contract: \\ then \" then \n).
-        value = line.split('note="', 1)[1].rsplit('"}', 1)[0]
-        out, i = [], 0
-        while i < len(value):
-            if value[i] == "\\":
-                out.append({"n": "\n", '"': '"', "\\": "\\"}[value[i + 1]])
-                i += 2
-            else:
-                out.append(value[i])
-                i += 1
-        assert "".join(out) == hostile
-
-    def test_exporters_are_deterministic(self):
-        def build():
-            reg = MetricsRegistry()
-            # Insertion order deliberately scrambled vs name order.
-            reg.gauge("z_depth").set(4, replica=1)
-            reg.counter("a_total").inc(replica=1)
-            reg.counter("a_total").inc(replica=0)
-            return reg.to_prometheus(), reg.to_jsonl()
-
-        assert build() == build()
-
-    def test_jsonl_rows_parse(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(5, bits="8")
-        rows = [json.loads(line) for line in reg.to_jsonl().splitlines()]
-        assert rows == [{
-            "kind": "counter", "labels": {"bits": "8"},
-            "name": "c", "value": 5.0,
-        }]
-
-
-class TestMetricsRecorder:
-    def test_folds_event_stream_into_metrics(self):
-        reg = MetricsRegistry()
-        tracer = Tracer(sinks=(MetricsRecorder(reg),))
-        tracer.emit("enqueue", 0.0, request_id=0, replica=0, queue_depth=1)
-        tracer.emit("route", 0.0, request_id=0, replica=0, active=2)
-        tracer.emit("batch", 0.1, replica=0, bits=(4, 8), size=2,
-                    start_s=0.1, finish_s=0.2, service_s=0.1, queue_depth=3)
-        tracer.emit("complete", 0.2, request_id=0, replica=0, bits=(4, 8),
-                    arrival_s=0.0, start_s=0.1, finish_s=0.2, latency_s=0.2)
-        tracer.emit("bit_switch", 0.3, replica=0, from_bits=16,
-                    to_bits=(4, 8))
-        tracer.emit("stage", 0.0, stage="serve", seconds=1.25)
-
-        assert reg.counter("repro_requests_enqueued_total").value(
-            replica=0) == 1
-        assert reg.counter("repro_requests_completed_total").value(
-            replica=0, bits="W4A8") == 1
-        assert reg.counter("repro_batches_total").value(
-            replica=0, bits="W4A8") == 1
-        assert reg.counter("repro_bit_switches_total").value(replica=0) == 1
-        assert reg.counter("repro_pipeline_stage_seconds_total").value(
-            stage="serve") == pytest.approx(1.25)
-        assert reg.gauge("repro_queue_depth").value(replica=0) == 3
-        assert reg.histogram("repro_request_latency_seconds").count() == 1
-        assert reg.histogram("repro_batch_size").count() == 1
-
-
-    def test_route_forward_and_decision_counters(self):
-        reg = MetricsRegistry()
-        tracer = Tracer(sinks=(MetricsRecorder(reg),))
-        for replica in (0, 1, 1):
-            tracer.emit("route", 0.0, request_id=0, replica=replica,
-                        active=2)
-        tracer.emit("policy_decision", 0.1, replica=1, bits=8,
-                    batch_size=2, queue_depth=0, oldest_wait_s=0.0)
-        tracer.emit("forward", 0.1, replica=1, bits=8, size=2)
-        assert reg.counter("repro_requests_routed_total").value(
-            replica=1) == 2
-        assert reg.counter("repro_requests_routed_total").value(
-            replica=0) == 1
-        assert reg.counter("repro_policy_decisions_total").value(
-            bits="8") == 1
-        assert reg.counter("repro_forwards_total").value(
-            replica=1, bits="8") == 1
 
 
 # ----------------------------------------------------------------------
@@ -290,13 +184,11 @@ class TestConsole:
 class TestArtifacts:
     def test_write_bundle_and_load_back(self, tmp_path):
         run_dir = str(tmp_path)
-        reg = MetricsRegistry()
-        tracer = Tracer(sinks=(MetricsRecorder(reg),))
+        tracer = Tracer()
         tracer.emit("enqueue", 0.0, request_id=0, replica=0, queue_depth=1)
-        paths = write_obs_artifacts(run_dir, tracer=tracer, metrics=reg)
-        assert set(paths) == {"trace", "metrics_prom", "metrics_jsonl"}
-        for path in paths.values():
-            assert os.path.isfile(path)
+        paths = write_obs_artifacts(run_dir, tracer)
+        assert set(paths) == {"trace"}
+        assert os.listdir(tmp_path / "obs") == ["trace_events.jsonl"]
         assert find_trace_file(run_dir) == paths["trace"]
         assert load_run_events(run_dir) == tracer.events
 
@@ -304,6 +196,25 @@ class TestArtifacts:
         with pytest.raises(FileNotFoundError,
                            match="repro serve-sim --obs-dir"):
             load_run_events(str(tmp_path))
+
+    def test_trace_found_from_obs_dir_or_the_file_itself(self, tmp_path):
+        tracer = Tracer()
+        tracer.emit("enqueue", 0.0, request_id=0, replica=0, queue_depth=1)
+        trace = write_obs_artifacts(str(tmp_path), tracer)["trace"]
+        assert find_trace_file(str(tmp_path / "obs")) == trace
+        assert find_trace_file(trace) == trace
+        assert find_trace_file(str(tmp_path / "elsewhere")) is None
+
+    def test_rewriting_replaces_the_previous_trace(self, tmp_path):
+        first = Tracer()
+        for i in range(3):
+            first.emit("enqueue", float(i), request_id=i, replica=0,
+                       queue_depth=i + 1)
+        write_obs_artifacts(str(tmp_path), first)
+        second = Tracer()
+        second.emit("stage", 0.0, stage="serve", seconds=0.5)
+        write_obs_artifacts(str(tmp_path), second)
+        assert load_run_events(str(tmp_path)) == second.events
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +230,6 @@ def _synthetic_cell_events():
         replica = i % 2
         cell.emit("enqueue", t, request_id=i, replica=replica,
                   queue_depth=1)
-        cell.emit("route", t, request_id=i, replica=replica, active=2)
         t += 0.01
     for j, (replica, bits) in enumerate([(0, 8), (1, 16), (0, 16), (1, 16)]):
         start, finish = 0.1 + j * 0.05, 0.14 + j * 0.05
@@ -367,6 +277,32 @@ class TestViews:
         assert data_rows[0].split("|")[1].strip() == "6"
         assert rows  # sanity: tables rendered
 
+    def test_cell_header_counts_requests_batches_and_switches(self):
+        tracer = Tracer()
+        tracer.emit("enqueue", 0.0, request_id=0, replica=0, queue_depth=1)
+        tracer.emit("batch", 0.1, replica=0, bits=(4, 8), size=2,
+                    start_s=0.1, finish_s=0.2, service_s=0.1, queue_depth=3)
+        tracer.emit("complete", 0.2, request_id=0, replica=0, bits=(4, 8),
+                    arrival_s=0.0, start_s=0.1, finish_s=0.2, latency_s=0.2)
+        tracer.emit("bit_switch", 0.3, replica=0, from_bits=16,
+                    to_bits=(4, 8))
+        tracer.emit("stage", 0.0, stage="serve", seconds=1.25)
+        out = render_events(tracer.events)
+        assert "1 requests over 1 batches, 1 bit switches" in out
+        assert "| serve | 1.250 |" in out
+
+    def test_virtual_span_excludes_wall_clock_stage_events(self):
+        # Stage events carry wall-clock offsets; the header's virtual
+        # span must cover only the simulation-clock cell, as the
+        # cell's own span line does.
+        tracer = _synthetic_cell_events()
+        tracer.emit("stage", 0.0004, stage="generate", seconds=1.5)
+        tracer.emit("stage", 1.5004, stage="serve", seconds=0.5)
+        out = render_events(tracer.events)
+        assert "virtual span: 0.0000s – 0.2900s" in out
+        assert "bit switches, span 0.0000s – 0.2900s" in out
+        assert "1.5004" not in out
+
     def test_stage_events_render_pipeline_section(self):
         tracer = Tracer()
         tracer.emit("stage", 0.0, stage="train", seconds=2.5)
@@ -412,6 +348,41 @@ class TestViews:
                         service_s=0.01, queue_depth=0)
         out = render_events(tracer.events)
         assert "| 0 | … | … | (6 more segments) | … | … |" in out
+
+    def test_cells_render_in_sorted_label_order(self):
+        tracer = Tracer()
+        for policy in ("static", "queue", "slo"):
+            tracer.bind(scenario="constant", policy=policy).emit(
+                "enqueue", 0.0, request_id=0, replica=0, queue_depth=1,
+            )
+        out = render_events(tracer.events)
+        titles = [line for line in out.splitlines()
+                  if line.startswith("## Cell: ")]
+        assert titles == [
+            "## Cell: scenario=constant / policy=queue",
+            "## Cell: scenario=constant / policy=slo",
+            "## Cell: scenario=constant / policy=static",
+        ]
+
+    def test_stage_only_trace_renders_no_cell(self):
+        tracer = Tracer()
+        tracer.emit("stage", 0.0, stage="generate", seconds=0.25)
+        tracer.emit("stage", 0.25, stage="train", seconds=3.0)
+        out = render_events(tracer.events)
+        assert "2 events: stage=2" in out
+        assert "virtual span: 0.0000s – 0.0000s" in out
+        assert "| generate | 0.250 |" in out
+        assert "## Cell:" not in out
+
+    def test_event_count_header_lists_kinds_alphabetically(self):
+        out = render_events(_synthetic_cell_events().events)
+        assert out.splitlines()[2] == (
+            "21 events: batch=4, bit_switch=1, complete=8, enqueue=8"
+        )
+
+    def test_gantt_legend_orders_bits_by_width(self):
+        out = render_events(_synthetic_cell_events().events, width=8)
+        assert "legend: `1`=8  `2`=16  `.`=idle" in out
 
     def test_render_run_dir_reads_sidecar(self, tmp_path):
         tracer = _synthetic_cell_events()
@@ -470,6 +441,49 @@ class TestProfile:
         events = _profiled_tracer().events
         assert profile_events(events) == profile_events(events)
 
+    def test_queue_wait_splits_per_replica(self):
+        payload = profile_events(_synthetic_cell_events().events)
+        [cell] = payload["cells"]
+        rows = {r["replica"]: r for r in cell["queue_wait_by_replica"]}
+        assert set(rows) == {"0", "1"}
+        assert rows["0"]["requests"] == rows["1"]["requests"] == 4
+        # Every batch in the synthetic run is served in 0.04 s.
+        assert rows["0"]["service_s"] == pytest.approx(4 * 0.04)
+        assert payload["stages"] == []
+
+    def test_unlabelled_events_profile_as_one_run_cell(self):
+        tracer = Tracer()
+        tracer.emit("batch", 0.0, replica=0, bits=8, size=1, start_s=0.0,
+                    finish_s=0.5, service_s=0.5, queue_depth=0)
+        payload = profile_events(tracer.events)
+        assert [c["cell"] for c in payload["cells"]] == [{}]
+        assert payload["cells"][0]["per_bit"][0]["share"] == 1.0
+        assert "## run" in render_profile(payload)
+
+    def test_completions_without_arrival_are_not_attributed(self):
+        tracer = Tracer()
+        tracer.emit("complete", 1.0, request_id=0, replica=0, bits=8,
+                    start_s=0.5, finish_s=1.0, latency_s=1.0)
+        [cell] = profile_events(tracer.events)["cells"]
+        assert cell["queue_wait_by_bits"] == []
+        assert cell["queue_wait_by_replica"] == []
+
+    def test_zero_length_batches_have_zero_share(self):
+        tracer = Tracer()
+        tracer.emit("batch", 0.0, replica=0, bits=8, size=1, start_s=0.0,
+                    finish_s=0.0, service_s=0.0, queue_depth=0)
+        [cell] = profile_events(tracer.events)["cells"]
+        assert cell["per_bit"][0]["share"] == 0.0
+
+    def test_render_top_truncates_each_table(self):
+        payload = profile_events(_profiled_tracer().events)
+        out = render_profile(payload, top=1)
+        self_time = out.split("### Self-time by bit-width")[1].split("###")[0]
+        rows = [l for l in self_time.splitlines()
+                if l.startswith("| ") and "---" not in l]
+        assert rows[0].startswith("| bits |")
+        assert len(rows) == 2
+
 
 # ----------------------------------------------------------------------
 # Tracing must not change results (the determinism contract)
@@ -516,7 +530,7 @@ class TestTracingIsObservational:
                                engine, end_s, sim_fixture.slo_s)
 
         untraced = run(NULL_TRACER)
-        tracer = Tracer(sinks=(MetricsRecorder(MetricsRegistry()),))
+        tracer = Tracer()
         traced = run(tracer)
         assert traced.to_json_dict() == untraced.to_json_dict()
         assert len(tracer) > 0
@@ -542,7 +556,7 @@ class TestTracingIsObservational:
         traced = run(tracer)
         assert traced.to_json_dict() == untraced.to_json_dict()
         kinds = {e["kind"] for e in tracer.events}
-        assert {"enqueue", "route", "batch", "complete"} <= kinds
+        assert {"enqueue", "batch", "complete"} <= kinds <= set(EVENT_KINDS)
 
     def test_trace_jsonl_is_byte_identical_across_runs(self, sim_fixture):
         from repro.serve.cluster import make_fleet, simulate_fleet
@@ -563,6 +577,101 @@ class TestTracingIsObservational:
 
         engine = make_engine(sim_fixture, "static")
         assert engine.tracer is NULL_TRACER
+
+
+class TestTraceRestatesRetiredKinds:
+    """The ``forward``, ``policy_decision`` and ``route`` events were
+    dropped because the kinds left carry the same facts; these tests
+    pin that the trace still does."""
+
+    @staticmethod
+    def _single_engine_trace(fixture, seen_inputs=None):
+        from repro.serve.simulator import make_engine, simulate
+
+        tracer = Tracer()
+        engine = make_engine(fixture, "slo", tracer=tracer)
+        if seen_inputs is not None:
+            choose = engine.controller.choose_bits
+
+            def spy(inputs):
+                seen_inputs.append(inputs)
+                return choose(inputs)
+
+            engine.controller.choose_bits = spy
+        simulate(engine, fixture.requests)
+        return tracer.events
+
+    def test_batch_size_matches_the_completions_it_emits(self, sim_fixture):
+        events = self._single_engine_trace(sim_fixture)
+        for i, event in enumerate(events):
+            if event["kind"] != "batch":
+                continue
+            completes = events[i + 1:i + 1 + event["size"]]
+            assert [e["kind"] for e in completes] == \
+                ["complete"] * event["size"]
+            assert {(e["bits"], e["start_s"], e["finish_s"])
+                    for e in completes} == {
+                (event["bits"], event["start_s"], event["finish_s"])
+            }
+
+    def test_oldest_wait_is_batch_start_minus_next_arrival(
+        self, sim_fixture
+    ):
+        seen = []
+        events = self._single_engine_trace(sim_fixture, seen_inputs=seen)
+        derived = [
+            event["start_s"] - events[i + 1]["arrival_s"]
+            for i, event in enumerate(events) if event["kind"] == "batch"
+        ]
+        assert len(derived) == len(seen) > 0
+        assert derived == [inputs.oldest_wait_s for inputs in seen]
+
+    def test_bit_switches_chain_the_batch_bits(self, sim_fixture):
+        events = self._single_engine_trace(sim_fixture)
+        current = sim_fixture.sp_net.highest
+        for i, event in enumerate(events):
+            if event["kind"] == "bit_switch":
+                assert event["from_bits"] == current
+                assert events[i + 1]["kind"] == "batch"
+                assert events[i + 1]["bits"] == event["to_bits"]
+                assert event["time_s"] == events[i + 1]["time_s"]
+            elif event["kind"] == "batch":
+                assert event["bits"] == current or \
+                    events[i - 1]["kind"] == "bit_switch"
+                current = event["bits"]
+
+    def test_enqueue_depth_counts_the_replica_backlog(self, sim_fixture):
+        events = self._single_engine_trace(sim_fixture)
+        backlog = 0
+        for event in events:
+            if event["kind"] == "enqueue":
+                backlog += 1
+                assert event["queue_depth"] == backlog
+            elif event["kind"] == "batch":
+                backlog -= event["size"]
+                assert event["queue_depth"] == backlog
+        assert backlog == 0
+
+    def test_fleet_enqueue_names_the_replica_and_fleet_size(
+        self, sim_fixture
+    ):
+        from repro.serve.cluster import run_fleet_sim
+
+        tracer = Tracer()
+        run_fleet_sim(scenario="bursty", policy="slo", replicas=2,
+                      router="least_queue", fixture=sim_fixture,
+                      tracer=tracer)
+        enqueued = {e["request_id"]: e for e in tracer.events
+                    if e["kind"] == "enqueue"}
+        completed = {e["request_id"]: e for e in tracer.events
+                     if e["kind"] == "complete"}
+        assert len(enqueued) == len(completed) == \
+            len(sim_fixture.requests)
+        for rid, enqueue in enqueued.items():
+            assert enqueue["replicas"] == 2
+            assert enqueue["replica"] == completed[rid]["replica"]
+            assert enqueue["time_s"] == completed[rid]["arrival_s"]
+        assert {e["replica"] for e in enqueued.values()} == {0, 1}
 
 
 # ----------------------------------------------------------------------
@@ -593,3 +702,33 @@ class TestObsCli:
         out_path = tmp_path / "report.md"
         assert main(["obs", str(tmp_path), "--output", str(out_path)]) == 0
         assert "### Bit-occupancy Gantt" in out_path.read_text()
+
+    def test_profile_output_writes_the_profile_tables(self, tmp_path,
+                                                      capsys):
+        from repro.__main__ import main
+
+        write_obs_artifacts(str(tmp_path), tracer=_profiled_tracer())
+        out_path = tmp_path / "profile.md"
+        assert main(["obs", str(tmp_path), "--profile",
+                     "--output", str(out_path)]) == 0
+        written = out_path.read_text()
+        assert written == render_profile(
+            profile_events(_profiled_tracer().events)
+        )
+        assert "### Per-replica timeline" not in written
+
+    def test_serve_sim_obs_dir_records_only_the_trace(self, tmp_path,
+                                                      capsys):
+        from repro.__main__ import main
+
+        plain, traced = tmp_path / "a.json", tmp_path / "b.json"
+        run_dir = tmp_path / "run"
+        args = ["serve-sim", "--scenario", "constant", "--policy", "slo"]
+        assert main(args + ["--output", str(plain)]) == 0
+        assert main(args + ["--output", str(traced),
+                            "--obs-dir", str(run_dir)]) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+        assert os.listdir(run_dir / "obs") == ["trace_events.jsonl"]
+        kinds = {e["kind"] for e in load_run_events(str(run_dir))}
+        assert kinds <= set(EVENT_KINDS)
+        assert {"enqueue", "batch", "complete"} <= kinds

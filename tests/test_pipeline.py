@@ -216,53 +216,31 @@ def _without_seconds(value):
 
 
 class TestPipelineTelemetry:
-    """``obs=`` records stage spans and serve telemetry beside the run's
-    reports, never inside them."""
+    """``obs=True`` records stage spans and serve span events beside the
+    run's reports, never inside them."""
 
     STAGES = ["train", "serve"]
 
     def test_traced_run_writes_sidecar_and_keeps_reports(self, tmp_path):
-        from repro.api.config import ObsConfig
         from repro.obs import load_run_events
 
         plain = run_pipeline(zoo_config(), run_dir=str(tmp_path / "a"),
                              stages=self.STAGES)
         traced = run_pipeline(zoo_config(), run_dir=str(tmp_path / "b"),
-                              stages=self.STAGES, obs=ObsConfig())
+                              stages=self.STAGES, obs=True)
         for stage in self.STAGES:
             assert _without_seconds(traced.reports[stage]) == \
                 _without_seconds(plain.reports[stage])
         assert not (tmp_path / "a" / "obs").exists()
-        for name in ("trace_events.jsonl", "metrics.prom", "metrics.jsonl"):
-            assert (tmp_path / "b" / "obs" / name).is_file()
+        assert [p.name for p in (tmp_path / "b" / "obs").iterdir()] == \
+            ["trace_events.jsonl"]
         events = load_run_events(str(tmp_path / "b"))
         assert [e["stage"] for e in events if e["kind"] == "stage"] == \
             self.STAGES
         completes = [e for e in events if e["kind"] == "complete"]
         assert len(completes) == 24
         assert {e["policy"] for e in completes} == {"static"}
-
-    def test_metrics_only_run_writes_no_trace(self, tmp_path):
-        from repro.api.config import ObsConfig
-
-        run_pipeline(zoo_config(), run_dir=str(tmp_path),
-                     stages=self.STAGES, obs=ObsConfig(trace=False))
-        obs_dir = tmp_path / "obs"
-        assert sorted(p.name for p in obs_dir.iterdir()) == \
-            ["metrics.jsonl", "metrics.prom"]
-        prom = (obs_dir / "metrics.prom").read_text()
-        assert 'repro_pipeline_stage_seconds_total{stage="serve"}' in prom
-        assert 'repro_requests_completed_total{bits="8",replica="0"} 24' \
-            in prom
-
-    def test_obs_with_nothing_enabled_writes_no_sidecar(self, tmp_path):
-        from repro.api.config import ObsConfig
-
-        pipe = Pipeline(zoo_config(), run_dir=str(tmp_path),
-                        obs=ObsConfig(trace=False, metrics=False))
-        assert not pipe.tracer.enabled
-        pipe.run(stages=self.STAGES)
-        assert not (tmp_path / "obs").exists()
+        assert {(e["replica"], e["bits"]) for e in completes} == {(0, 8)}
 
 
 class TestPipelineCLI:

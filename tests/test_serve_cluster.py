@@ -256,17 +256,17 @@ class TestReplicaFleet:
         fleet.submit(request(1, 0.0))
         assert seen == [((0, 0), (1, 0), (2, 0)), ((0, 0), (1, 1), (2, 0))]
 
-    def test_route_event_names_replica_and_fleet_size(self):
+    def test_enqueue_event_names_routed_replica_at_arrival(self):
         tracer = Tracer()
         fleet = ReplicaFleet(
             engine_factory(), replicas=2, router="round_robin",
             tracer=tracer,
         )
-        fleet.submit(request(0, 0.0))
-        fleet.submit(request(1, 0.5))
-        routes = [e for e in tracer.events if e["kind"] == "route"]
-        assert [(e["replica"], e["active"], e["time_s"]) for e in routes] \
-            == [(0, 2, 0.0), (1, 2, 0.5)]
+        assert fleet.submit(request(0, 0.0)) == 0
+        assert fleet.submit(request(1, 0.5)) == 1
+        enqueues = [e for e in tracer.events if e["kind"] == "enqueue"]
+        assert [(e["request_id"], e["replica"], e["time_s"])
+                for e in enqueues] == [(0, 0, 0.0), (1, 1, 0.5)]
 
     def test_pending_counts_every_replica(self):
         fleet = ReplicaFleet(engine_factory(), replicas=3,
