@@ -8,7 +8,6 @@ Usage::
     python -m repro serve-sim --scenario bursty --policy all --scale smoke
     python -m repro serve-sim --replicas 4 --router least_queue --obs-dir runs/fleet
     python -m repro obs runs/fleet
-    python -m repro check --fail-on error --json
     python -m repro pipeline validate --config examples/pipeline_smoke.json
     python -m repro pipeline run --config examples/pipeline_smoke.json
 
@@ -78,24 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--obs-dir", default=None, metavar="DIR",
         help="record span events and write the obs/ sidecar "
              "bundle under DIR (inspect with `repro obs DIR`)",
-    )
-
-    from .analysis.cli import add_arguments as add_check_arguments
-
-    add_check_arguments(
-        sub.add_parser(
-            "check",
-            help="run the static invariant analyzer over the repro tree",
-            description=(
-                "parse the package once and verify the machine-checked "
-                "repo contracts: deterministic planes never read wall "
-                "clocks or unseeded RNGs, the import graph respects the "
-                "plane layering with no cycles, and the tracer span "
-                "vocabulary matches what the obs consumers render; "
-                "exits nonzero when findings at or above --fail-on "
-                "survive inline suppressions and the committed baseline"
-            ),
-        )
     )
 
     obs = sub.add_parser(
@@ -365,10 +346,6 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     if args.command == "serve-sim":
         return _cmd_serve_sim(args)
-    if args.command == "check":
-        from .analysis.cli import run_from_args as run_check_cli
-
-        return run_check_cli(args)
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "pipeline":

@@ -32,8 +32,7 @@ _CONFIG_EXPORTS = {
 _REGISTRY_EXPORTS = {
     "Registry", "RegistryError", "REGISTRIES", "MODELS", "QUANTIZERS",
     "POLICIES", "ROUTERS", "SCENARIOS", "SEARCH_SPACES", "DEVICES",
-    "STRATEGIES", "EXPERIMENTS", "SCALES", "SERVE_SCALES", "CHECKERS",
-    "choices",
+    "STRATEGIES", "EXPERIMENTS", "SCALES", "SERVE_SCALES", "choices",
 }
 _PIPELINE_EXPORTS = {
     "Pipeline", "PipelineError", "PipelineResult", "STAGES", "run_pipeline",

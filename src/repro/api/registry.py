@@ -2,8 +2,8 @@
 
 Every pluggable component family in the reproduction — models,
 quantisers, precision policies, routers, traffic scenarios, SP-NAS
-search spaces, accelerator devices, training strategies, experiments,
-scale presets and static-analysis rules — is
+search spaces, accelerator devices, training strategies, experiments
+and scale presets — is
 enumerated here, and only here.  Built-ins are declared lazily as
 ``"module:attr"`` strings, so importing this module imports no
 subsystem: the CLI renders ``--help`` choices and ``repro pipeline
@@ -43,7 +43,6 @@ __all__ = [
     "EXPERIMENTS",
     "SCALES",
     "SERVE_SCALES",
-    "CHECKERS",
 ]
 
 
@@ -221,13 +220,6 @@ SERVE_SCALES.register_lazy(
     "default", "repro.serve.simulator:SERVE_SCALES", key="default"
 )
 
-CHECKERS = Registry("analysis rule")
-CHECKERS.register_lazy(
-    "determinism", "repro.analysis.determinism:DeterminismChecker"
-)
-CHECKERS.register_lazy("layering", "repro.analysis.layering:LayeringChecker")
-CHECKERS.register_lazy("spans", "repro.analysis.spans:SpanVocabularyChecker")
-
 REGISTRIES: Dict[str, Registry] = {
     "models": MODELS,
     "quantizers": QUANTIZERS,
@@ -240,7 +232,6 @@ REGISTRIES: Dict[str, Registry] = {
     "experiments": EXPERIMENTS,
     "scales": SCALES,
     "serve_scales": SERVE_SCALES,
-    "checkers": CHECKERS,
 }
 
 

@@ -5,7 +5,6 @@ from .cdt import (
     JointCrossEntropy,
     SwitchableTrainingStrategy,
     VanillaDistillation,
-    make_strategy,
 )
 from .trainer import (
     SwitchableTrainer,
@@ -21,7 +20,6 @@ __all__ = [
     "JointCrossEntropy",
     "SwitchableTrainingStrategy",
     "VanillaDistillation",
-    "make_strategy",
     "SwitchableTrainer",
     "TrainConfig",
     "TrainHistory",

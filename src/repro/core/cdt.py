@@ -38,7 +38,6 @@ __all__ = [
     "CascadeDistillation",
     "VanillaDistillation",
     "JointCrossEntropy",
-    "make_strategy",
 ]
 
 
@@ -191,23 +190,3 @@ class JointCrossEntropy(SwitchableTrainingStrategy):
             total = ce if total is None else total + ce
         return total * (1.0 / len(outputs)), per_bit_ce
 
-
-_STRATEGIES = {
-    "cdt": CascadeDistillation,
-    "cascade": CascadeDistillation,
-    "sp": VanillaDistillation,
-    "vanilla": VanillaDistillation,
-    "adabits": JointCrossEntropy,
-    "joint": JointCrossEntropy,
-}
-
-
-def make_strategy(name: str, **kwargs) -> SwitchableTrainingStrategy:
-    """Instantiate a training strategy by name (cdt|sp|adabits|...)."""
-    try:
-        cls = _STRATEGIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; available: {sorted(set(_STRATEGIES))}"
-        ) from None
-    return cls(**kwargs)

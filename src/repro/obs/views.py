@@ -205,7 +205,10 @@ def _series_section(
     peak_depth = [0] * buckets
     latencies: List[List[float]] = [[] for _ in range(buckets)]
     depth = 0
-    for event in sorted(events, key=lambda e: (e["time_s"], e["kind"])):
+    # Emit order, not time order: a batch dispatched at an arrival
+    # instant was emitted after that arrival's enqueue, and sorting by
+    # (time, kind) would drain it first.
+    for event in events:
         kind = event["kind"]
         if kind == "enqueue":
             depth += 1

@@ -3,8 +3,9 @@
 Stage banners, ``seconds=...`` report fields, and run-dir metadata all
 want real elapsed time — but the modules that write them (pipeline,
 trainer, experiments) are otherwise deterministic, and the
-``determinism`` analysis rule bans direct ``time.time`` references
-there so a wall clock can never leak into *computed results*.  Those
+determinism invariant (``tests/test_invariants.py``) bans direct
+``time.time`` references there so a wall clock can never leak into
+*computed results*.  Those
 modules call :func:`wall_clock_s` instead: a single, greppable,
 monkeypatchable point where wall time enters.
 

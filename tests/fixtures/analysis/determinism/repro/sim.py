@@ -15,4 +15,4 @@ GEN = np.random.default_rng()          # bad: OS-entropy seed
 
 SEEDED = np.random.default_rng(7)      # ok: explicit seed
 LOCAL = random.Random(3)               # ok: seeded instance
-NOW = time.time()  # repro: allow[determinism] fixture suppression
+NOW = time.time()  # repro: allow[determinism] bad: no comment mutes a rule

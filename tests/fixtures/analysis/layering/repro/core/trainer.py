@@ -1,5 +1,5 @@
-"""Core (layer 2) reaching up into the analysis plane (layer 4)."""
+"""Core (layer 2) reaching up into the rendering plane (layer 4)."""
 
-from ..analysis import alpha          # bad: upward import
+from ..obs.views import WIDTH          # bad: upward import
 
-RATE = alpha.A
+RATE = WIDTH

@@ -198,11 +198,12 @@ class TestManifestConsistency:
 
     def test_strategy_entries_are_strategies(self):
         from repro.api.registry import STRATEGIES
-        from repro.core.cdt import SwitchableTrainingStrategy, make_strategy
+        from repro.core.cdt import SwitchableTrainingStrategy
 
         for name in choices("strategies"):
             assert issubclass(STRATEGIES.get(name), SwitchableTrainingStrategy)
-            assert isinstance(make_strategy(name), SwitchableTrainingStrategy)
+            assert isinstance(STRATEGIES.get(name)(),
+                              SwitchableTrainingStrategy)
 
 
 class TestCustomComponentsFlowThrough:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
+from repro.api.registry import STRATEGIES, RegistryError
 from repro.core import (
     CascadeDistillation,
     JointCrossEntropy,
     VanillaDistillation,
-    make_strategy,
 )
 from repro.nn import models
 from repro.quant import SwitchableFactory, SwitchablePrecisionNetwork
@@ -30,13 +30,13 @@ def batch(n=8, size=12, classes=5):
 
 class TestStrategyFactory:
     def test_names(self):
-        assert isinstance(make_strategy("cdt"), CascadeDistillation)
-        assert isinstance(make_strategy("sp"), VanillaDistillation)
-        assert isinstance(make_strategy("adabits"), JointCrossEntropy)
+        assert STRATEGIES.get("cdt") is CascadeDistillation
+        assert STRATEGIES.get("sp") is VanillaDistillation
+        assert STRATEGIES.get("adabits") is JointCrossEntropy
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_strategy("nope")
+        with pytest.raises(RegistryError):
+            STRATEGIES.get("nope")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -380,6 +380,19 @@ class TestViews:
             "21 events: batch=4, bit_switch=1, complete=8, enqueue=8"
         )
 
+    def test_queue_depth_folds_batches_in_emit_order(self):
+        # The batch at t=0.1 was dispatched after the enqueue at the
+        # same instant: the backlog reads 1, 2, 0, 1, 2, never 3.
+        tracer = Tracer()
+        for t in (0.0, 0.1):
+            tracer.emit("enqueue", t, request_id=int(t * 10), replica=0)
+        tracer.emit("batch", 0.1, replica=0, bits=8, size=2, start_s=0.1,
+                    finish_s=0.15, service_s=0.05, queue_depth=0)
+        for t in (0.2, 0.3):
+            tracer.emit("enqueue", t, request_id=int(t * 10), replica=0)
+        out = render_events(tracer.events, buckets=1)
+        assert "| 0.0000 | 4 | 0 | 2 | n/a |" in out
+
     def test_gantt_legend_orders_bits_by_width(self):
         out = render_events(_synthetic_cell_events().events, width=8)
         assert "legend: `1`=8  `2`=16  `.`=idle" in out
@@ -732,3 +745,26 @@ class TestObsCli:
         kinds = {e["kind"] for e in load_run_events(str(run_dir))}
         assert kinds <= set(EVENT_KINDS)
         assert {"enqueue", "batch", "complete"} <= kinds
+
+    def test_bursty_peak_queue_matches_the_enqueue_depth(self, tmp_path,
+                                                         capsys):
+        from repro.__main__ import main
+
+        run_dir = str(tmp_path / "run")
+        assert main(["serve-sim", "--scenario", "bursty", "--policy", "all",
+                     "--scale", "smoke", "--seed", "0",
+                     "--obs-dir", run_dir]) == 0
+        deepest = {}
+        for event in load_run_events(run_dir):
+            if event["kind"] == "enqueue":
+                deepest[event["policy"]] = max(
+                    deepest.get(event["policy"], 0), event["queue_depth"])
+        peaks = {}
+        for cell in render_run_dir(run_dir).split("## Cell: ")[1:]:
+            policy = cell.split("policy=")[1].split()[0]
+            series = cell.split("### Queue depth")[1].split("###")[0]
+            peaks[policy] = max(
+                int(row.split("|")[4]) for row in series.splitlines()
+                if row.startswith("| ") and row[2].isdigit()
+            )
+        assert peaks == deepest == {"queue": 19, "slo": 19, "static": 19}
