@@ -15,6 +15,10 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$REPO_ROOT"
 export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Every temp dir a stage makes joins TEMP_DIRS; one EXIT trap removes them.
+TEMP_DIRS=()
+trap 'rm -rf "${TEMP_DIRS[@]}"' EXIT
+
 echo "==> numpy runtime (SIMD dispatch; the bitwise float32 tests depend on it)"
 python -c "import numpy; numpy.show_runtime()"
 
@@ -39,7 +43,7 @@ fi
 echo "==> pipeline smoke (generate -> train -> deploy -> serve from one JSON)"
 python -m repro pipeline validate --config examples/pipeline_smoke.json
 PIPELINE_RUN_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR"' EXIT
+TEMP_DIRS+=("$PIPELINE_RUN_DIR")
 python -m repro pipeline run --config examples/pipeline_smoke.json \
     --run-dir "$PIPELINE_RUN_DIR"
 for artifact in architecture.json checkpoint.npz deploy_report.json \
@@ -50,7 +54,7 @@ done
 
 echo "==> traced pipeline smoke (--obs writes the trace; repro obs renders it)"
 PIPELINE_OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR"' EXIT
+TEMP_DIRS+=("$PIPELINE_OBS_DIR")
 python -m repro pipeline run --config examples/pipeline_smoke.json \
     --run-dir "$PIPELINE_OBS_DIR" --obs
 [[ "$(ls -A "$PIPELINE_OBS_DIR/obs")" == "trace_events.jsonl" ]] \
@@ -62,7 +66,7 @@ python -m repro obs "$PIPELINE_OBS_DIR" --profile > /dev/null \
 
 echo "==> serve-sim smoke (bursty scenario, all policies; tracing must not change the report)"
 SERVE_SIM_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR" "$SERVE_SIM_DIR"' EXIT
+TEMP_DIRS+=("$SERVE_SIM_DIR")
 python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
     --output "$SERVE_SIM_DIR/serve_sim.json"
 python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
@@ -73,7 +77,7 @@ cmp "$SERVE_SIM_DIR/serve_sim.json" "$SERVE_SIM_DIR/serve_sim_traced.json" \
 echo "==> fleet serve-sim + obs smoke (4 replicas behind least_queue; the report"
 echo "    must be deterministic and unchanged by tracing, and the trace must render)"
 FLEET_DIR="$(mktemp -d)"
-trap 'rm -rf "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR" "$SERVE_SIM_DIR" "$FLEET_DIR"' EXIT
+TEMP_DIRS+=("$FLEET_DIR")
 python -m repro serve-sim --replicas 4 --router least_queue \
     --output "$FLEET_DIR/A.json"
 python -m repro serve-sim --replicas 4 --router least_queue \

@@ -1,4 +1,4 @@
-"""Evolutionary dataflow search (system S12 in DESIGN.md)."""
+"""Evolutionary dataflow search: the AutoMapper of Sec. III-D, Alg. 1."""
 
 from .engine import AutoMapper, AutoMapperConfig, MappingResult, random_search_layer
 

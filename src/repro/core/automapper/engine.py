@@ -66,9 +66,11 @@ class AutoMapperConfig:
     goal: Optional[float] = None
     seed_key: str = "automapper"
     # Memoize evaluate_layer / make_valid on (workload, dataflow):
-    # evolution re-breeds previously-seen candidates constantly (repair
-    # collapses many perturbations onto the same valid flow), and pricing
-    # them again is pure waste.  Disable for A/B benchmarking only.
+    # repair collapses some perturbations onto flows already priced.
+    # Mapping MobileNetV2 at 4 bit-widths (6 generations, seed 0) hits
+    # the memo on 1,336 of 15,066 lookups (8.9%), and takes a median
+    # 1.42 s of CPU with it against 1.16 s without (best of 3 operations,
+    # 3 alternating runs on one vCPU of a shared 2-vCPU container).
     memoize: bool = True
     # Opt-in: seed the pool with the best mapping found for the same
     # layer shape at another bit-width (SP-Net sweeps price each layer
@@ -182,8 +184,11 @@ class AutoMapper:
 
         Repair is deterministic, so identical inputs always collapse to
         the same valid flow; Dataflow is frozen, so the cached instance
-        is shared safely (and carries its own memoized cache key and
-        resident-words table, making the paired ``_evaluate`` cheaper).
+        is shared safely.  It carries its memoized cache key, and the
+        capacity check that accepted it leaves its resident-words table
+        in the flow's one-workload slot, so the paired ``_evaluate``
+        (same workload object) neither rebuilds the key nor re-sweeps
+        the levels.
         """
         if not self.config.memoize:
             return make_valid(

@@ -1,9 +1,11 @@
 """Analytical energy / latency / EDP model for dataflows.
 
 This stands in for the paper's HLS + on-board measurements and Synopsys
-flows (see DESIGN.md): the same class of loop-nest analytical model that
+flows, which a reproduction without the boards and the ASIC toolchain
+cannot run.  It is the same class of loop-nest analytical model that
 the Eyeriss/TETRIS simulator (the paper's own ASIC baseline evaluator)
-and DNN-Chip Predictor implement.
+and DNN-Chip Predictor implement, so every mapper in the comparison is
+priced by one model.
 
 For each memory-level boundary the model computes, per operand tensor,
 how many words cross it.  The count is **loop-order sensitive**: an
@@ -29,15 +31,13 @@ Cost accounting:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .dataflow import Dataflow
+from .dataflow import Dataflow, LevelTiling, _shrink_spatial, repair_dataflow
 from .hierarchy import BASE_WORD_BITS, Device
-from .workload import DIMS, TENSOR_DIMS, ConvWorkload
+from .workload import DIM_INDEX, DIMS, TENSOR_DIMS, ConvWorkload
 
 __all__ = [
     "LayerCost",
@@ -48,7 +48,11 @@ __all__ = [
     "make_valid",
 ]
 
-_REDUCTION_DIMS = ("C", "R", "S")  # dims that accumulate into outputs
+# DIMS positions of the loops that index each operand tensor, in the
+# (I, W, O) order of every per-tensor tuple in this module.
+_TENSOR_INDEX = tuple(
+    frozenset(DIM_INDEX[d] for d in TENSOR_DIMS[tensor]) for tensor in ("I", "W", "O")
+)
 
 
 @dataclass(frozen=True)
@@ -102,108 +106,108 @@ class NetworkCost:
 
 def _all_resident_words(
     workload: ConvWorkload, dataflow: Dataflow
-) -> List[Dict[str, float]]:
-    """Words of each tensor resident at every level, in one pass.
+) -> List[Optional[Tuple[float, float, float]]]:
+    """``(I, W, O)`` words resident at every on-chip level, in one pass.
 
     A level's resident tile is swept by that level's own loops over
     next-inner tiles, so it covers the product of the loop factors at
     this level and every inner one, plus the spatial unrolling (whose
     union lives at every level above the per-PE register files).
 
-    The cost model needs the resident set of *each* level (capacity
-    checks walk levels 1..L, traffic needs every boundary); computing
-    the cumulative loop coverage as per-dimension suffix products makes
-    that one sweep instead of a quadratic re-walk — this function is the
-    AutoMapper's hottest code.  Results are memoized on the (frozen)
-    dataflow instance: ``make_valid``'s final capacity check and the
-    subsequent ``evaluate_layer`` ask for the same flow back to back.
+    The cost model needs the resident set of *each* on-chip level
+    (capacity checks walk levels 1..L, traffic needs every boundary);
+    computing the cumulative loop coverage as suffix products of the
+    levels' factor tuples makes that one sweep instead of a quadratic
+    re-walk.  Entry 0, the unbounded DRAM level that no boundary lies
+    above, is ``None``.
+
+    The table is memoized on the (frozen) dataflow in a single
+    ``(workload, table)`` slot, checked by identity: the pair it serves,
+    ``make_valid``'s final capacity check and the ``evaluate_layer``
+    that follows, passes the same workload object back to back.  Any
+    other workload recomputes the table and takes the slot over.
     """
-    try:
-        memo = dataflow._resident_memo
-    except AttributeError:
-        memo = {}
-        object.__setattr__(dataflow, "_resident_memo", memo)
-    cached = memo.get(workload)
-    if cached is not None:
-        return cached
+    memo = getattr(dataflow, "_resident_memo", None)
+    if memo is not None and memo[0] is workload:
+        return memo[1]
     levels = dataflow.levels
-    num_levels = len(levels)
-    spatial = dataflow.spatial
-    inner = num_levels - 1
-    # Per-dim cumulative coverage columns (outer..inner), bounds-capped.
-    cols: Dict[str, List[int]] = {}
-    for d, bound in workload.dims.items():
-        sf = spatial.get(d, 1)
-        suffix = 1
-        col = [0] * num_levels
-        for li in range(inner, -1, -1):
-            suffix *= levels[li].tiles.get(d, 1)
-            total = suffix * sf if li < inner else suffix
-            col[li] = total if total < bound else bound
-        cols[d] = col
+    inner = len(levels) - 1
+    spatial = dataflow.spatial_factors
+    bounds = workload.bounds
     # Tile words per level.  Input halo: the union of taps touched by
     # the tile's own loop coverage — (Y_cov - 1) * stride + R_cov — NOT
     # the layer's full kernel extent; a tile iterating one tap at a
     # time only needs that tap resident.
     stride = workload.stride
     real_ih, real_iw = workload.input_tile_hw(workload.y, workload.x)
-    c_n, c_k, c_c = cols["N"], cols["K"], cols["C"]
-    c_y, c_x, c_r, c_s = cols["Y"], cols["X"], cols["R"], cols["S"]
-    result = []
-    for li in range(num_levels):
-        nn, kk, cc = c_n[li], c_k[li], c_c[li]
-        yy, xx, rr, ss = c_y[li], c_x[li], c_r[li], c_s[li]
+    table: List[Optional[Tuple[float, float, float]]] = [None] * (inner + 1)
+    suffix = (1,) * len(DIMS)
+    for li in range(inner, 0, -1):
+        suffix = tuple(map(mul, suffix, levels[li].factors))
+        cover = suffix if li == inner else map(mul, suffix, spatial)
+        # Cumulative coverage of every dimension, capped at its bound.
+        nn, kk, cc, yy, xx, rr, ss = map(min, cover, bounds)
         ih = (yy - 1) * stride + rr
         iw = (xx - 1) * stride + ss
         if ih > real_ih:
             ih = real_ih
         if iw > real_iw:
             iw = real_iw
-        result.append({
-            "I": float(nn * cc * ih * iw),
-            "W": float(kk * cc * rr * ss),
-            "O": float(nn * kk * yy * xx),
-        })
-    memo[workload] = result
-    return result
+        table[li] = (
+            float(nn * cc * ih * iw),
+            float(kk * cc * rr * ss),
+            float(nn * kk * yy * xx),
+        )
+    object.__setattr__(dataflow, "_resident_memo", (workload, table))
+    return table
 
 
-def _level_iterations(
-    level, tensor_dims: Sequence[str]
-) -> Tuple[float, float]:
-    """(relevant_product, refetch_product) of one level for one tensor.
+def _level_iterations(level: LevelTiling) -> Tuple[Tuple[float, float], ...]:
+    """``(relevant_product, refetch_product)`` of one level for I, W, O.
 
     ``relevant_product`` multiplies factors of loops that index the
     tensor.  ``refetch_product`` additionally multiplies irrelevant loops
     placed *outside* the innermost relevant loop — those force the same
     tiles to be streamed again each iteration.  A level with no relevant
     loops reuses the tile completely (both products 1).
+
+    Loops with a factor of 1 change neither product, so the level's
+    other loops are listed once, outermost first, and every tensor
+    reads that list against its :data:`_TENSOR_INDEX` set.  The result
+    depends on the level alone, so it is memoized on the frozen level,
+    which a search lineage shares copy-on-write.
     """
-    tiles = level.tiles  # local alias: this loop is the model's hot spot
-    relevant = 1.0
-    for d in tensor_dims:
-        relevant *= tiles.get(d, 1)
-    if relevant == 1.0:
-        return 1.0, 1.0
-    # Find the innermost relevant loop with an actual factor.
-    innermost_relevant = None
-    for pos, d in enumerate(level.order):
-        if d in tensor_dims and tiles.get(d, 1) > 1:
-            innermost_relevant = pos
-    refetch = relevant
-    if innermost_relevant is not None:
-        for pos, d in enumerate(level.order):
-            if pos < innermost_relevant and d not in tensor_dims:
-                refetch *= tiles.get(d, 1)
-    return relevant, refetch
+    memo = getattr(level, "_iterations_memo", None)
+    if memo is not None:
+        return memo
+    factors = level.factors
+    loops = [
+        (i, factors[i]) for i in map(DIM_INDEX.__getitem__, level.order)
+        if factors[i] > 1
+    ]
+    result = []
+    for tensor_dims in _TENSOR_INDEX:
+        relevant = refetch = pending = 1
+        for i, f in loops:
+            if i in tensor_dims:
+                relevant *= f
+                # Irrelevant loops outside this relevant one refetch.
+                refetch *= pending * f
+                pending = 1
+            else:
+                pending *= f
+        result.append((float(relevant), float(refetch)))
+    memo = tuple(result)
+    object.__setattr__(level, "_iterations_memo", memo)
+    return memo
 
 
 def _traffic_all_boundaries(
     workload: ConvWorkload,
     dataflow: Dataflow,
-    resident_all: Sequence[Dict[str, float]],
-) -> List[Dict[str, float]]:
-    """Words crossing each level boundary, all boundaries in one sweep.
+    resident_all: Sequence[Optional[Tuple[float, float, float]]],
+) -> List[Tuple[float, float, float]]:
+    """``(I, W, O)`` words crossing each level boundary, in one sweep.
 
     Read-only tensors (I, W) cross ``tile * B`` words, where ``B``
     multiplies each outer level's refetch iterations.  The accumulating
@@ -218,26 +222,37 @@ def _traffic_all_boundaries(
     levels, so walking boundaries outermost-in accumulates them once
     instead of re-multiplying levels ``0..B`` at every boundary ``B``.
     """
-    num_levels = len(dataflow.levels)
     groups = workload.groups
-    relevant_total = dict.fromkeys(TENSOR_DIMS, 1.0)
-    refetch_total = dict.fromkeys(TENSOR_DIMS, 1.0)
-    per_boundary: List[Dict[str, float]] = []
-    for boundary in range(num_levels - 1):
-        level = dataflow.levels[boundary]
-        tiles = resident_all[boundary + 1]
-        traffic: Dict[str, float] = {}
-        for tensor, tensor_dims in TENSOR_DIMS.items():
-            rel, ref = _level_iterations(level, tensor_dims)
-            relevant_total[tensor] *= rel
-            refetch_total[tensor] *= ref
-            if tensor == "O":
-                crossings = 2.0 * refetch_total[tensor] - relevant_total[tensor]
-            else:
-                crossings = refetch_total[tensor]
-            traffic[tensor] = tiles[tensor] * crossings * groups
-        per_boundary.append(traffic)
+    refetch_i = refetch_w = relevant_o = refetch_o = 1.0
+    per_boundary = []
+    levels = dataflow.levels
+    for boundary in range(len(levels) - 1):
+        (_, ref_i), (_, ref_w), (rel_o, ref_o) = _level_iterations(levels[boundary])
+        refetch_i *= ref_i
+        refetch_w *= ref_w
+        relevant_o *= rel_o
+        refetch_o *= ref_o
+        words_i, words_w, words_o = resident_all[boundary + 1]
+        per_boundary.append((
+            words_i * refetch_i * groups,
+            words_w * refetch_w * groups,
+            words_o * (2.0 * refetch_o - relevant_o) * groups,
+        ))
     return per_boundary
+
+
+def _working_set_bits(
+    workload: ConvWorkload, dataflow: Dataflow, li: int, num_levels: int
+) -> float:
+    """Double-buffered bits level ``li`` must hold for this mapping.
+
+    The register file (the innermost level) is counted in aggregate
+    over the active PEs.
+    """
+    words = sum(_all_resident_words(workload, dataflow)[li])
+    if li == num_levels - 1:
+        words *= dataflow.spatial_size
+    return words * workload.bits * 2.0
 
 
 def evaluate_layer(
@@ -255,7 +270,8 @@ def evaluate_layer(
     """
     if not dataflow.covers(workload):
         return LayerCost.invalid("dataflow does not cover the loop bounds")
-    if dataflow.spatial_size > max(1, int(device.num_pes * pe_fraction)):
+    active_pes = dataflow.spatial_size
+    if active_pes > max(1, int(device.num_pes * pe_fraction)):
         return LayerCost.invalid("spatial unrolling exceeds PE budget")
 
     bits = workload.bits
@@ -268,30 +284,26 @@ def evaluate_layer(
         )
 
     # ---- capacity validity (double-buffered working sets) -------------
-    resident_all = _all_resident_words(workload, dataflow)
-    active_pes = dataflow.spatial_size
-    for li in range(1, num_levels):
-        words = sum(resident_all[li].values())
-        if li == num_levels - 1:
-            words *= active_pes  # RF capacity is aggregate over PEs
-        need_bits = words * bits * 2.0
-        cap = levels[li].capacity_bits
-        if cap is not None and need_bits > cap * buffer_fraction:
-            return LayerCost.invalid(
-                f"working set {need_bits/8:.0f}B exceeds {levels[li].name}"
-            )
+    violation = capacity_violation(workload, dataflow, device, buffer_fraction)
+    if violation is not None:
+        need_bits = _working_set_bits(workload, dataflow, violation, num_levels)
+        return LayerCost.invalid(
+            f"working set {need_bits/8:.0f}B exceeds {levels[violation].name}"
+        )
 
     # ---- traffic and energy -------------------------------------------
     traffic_by_level: Dict[str, Dict[str, float]] = {}
     energy = 0.0
     dma_cycles = []
-    traffic_all = _traffic_all_boundaries(workload, dataflow, resident_all)
-    for boundary in range(num_levels - 1):
-        traffic = traffic_all[boundary]
-        traffic_by_level[levels[boundary].name] = traffic
-        words = sum(traffic.values())
-        energy += words * levels[boundary].energy_per_word * word_scale
-        bw = levels[boundary].bandwidth_words / max(word_scale, 1e-9)
+    bw_scale = max(word_scale, 1e-9)
+    traffic_all = _traffic_all_boundaries(
+        workload, dataflow, _all_resident_words(workload, dataflow)
+    )
+    for level, (t_i, t_w, t_o) in zip(levels, traffic_all):
+        traffic_by_level[level.name] = {"I": t_i, "W": t_w, "O": t_o}
+        words = t_i + t_w + t_o
+        energy += words * level.energy_per_word * word_scale
+        bw = level.bandwidth_words / bw_scale
         dma_cycles.append(words / max(bw, 1e-9))
 
     macs = workload.macs
@@ -327,17 +339,18 @@ def capacity_violation(
 ) -> Optional[int]:
     """Index of the first on-chip level whose capacity is exceeded.
 
-    Returns ``None`` when every double-buffered working set fits.
+    Returns ``None`` when every double-buffered working set fits.  This
+    is the one capacity rule: :func:`evaluate_layer` prices a violating
+    mapping as invalid, :func:`make_valid` shrinks it.
     """
     levels = device.hierarchy.levels
-    resident_all = _all_resident_words(workload, dataflow)
-    active_pes = dataflow.spatial_size
-    for li in range(1, len(levels)):
-        words = sum(resident_all[li].values())
-        if li == len(levels) - 1:
-            words *= active_pes
+    num_levels = len(levels)
+    for li in range(1, num_levels):
         cap = levels[li].capacity_bits
-        if cap is not None and words * workload.bits * 2.0 > cap * buffer_fraction:
+        if cap is not None and (
+            _working_set_bits(workload, dataflow, li, num_levels)
+            > cap * buffer_fraction
+        ):
             return li
     return None
 
@@ -358,18 +371,17 @@ def make_valid(
     out to DRAM — monotonically shrinking working sets while preserving
     coverage.  Used by AutoMapper and every baseline mapper so that the
     search compares *schedules*, never feasibility luck.
-    """
-    from .dataflow import LevelTiling, repair_dataflow
 
+    Shrink candidates are read from the levels' factor tuples.  A flow
+    that is already valid comes back as the same instance (so do its
+    memoized cache key and resident-words table); the capacity check
+    that accepts a flow leaves that table in place for the
+    ``evaluate_layer`` call that follows.
+    """
     flow = repair_dataflow(dataflow, workload, device)
     pe_budget = max(1, int(device.num_pes * pe_fraction))
     if flow.spatial_size > pe_budget:
-        spatial = dict(flow.spatial)
-        while math.prod(max(v, 1) for v in spatial.values()) > pe_budget:
-            d = max(spatial, key=lambda d_: spatial[d_])
-            spatial[d] = max(1, spatial[d] // 2)
-            if spatial[d] == 1:
-                del spatial[d]
+        spatial = _shrink_spatial(dict(flow.spatial), pe_budget)
         flow = repair_dataflow(
             Dataflow(levels=flow.levels, spatial=spatial), workload, device
         )
@@ -381,40 +393,40 @@ def make_valid(
         violation = capacity_violation(workload, flow, device, buffer_fraction)
         if violation is None:
             return repair_dataflow(flow, workload, device) if dirty else flow
-        # Copy-on-write: only the shrunk level and the DRAM level are
-        # rebuilt below; the rest stay shared (LevelTiling is frozen).
-        levels = list(flow.levels)
-        spatial = dict(flow.spatial)
-        # Candidate factors at or inside the violating level.
-        candidates = []
-        for li in range(violation, len(levels)):
-            for d in DIMS:
-                f = levels[li].factor(d)
-                if f > 1:
-                    candidates.append((f, li, d))
-        if not candidates:
-            # Nothing temporal to shrink: reduce the spatial unrolling
-            # (its union inflates every level above the register files).
-            if not spatial:
+        # The largest factor at or inside the violating level (ties go
+        # to the inner level, then to the later dimension name).
+        candidate = max(
+            (
+                (f, li, d)
+                for li in range(violation, len(flow.levels))
+                for d, f in zip(DIMS, flow.levels[li].factors)
+                if f > 1
+            ),
+            default=None,
+        )
+        if candidate is None:
+            # Nothing temporal to shrink: halve the largest spatial
+            # factor (its union inflates every level above the register
+            # files), which at least halves the product.
+            if not flow.spatial:
                 return repair_dataflow(flow, workload, device) if dirty else flow
-            d = max(spatial, key=lambda d_: spatial[d_])
-            spatial[d] = max(1, spatial[d] // 2)
-            if spatial[d] == 1:
-                del spatial[d]
+            spatial = _shrink_spatial(dict(flow.spatial), flow.spatial_size // 2)
             flow = repair_dataflow(
-                Dataflow(levels=tuple(levels), spatial=spatial),
-                workload, device,
+                Dataflow(levels=flow.levels, spatial=spatial), workload, device
             )
             dirty = False
             continue
-        f, li, d = max(candidates)
+        # Copy-on-write: only the shrunk level and the DRAM level are
+        # rebuilt; the rest stay shared (LevelTiling is frozen).
+        f, li, d = candidate
+        levels = list(flow.levels)
         inner = dict(levels[li].tiles)
         outer = dict(levels[0].tiles)
         inner[d] = -(-f // 2)  # ceil: never lose loop-bound coverage
-        outer[d] = outer.get(d, 1) * 2
+        outer[d] = levels[0].factor(d) * 2
         levels[li] = LevelTiling(levels[li].order, inner)
         levels[0] = LevelTiling(levels[0].order, outer)
-        flow = Dataflow(levels=tuple(levels), spatial=spatial)
+        flow = Dataflow(levels=tuple(levels), spatial=flow.spatial)
         dirty = True
     return repair_dataflow(flow, workload, device)
 

@@ -24,14 +24,15 @@ on ASIC — the effect Fig. 5 reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import ge, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import rng as rng_mod
 from .hierarchy import Device
-from .workload import DIMS, ConvWorkload
+from .workload import DIM_INDEX, DIMS, ConvWorkload
 
 __all__ = [
     "LevelTiling",
@@ -48,31 +49,43 @@ __all__ = [
 CANONICAL_ORDER: Tuple[str, ...] = ("N", "K", "C", "Y", "X", "R", "S")
 
 _DIMS_SET = frozenset(DIMS)
+_ONES = (1,) * len(DIMS)
+# The dimensions an FPGA may unroll across its DSP array.
+_FPGA_SPATIAL_DIMS: Tuple[str, ...] = ("K", "C", "Y", "X")
 
 
 @dataclass(frozen=True)
 class LevelTiling:
-    """Loop order and per-dimension tiling factors at one memory level."""
+    """Loop order and per-dimension tiling factors at one memory level.
+
+    ``factors`` holds the same tiling as a tuple in :data:`DIMS` order
+    (an absent ``tiles`` key is a factor of 1).  It is built once, here:
+    levels are frozen and shared copy-on-write along a search lineage,
+    so every descendant reads the tuple instead of probing the dict.
+    """
 
     order: Tuple[str, ...]
     tiles: Dict[str, int] = field(default_factory=dict)
+    factors: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Hot constructor (mutation/repair build thousands of levels per
-        # search): set comparison beats sorting, and only tile entries
-        # that exist need range checks.
+        # search): set comparison beats sorting, and the range check
+        # reads the factor tuple it has to build anyway.
         if len(self.order) != len(DIMS) or set(self.order) != _DIMS_SET:
             raise ValueError(f"order must permute {DIMS}, got {self.order}")
-        for d, f in self.tiles.items():
-            if d in _DIMS_SET and f < 1:
-                raise ValueError(f"tile factor for {d} must be >= 1")
+        factors = tuple(map(self.tiles.get, DIMS, _ONES))
+        if min(factors) < 1:
+            bad = next(d for d, f in zip(DIMS, factors) if f < 1)
+            raise ValueError(f"tile factor for {bad} must be >= 1")
+        object.__setattr__(self, "factors", factors)
 
     def factor(self, dim: str) -> int:
-        return self.tiles.get(dim, 1)
+        return self.factors[DIM_INDEX[dim]]
 
     def iterations(self) -> int:
         """Total loop iterations executed at this level."""
-        return math.prod(self.tiles.get(d, 1) for d in DIMS)
+        return math.prod(self.factors)
 
 
 @dataclass(frozen=True)
@@ -81,38 +94,49 @@ class Dataflow:
 
     ``levels[0]`` is the outermost (DRAM) level; ``levels[-1]`` the
     innermost (register file).  ``spatial`` unrolls dimensions across the
-    PE array (its product should not exceed the device's PE count).
+    PE array (its product should not exceed the device's PE count);
+    ``spatial_factors`` is the same unrolling as a :data:`DIMS`-order
+    tuple, like :attr:`LevelTiling.factors`.
     """
 
     levels: Tuple[LevelTiling, ...]
     spatial: Dict[str, int] = field(default_factory=dict)
+    spatial_factors: Tuple[int, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        for d, f in self.spatial.items():
-            if d not in DIMS:
+        spatial = self.spatial
+        for d, f in spatial.items():
+            if d not in _DIMS_SET:
                 raise ValueError(f"unknown spatial dim {d}")
             if f < 1:
                 raise ValueError(f"spatial factor for {d} must be >= 1")
+        object.__setattr__(
+            self, "spatial_factors", tuple(map(spatial.get, DIMS, _ONES))
+        )
 
     def spatial_factor(self, dim: str) -> int:
-        return self.spatial.get(dim, 1)
+        return self.spatial_factors[DIM_INDEX[dim]]
 
     @property
     def spatial_size(self) -> int:
-        # Spatial keys are validated against DIMS, so the dict product
-        # is the full spatial unrolling.
-        return math.prod(self.spatial.values()) if self.spatial else 1
+        return math.prod(self.spatial_factors)
 
     def coverage(self, dim: str) -> int:
         """Product of all factors (temporal x spatial) for a dimension."""
-        total = self.spatial_factor(dim)
+        i = DIM_INDEX[dim]
+        total = self.spatial_factors[i]
         for level in self.levels:
-            total *= level.factor(dim)
+            total *= level.factors[i]
         return total
 
     def covers(self, workload: ConvWorkload) -> bool:
         """True when every loop bound is fully covered."""
-        return all(self.coverage(d) >= b for d, b in workload.dims.items())
+        total = self.spatial_factors
+        for level in self.levels:
+            total = map(mul, total, level.factors)
+        return all(map(ge, total, workload.bounds))
 
     def cache_key(self) -> tuple:
         """Hashable canonical identity of this mapping.
@@ -127,16 +151,11 @@ class Dataflow:
             return self._cache_key_memo
         except AttributeError:
             pass
-        # Fixed-width factor tuples in canonical DIMS order: an absent
-        # tile entry equals a factor of 1, so no sorting or filtering is
-        # needed to canonicalise — this key is built on the search's hot
-        # path for every fresh candidate.
+        # The factor tuples are already canonical (fixed width, DIMS
+        # order, absent entries as 1), so the key only pairs them up.
         key = (
-            tuple(
-                (level.order, tuple(level.tiles.get(d, 1) for d in DIMS))
-                for level in self.levels
-            ),
-            tuple(self.spatial.get(d, 1) for d in DIMS),
+            tuple([(level.order, level.factors) for level in self.levels]),
+            self.spatial_factors,
         )
         object.__setattr__(self, "_cache_key_memo", key)
         return key
@@ -145,7 +164,7 @@ class Dataflow:
         """Human-readable multi-line summary (used by example scripts)."""
         lines = []
         for i, level in enumerate(self.levels):
-            tiles = {d: level.factor(d) for d in DIMS if level.factor(d) > 1}
+            tiles = {d: f for d, f in zip(DIMS, level.factors) if f > 1}
             lines.append(f"  L{i} order={''.join(level.order)} tiles={tiles}")
         lines.append(f"  spatial={self.spatial}")
         return "\n".join(lines)
@@ -209,15 +228,16 @@ def _random_factor_split(
     """
     factors = [1] * num_levels
     remaining = bound
-    # Inner levels get progressively tighter caps (RF smallest).
+    # Inner levels get progressively tighter caps (RF smallest): 4 at
+    # the innermost level, doubling outward.
+    cap = 4
     for slot in range(num_levels - 1, 0, -1):
         if remaining == 1:
             break
-        depth_from_inner = num_levels - 1 - slot
-        cap = min(remaining, 4 * (2 ** depth_from_inner))
-        f = min(cap, 1 + int(rng.geometric(0.45)))
+        f = min(remaining, cap, 1 + int(rng.geometric(0.45)))
         factors[slot] = f
         remaining = _ceil_div(remaining, f)
+        cap *= 2
     factors[0] = remaining
     return factors
 
@@ -232,33 +252,35 @@ def random_dataflow(
     do)."""
     rng = rng or rng_mod.get_rng()
     num_levels = len(device.hierarchy)
+    fpga = device.platform == "fpga"
     dims = workload.dims
 
-    # Spatial unrolling: parallelise 1-2 dimensions across the PE array.
+    # Spatial unrolling: parallelise 2 dimensions across the PE array.
+    # Every draw below is in index form (``choice(n)``, ``permutation(n)``):
+    # it consumes the same bits as drawing from the list of names, for
+    # less numpy overhead.
     spatial: Dict[str, int] = {}
     budget = device.num_pes
-    spatial_dims = ["K", "C", "Y", "X"] if device.platform == "fpga" else list(DIMS)
-    chosen = rng.choice(spatial_dims, size=min(2, len(spatial_dims)), replace=False)
-    for d in chosen:
-        cap = min(dims[d], budget)
-        if cap < 1:
-            continue
-        f = int(rng.integers(1, cap + 1))
+    spatial_dims = _FPGA_SPATIAL_DIMS if fpga else DIMS
+    chosen = rng.choice(len(spatial_dims), size=2, replace=False)
+    for i in chosen.tolist():
+        d = spatial_dims[i]
+        f = int(rng.integers(1, min(dims[d], budget) + 1))
         spatial[d] = f
-        budget = max(1, budget // max(f, 1))
+        budget = max(1, budget // f)
 
+    # Per-dimension splits, transposed into per-level factor columns.
+    columns = zip(*[
+        _random_factor_split(_ceil_div(dims[d], spatial.get(d, 1)), num_levels, rng)
+        for d in DIMS
+    ])
     levels = []
-    remaining = {d: _ceil_div(dims[d], spatial.get(d, 1)) for d in DIMS}
-    splits = {
-        d: _random_factor_split(remaining[d], num_levels, rng) for d in DIMS
-    }
-    for li in range(num_levels):
-        if device.platform == "fpga" and li >= num_levels - 2:
+    for li, factors in enumerate(columns):
+        if fpga and li >= num_levels - 2:
             order = CANONICAL_ORDER
         else:
-            order = tuple(rng.permutation(list(DIMS)))
-        tiles = {d: splits[d][li] for d in DIMS}
-        levels.append(LevelTiling(order=order, tiles=tiles))
+            order = tuple([DIMS[i] for i in rng.permutation(len(DIMS)).tolist()])
+        levels.append(LevelTiling(order, dict(zip(DIMS, factors))))
     return Dataflow(levels=tuple(levels), spatial=spatial)
 
 
@@ -281,44 +303,60 @@ def perturb_dataflow(
     levels = list(dataflow.levels)
     spatial = dict(dataflow.spatial)
     num_levels = len(levels)
-    mutable_order_levels = (
-        list(range(num_levels - 2)) if device.platform == "fpga"
-        else list(range(num_levels))
-    )
+    fpga = device.platform == "fpga"
+    mutable_order_levels = num_levels - 2 if fpga else num_levels
+    spatial_dims = _FPGA_SPATIAL_DIMS if fpga else DIMS
 
+    # Scalar picks use ``integers(0, n)``: numpy documents it as the
+    # equivalent of ``choice(n)``, and it draws the same bits for a
+    # fraction of the call overhead.
     for _ in range(max(1, k)):
         move = rng.integers(0, 3)
-        if move == 0 and mutable_order_levels:
+        if move == 0 and mutable_order_levels > 0:
             # Swap two positions in one level's order.
-            li = int(rng.choice(mutable_order_levels))
+            li = int(rng.integers(0, mutable_order_levels))
             order = list(levels[li].order)
-            i, j = rng.choice(len(order), size=2, replace=False)
+            i, j = rng.choice(len(order), size=2, replace=False).tolist()
             order[i], order[j] = order[j], order[i]
-            levels[li] = LevelTiling(order=tuple(order), tiles=levels[li].tiles)
+            levels[li] = LevelTiling(tuple(order), levels[li].tiles)
         elif move == 1:
             # Move tiling quantity of one dim between two levels.
-            d = str(rng.choice(list(DIMS)))
-            src, dst = rng.choice(num_levels, size=2, replace=False)
-            src_f = levels[src].factor(d)
+            di = int(rng.integers(0, len(DIMS)))
+            src, dst = rng.choice(num_levels, size=2, replace=False).tolist()
+            src_f = levels[src].factors[di]
             if src_f > 1:
                 take = int(rng.integers(2, src_f + 1))
+                d = DIMS[di]
                 new_src = dict(levels[src].tiles)
                 new_dst = dict(levels[dst].tiles)
                 new_src[d] = _ceil_div(src_f, take)
-                new_dst[d] = levels[dst].factor(d) * take
+                new_dst[d] = levels[dst].factors[di] * take
                 levels[src] = LevelTiling(levels[src].order, new_src)
                 levels[dst] = LevelTiling(levels[dst].order, new_dst)
         else:
             # Resize a spatial factor.
-            spatial_dims = (
-                ["K", "C", "Y", "X"] if device.platform == "fpga" else list(DIMS)
-            )
-            d = str(rng.choice(spatial_dims))
+            d = spatial_dims[int(rng.integers(0, len(spatial_dims)))]
             cap = min(workload.dims[d], device.num_pes)
             spatial[d] = int(rng.integers(1, cap + 1))
             spatial = {k_: v for k_, v in spatial.items() if v > 1}
 
     return Dataflow(levels=tuple(levels), spatial=spatial)
+
+
+def _shrink_spatial(spatial: Dict[str, int], budget: int) -> Dict[str, int]:
+    """Halve the largest spatial factor until the product fits ``budget``.
+
+    Edits ``spatial`` in place and returns it; a factor that halves to 1
+    is dropped.  Ties go to the first key in dict order.
+    """
+    while spatial and math.prod(spatial.values()) > budget:
+        d = max(spatial, key=spatial.__getitem__)
+        half = spatial[d] // 2
+        if half > 1:
+            spatial[d] = half
+        else:
+            del spatial[d]
+    return spatial
 
 
 def repair_dataflow(
@@ -330,32 +368,28 @@ def repair_dataflow(
     always legal since DRAM is unbounded; an oversized spatial product is
     scaled down greedily.  Buffer-capacity violations are handled by the
     cost model as hard invalidity (infinite cost) rather than silent
-    repair, so the search can learn the boundary.
+    repair, so the search can learn the boundary.  A flow that needs no
+    edit comes back as the same instance, so its memoized cache key and
+    resident-words table carry over.
     """
-    # Only the DRAM level is rewritten; inner levels are frozen and can
-    # be shared with the input dataflow (this runs at least once per
-    # candidate, so the avoided copies matter).
     levels = dataflow.levels
-    spatial = dict(dataflow.spatial)
-
-    # Scale spatial down to the PE budget.
-    while math.prod(max(v, 1) for v in spatial.values()) > device.num_pes:
-        d = max(spatial, key=lambda d_: spatial[d_])
-        spatial[d] = max(1, spatial[d] // 2)
-        if spatial[d] == 1:
-            del spatial[d]
+    spatial = dataflow.spatial
+    if dataflow.spatial_size > device.num_pes:
+        spatial = _shrink_spatial(dict(spatial), device.num_pes)
 
     # Re-derive the outermost (DRAM) factor of every dimension as the
     # *minimal* cover: repeated perturb/repair cycles would otherwise
     # compound over-coverage, and phantom iterations inflate the traffic
     # model (crossings count loop factors, not capped extents).
-    outer = dict(levels[0].tiles)
-    for d, bound in workload.dims.items():
-        inner = spatial.get(d, 1)
-        for level in levels[1:]:
-            inner *= level.tiles.get(d, 1)
-        outer[d] = max(1, _ceil_div(bound, inner))
-    new_outer = LevelTiling(levels[0].order, outer)
+    inner = [spatial.get(d, 1) for d in DIMS]
+    for level in levels[1:]:
+        inner = map(mul, inner, level.factors)
+    outer = tuple([-(-bound // i) for bound, i in zip(workload.bounds, inner)])
+    if spatial is dataflow.spatial and outer == levels[0].factors:
+        return dataflow
+    # Only the DRAM level is rewritten; inner levels are frozen and are
+    # shared with the input dataflow.
+    new_outer = LevelTiling(levels[0].order, dict(zip(DIMS, outer)))
     return Dataflow(levels=(new_outer,) + tuple(levels[1:]), spatial=spatial)
 
 

@@ -28,10 +28,13 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
-__all__ = ["DIMS", "TENSOR_DIMS", "ConvWorkload"]
+__all__ = ["DIMS", "DIM_INDEX", "TENSOR_DIMS", "ConvWorkload"]
 
 # Canonical loop-dimension order used across the hardware stack.
 DIMS: Tuple[str, ...] = ("N", "K", "C", "Y", "X", "R", "S")
+
+# Position of each dimension in DIMS (and in every DIMS-order tuple).
+DIM_INDEX: Dict[str, int] = {d: i for i, d in enumerate(DIMS)}
 
 # Which loop dimensions index each operand tensor.
 #   I: input feature map   (N, C, Y', X') with Y' = (Y-1)*stride + R
@@ -78,23 +81,25 @@ class ConvWorkload:
     # Loop-dim access
     # ------------------------------------------------------------------
     @cached_property
-    def dims(self) -> Dict[str, int]:
-        """Loop bounds per canonical dimension (per channel group).
+    def bounds(self) -> Tuple[int, ...]:
+        """Loop bounds per channel group, as a tuple in :data:`DIMS` order.
 
         Cached (the dataclass is frozen): the cost model reads the
-        bounds thousands of times per mapping search, and rebuilding the
-        dict dominated its profile.  Treat the returned dict as
-        read-only.
+        bounds thousands of times per mapping search, against the
+        dataflow's per-level factor tuples.
         """
-        return {
-            "N": self.n,
-            "K": self.k // self.groups,
-            "C": self.c,
-            "Y": self.y,
-            "X": self.x,
-            "R": self.r,
-            "S": self.s,
-        }
+        return (
+            self.n, self.k // self.groups, self.c, self.y, self.x,
+            self.r, self.s,
+        )
+
+    @cached_property
+    def dims(self) -> Dict[str, int]:
+        """Loop bounds per canonical dimension, keyed by name.
+
+        Cached like :attr:`bounds`; treat the returned dict as read-only.
+        """
+        return dict(zip(DIMS, self.bounds))
 
     # ------------------------------------------------------------------
     # Derived quantities
