@@ -80,6 +80,15 @@ class SearchSpace:
         return configs
 
     @property
+    def max_flops(self) -> int:
+        """MACs with the most expensive candidate at every layer: the
+        space's maximum, which FLOPs budgets are fractions of."""
+        return sum(
+            max(candidate_flops(c, *cfg[:4]) for c in self.candidates)
+            for cfg in self.layer_configs()
+        )
+
+    @property
     def final_hw(self) -> int:
         hw = self.input_size
         for stage in self.stages:

@@ -1,9 +1,10 @@
 """Procedurally generated image-classification datasets.
 
 The paper evaluates on CIFAR-10/100, TinyImageNet and ImageNet, none of
-which are downloadable in this offline environment.  Per the substitution
-rule in DESIGN.md, these factories generate *class-conditional synthetic
-images* with the properties the algorithms actually depend on:
+which are downloadable in this offline environment.  This module
+substitutes them: its factories generate *class-conditional synthetic
+images* at CPU-sized resolutions and sample counts, with the properties
+the algorithms actually depend on:
 
 * each class has a smooth spatial "prototype" texture (low-pass-filtered
   noise), so convolutional features are genuinely useful;
@@ -15,7 +16,9 @@ images* with the properties the algorithms actually depend on:
 
 Prototypes are derived from the global seed + dataset name only, so train
 and test splits of the same dataset share classes while drawing disjoint
-instance noise.
+instance noise.  Their low-pass filter is a wrap-mode Gaussian written
+in numpy that reproduces ``scipy.ndimage.gaussian_filter(..., mode="wrap")``
+bit for bit, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .. import rng as rng_mod
 from .dataset import ArrayDataset
@@ -51,15 +53,36 @@ class SyntheticSpec:
     max_shift: int = 4       # cyclic translation range (+/- pixels)
 
 
+def _gaussian_wrap(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a ``(N, C, H, W)`` batch over H then W, with
+    circular edges.
+
+    Equals ``scipy.ndimage.gaussian_filter(x, (0, 0, sigma, sigma),
+    mode="wrap")`` bit for bit: the same kernel (truncated at 4 sigma,
+    normalised), and the same symmetric summation order, centre tap
+    first and then each mirrored pair from the outermost tap inward.
+    """
+    if sigma <= 1e-15:  # scipy skips such an axis
+        return x
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    weights = weights / weights.sum()
+    for axis in (2, 3):
+        out = x * weights[radius]
+        for j in range(radius, 0, -1):
+            out += (np.roll(x, j, axis) + np.roll(x, -j, axis)) * weights[radius - j]
+        x = out
+    return x
+
+
 def _make_prototypes(spec: SyntheticSpec) -> np.ndarray:
     """One smooth random texture per class, unit-normalised per channel."""
     rng = rng_mod.spawn_rng(f"{spec.name}-prototypes")
     raw = rng.normal(
         size=(spec.num_classes, spec.channels, spec.image_size, spec.image_size)
     )
-    smooth = ndimage.gaussian_filter(
-        raw, sigma=(0, 0, spec.smoothness, spec.smoothness), mode="wrap"
-    )
+    smooth = _gaussian_wrap(raw, spec.smoothness)
     flat = smooth.reshape(spec.num_classes, spec.channels, -1)
     std = flat.std(axis=-1, keepdims=True)
     std[std == 0] = 1.0

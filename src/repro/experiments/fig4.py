@@ -61,13 +61,7 @@ def _bit_sets_for(scale) -> List[list]:
 
 def _budgets_for(scale, space) -> Dict[str, float]:
     """Large / middle / small expected-FLOPs budgets for the space."""
-    from ..core.spnas.space import candidate_flops
-
-    # The space's maximum: the most expensive candidate everywhere.
-    maximum = sum(
-        max(candidate_flops(c, *cfg[:4]) for c in space.candidates)
-        for cfg in space.layer_configs()
-    )
+    maximum = space.max_flops
     if scale.name == "smoke":
         return {"middle": 0.45 * maximum}
     return {"large": 0.7 * maximum, "middle": 0.45 * maximum,

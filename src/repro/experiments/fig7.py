@@ -66,7 +66,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         space, bit_set, scale.num_classes, train_set,
         SPNASConfig(epochs=scale.nas_epochs,
                     batch_size=min(32, scale.batch_size),
-                    flops_target=0.4 * _max_flops(space), lambda_eff=1.0),
+                    flops_target=0.4 * space.max_flops, lambda_eff=1.0),
     )
     rng_mod.set_seed(seed)
     instantnet = train_cdt(
@@ -126,15 +126,6 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
     )
     result.seconds = wall_clock_s() - start
     return result
-
-
-def _max_flops(space) -> float:
-    from ..core.spnas.space import candidate_flops
-
-    return sum(
-        max(candidate_flops(c, *cfg[:4]) for c in space.candidates)
-        for cfg in space.layer_configs()
-    )
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from repro.data import (
     split_dataset,
     tinyimagenet_like,
 )
-from repro.data.synthetic import SyntheticSpec, _make_prototypes
+from repro.data.synthetic import SyntheticSpec, _gaussian_wrap, _make_prototypes
 
 
 class TestArrayDataset:
@@ -69,6 +69,29 @@ class TestSynthetic:
             train, test = factory(num_train=40, num_test=10)
             assert train.images.dtype == np.float32
             assert int(train.labels.max()) < classes
+
+    # Every (image_size, smoothness) the factories, experiments, examples
+    # and perfbench build, plus sizes below the kernel radius (4 and 8 at
+    # sigma 3 wrap the kernel round the image more than once) and an
+    # unsmoothed spec.
+    @pytest.mark.parametrize("image_size", [4, 8, 10, 12, 16, 20, 24, 32])
+    @pytest.mark.parametrize("smoothness", [0.0, 2.0, 2.5, 3.0])
+    def test_prototypes_match_scipy_gaussian_bit_for_bit(self, image_size,
+                                                         smoothness):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        spec = SyntheticSpec("oracle", 3, image_size, smoothness=smoothness)
+        rng_mod.set_seed(11)
+        raw = rng_mod.spawn_rng("oracle-prototypes").normal(
+            size=(3, 3, image_size, image_size))
+        smooth = ndimage.gaussian_filter(
+            raw, sigma=(0, 0, smoothness, smoothness), mode="wrap")
+        assert np.array_equal(_gaussian_wrap(raw, smoothness), smooth)
+        flat = smooth.reshape(3, 3, -1)
+        std = flat.std(axis=-1, keepdims=True)
+        std[std == 0] = 1.0
+        expected = (flat / std).reshape(smooth.shape).astype(np.float32)
+        rng_mod.set_seed(11)
+        assert np.array_equal(_make_prototypes(spec), expected)
 
     def test_difficulty_raises_noise(self):
         spec_easy = SyntheticSpec("d", 4, 12, difficulty=0.5)

@@ -16,8 +16,15 @@ under check is parsed, never imported):
   compares against is declared in ``obs.tracer.EVENT_KINDS``, and every
   declared kind is both emitted and rendered.
 
-A fourth guard keeps serving a discrete-event simulator: no module
-imports worker processes, an event loop or sockets.
+Two import guards sit beside them:
+
+* **no processes or sockets** — serving stays a discrete-event
+  simulator: no module imports worker processes, an event loop or
+  sockets;
+* **numpy and the standard library only** — the package imports nothing
+  but ``repro``, ``numpy`` and :data:`sys.stdlib_module_names`, so a
+  start pays for no other third-party import (scipy, say, is a test
+  oracle, never a runtime dependency).
 
 Each invariant holds on the live tree, fires on its fixture package
 under ``tests/fixtures/analysis/`` (each a package named ``repro``), and
@@ -27,6 +34,7 @@ or baseline mutes a violation.
 
 import ast
 import shutil
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -335,21 +343,33 @@ def span_violations(modules):
 
 
 # ----------------------------------------------------------------------
-# processes and sockets
+# processes and sockets; numpy and the standard library only
 # ----------------------------------------------------------------------
 BANNED_IMPORTS = ("multiprocessing", "asyncio", "socket",
                   "concurrent.futures")
+ALLOWED_TOP_LEVEL = frozenset({"repro", "numpy"}) | sys.stdlib_module_names
 
 
-def process_or_socket_imports(modules):
-    """``path: module`` for every banned import in the package."""
+def _imports_where(modules, flagged):
+    """``path: module`` for every imported name ``flagged`` accepts,
+    function-level imports too."""
     hits = []
     for module in modules.values():
         names = {target for _, target, _ in module.imports}
         names |= set(module.origins.values())
         hits += [f"{module.path}: {name}" for name in sorted(names)
-                 if any(under(name, banned) for banned in BANNED_IMPORTS)]
+                 if flagged(name)]
     return hits
+
+
+def process_or_socket_imports(modules):
+    return _imports_where(modules, lambda name: any(
+        under(name, banned) for banned in BANNED_IMPORTS))
+
+
+def foreign_imports(modules):
+    return _imports_where(
+        modules, lambda name: name.split(".")[0] not in ALLOWED_TOP_LEVEL)
 
 
 CHECKS = {
@@ -379,6 +399,10 @@ def test_live_tree_holds(live, rule):
 
 def test_live_tree_imports_no_processes_or_sockets(live):
     assert process_or_socket_imports(live) == []
+
+
+def test_live_tree_imports_only_numpy_and_the_stdlib(live):
+    assert foreign_imports(live) == []
 
 
 # ----------------------------------------------------------------------
@@ -569,3 +593,15 @@ def test_injected_process_or_socket_import_is_caught(tree_copy, code,
     hits = process_or_socket_imports(load(tree_copy))
     assert f"repro/serve/engine.py: {banned}" in hits
     assert all(h.startswith("repro/serve/engine.py: ") for h in hits)
+
+
+@pytest.mark.parametrize("code, foreign", [
+    ("from scipy import ndimage\n", "scipy"),
+    ("def _later():\n    from scipy import ndimage\n", "scipy"),
+    ("import scipy.ndimage as _ndi\n", "scipy.ndimage"),
+], ids=["module-level", "deferred", "dotted-alias"])
+def test_injected_foreign_import_is_caught(tree_copy, code, foreign):
+    inject(tree_copy, "data/synthetic.py", code)
+    hits = foreign_imports(load(tree_copy))
+    assert f"repro/data/synthetic.py: {foreign}" in hits
+    assert all(h.startswith("repro/data/synthetic.py: ") for h in hits)

@@ -47,6 +47,12 @@ class TestSpace:
     def test_skip_has_zero_flops(self):
         assert candidate_flops(BlockSpec("skip"), 8, 8, 1, 16) == 0
 
+    def test_max_flops_is_the_widest_candidate_everywhere(self):
+        space = tiny_search_space(16)
+        widest = BlockSpec("mbconv", 6, 5)
+        assert space.max_flops == sum(
+            candidate_flops(widest, *cfg[:4]) for cfg in space.layer_configs())
+
     def test_cifar_space_resolution(self):
         space = cifar_search_space(32)
         assert space.final_hw == 32 // (2 * 2 * 2)
