@@ -11,7 +11,7 @@ Run:
 """
 
 from repro import rng
-from repro.baselines import train_cdt
+from repro.baselines import train_method
 from repro.core import TrainConfig
 from repro.core.automapper import AutoMapper, AutoMapperConfig
 from repro.core.spnas import SPNASConfig, build_derived, search_spnas, tiny_search_space
@@ -38,8 +38,8 @@ def main():
           f"({search.flops:.2e} MACs)")
 
     print("\n=== Development: cascade distillation training ===")
-    trained = train_cdt(
-        build_derived(search, 10), BIT_WIDTHS, train_set, test_set,
+    trained = train_method(
+        "cdt", build_derived(search, 10), BIT_WIDTHS, train_set, test_set,
         TrainConfig(epochs=6, batch_size=64),
     )
 

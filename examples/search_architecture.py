@@ -12,7 +12,7 @@ Run:
 """
 
 from repro import rng
-from repro.baselines import train_cdt
+from repro.baselines import train_method
 from repro.core import TrainConfig
 from repro.core.spnas import (
     SPNASConfig,
@@ -47,8 +47,8 @@ def main():
         print(f"[{name}] FLOPs: {search.flops:.3e}")
 
         rng.set_seed(0)
-        trained = train_cdt(
-            build_derived(search, NUM_CLASSES), BIT_WIDTHS,
+        trained = train_method(
+            "cdt", build_derived(search, NUM_CLASSES), BIT_WIDTHS,
             train_set, test_set, TrainConfig(epochs=6, batch_size=64),
         )
         results[name] = trained.accuracies

@@ -288,7 +288,7 @@ class TrainConfig(_StageConfig):
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    beta: float = 1.0                 # distillation weight (cdt/sp only)
+    beta: float = 1.0                 # distillation weight; adabits has none
     augment: bool = True
     train_samples: int = 256
     test_samples: int = 128

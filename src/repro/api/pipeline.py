@@ -265,13 +265,11 @@ class Pipeline:
         spnet_config = self._spnet_config()
         sp_net = build_sp_net(spnet_config)
         train_set, test_set = self._datasets()
-        strategy_cls = STRATEGIES.get(cfg.train.method)
-        kwargs = {}
-        if cfg.train.method in ("cdt", "sp"):
-            kwargs["beta"] = cfg.train.beta
+        # The method contributes its loss only: the checkpoint records
+        # model.quantizer, which the net above was built with.
         trainer = SwitchableTrainer(
             sp_net,
-            strategy_cls(**kwargs),
+            STRATEGIES.get(cfg.train.method).loss(cfg.train.beta),
             CoreTrainConfig(
                 epochs=cfg.train.epochs,
                 batch_size=cfg.train.batch_size,

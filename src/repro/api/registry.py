@@ -160,7 +160,6 @@ MODELS.register_lazy("resnet74", "repro.nn.models:resnet74")
 QUANTIZERS = Registry("quantizer")
 QUANTIZERS.register_lazy("dorefa", "repro.quant.quantizers:DoReFaQuantizer")
 QUANTIZERS.register_lazy("sbm", "repro.quant.quantizers:SBMQuantizer")
-QUANTIZERS.register_lazy("minmax", "repro.quant.quantizers:MinMaxQuantizer")
 
 POLICIES = Registry("policy")
 POLICIES.register_lazy("static", "repro.serve.policies:StaticPolicy")
@@ -188,10 +187,14 @@ DEVICES.register_lazy("eyeriss", "repro.hardware.hierarchy:eyeriss_like_asic")
 DEVICES.register_lazy("edge", "repro.hardware.hierarchy:edge_asic")
 DEVICES.register_lazy("zc706", "repro.hardware.hierarchy:zc706_like_fpga")
 
+# The switchable entries of the method table; "sbm" trains one net per
+# bit-width, which a single pipeline checkpoint cannot hold.
 STRATEGIES = Registry("training strategy")
-STRATEGIES.register_lazy("cdt", "repro.core.cdt:CascadeDistillation")
-STRATEGIES.register_lazy("sp", "repro.core.cdt:VanillaDistillation")
-STRATEGIES.register_lazy("adabits", "repro.core.cdt:JointCrossEntropy")
+STRATEGIES.register_lazy("cdt", "repro.baselines.spnets:METHODS", key="cdt")
+STRATEGIES.register_lazy("sp", "repro.baselines.spnets:METHODS", key="sp")
+STRATEGIES.register_lazy(
+    "adabits", "repro.baselines.spnets:METHODS", key="adabits"
+)
 
 # One literal call per entry, so grep for an experiment name lands here.
 EXPERIMENTS = Registry("experiment")

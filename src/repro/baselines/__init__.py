@@ -1,19 +1,12 @@
-"""Baselines the paper compares against (systems S8 + S13 in DESIGN.md)."""
+"""Baselines the paper compares against: the training-method table and
+the expert dataflows."""
 
-from .spnets import (
-    ModelBuilder,
-    TrainedSPNet,
-    train_adabits,
-    train_cdt,
-    train_sbm_independent,
-    train_sp,
-)
+from .spnets import METHODS, Method, ModelBuilder, TrainedSPNet, train_method
 
 __all__ = [
+    "METHODS",
+    "Method",
     "ModelBuilder",
     "TrainedSPNet",
-    "train_adabits",
-    "train_cdt",
-    "train_sbm_independent",
-    "train_sp",
+    "train_method",
 ]

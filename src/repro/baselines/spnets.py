@@ -1,33 +1,39 @@
-"""SP-Net training baselines (system S8 in DESIGN.md).
+"""The training methods of Tables I-IV: one table of (loss, quantizer) pairs.
 
-Convenience recipes packaging model construction + strategy + training
-for each method compared in Tables I-IV:
+A method is the loss the shared weights are trained under plus the
+quantiser its layers use.  Each pairing is declared once, in
+:data:`METHODS`, and :func:`train_method` trains any of them:
 
-==============  ============================================  ==========
-Paper column    What it is                                    Entry
-==============  ============================================  ==========
-SBM [18]        independent QAT per bit-width                 :func:`train_sbm_independent`
-SP [5]          switchable net, distil from highest bit       :func:`train_sp`
-AdaBits [4]     switchable net, joint CE, no distillation     :func:`train_adabits`
-CDT (proposed)  switchable net, cascade distillation          :func:`train_cdt`
-==============  ============================================  ==========
+==============  =====================================  =========  ===========
+Name            Loss (:mod:`repro.core.cdt`)           Quantizer  Nets
+==============  =====================================  =========  ===========
+cdt (proposed)  :class:`CascadeDistillation`, Eq. 1    sbm        one, shared
+sp [5]          :class:`VanillaDistillation`           dorefa     one, shared
+adabits [4]     :class:`JointCrossEntropy`             dorefa     one, shared
+sbm [18]        :class:`JointCrossEntropy`             sbm        one per bit
+==============  =====================================  =========  ===========
 
-Every recipe accepts a ``model_builder(factory) -> Module`` so the same
+The baselines keep their published quantisers: SP-Nets (Guerra et al.,
+arXiv:2002.02815) and AdaBits/Any-Precision quantise DoReFa-style.  So a
+Table I margin mixes loss and quantiser; pass ``quantizer=`` to hold the
+quantiser fixed and compare losses alone.
+
+Every method accepts a ``model_builder(factory) -> Module`` so the same
 topology (MobileNetV2, ResNet-38/74/18, or a NAS-derived network) runs
-under every method — exactly how the paper's ablations are set up.
+under every method, as in the paper's ablations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Union
 
-from ..core.cdt import CascadeDistillation, JointCrossEntropy, VanillaDistillation
-from ..core.trainer import (
-    SwitchableTrainer,
-    TrainConfig,
-    evaluate_all_bits,
-    train_fixed_precision,
+from ..core.cdt import (
+    CascadeDistillation,
+    JointCrossEntropy,
+    SwitchableTrainingStrategy,
+    VanillaDistillation,
 )
+from ..core.trainer import SwitchableTrainer, TrainConfig, evaluate_all_bits
 from ..data.dataset import Dataset
 from ..nn.module import Module
 from ..quant.factory import SwitchableFactory
@@ -35,126 +41,81 @@ from ..quant.layers import BitSpec
 from ..quant.network import SwitchablePrecisionNetwork
 
 __all__ = [
+    "METHODS",
+    "Method",
     "ModelBuilder",
-    "train_cdt",
-    "train_sp",
-    "train_adabits",
-    "train_sbm_independent",
     "TrainedSPNet",
+    "train_method",
 ]
 
 ModelBuilder = Callable[[SwitchableFactory], Module]
 
 
+class Method(NamedTuple):
+    """A training method: ``loss(beta)`` builds the strategy, and
+    ``independent`` trains one single-width net per bit-width instead of
+    one shared net."""
+
+    loss: Callable[[float], SwitchableTrainingStrategy]
+    quantizer: str
+    independent: bool = False
+
+
+def _joint_ce(beta: float) -> JointCrossEntropy:
+    """Joint CE distils nothing, so ``beta`` has no term to weight."""
+    return JointCrossEntropy()
+
+
+METHODS: Dict[str, Method] = {
+    "cdt": Method(CascadeDistillation, "sbm"),
+    "sp": Method(VanillaDistillation, "dorefa"),
+    "adabits": Method(_joint_ce, "dorefa"),
+    "sbm": Method(_joint_ce, "sbm", independent=True),
+}
+
+
 class TrainedSPNet:
-    """Result bundle: the trained network and its test accuracies."""
+    """Result bundle: the trained network and its test accuracies.
+
+    For an independent method ``sp_net`` is the last bit-width's net.
+    """
 
     def __init__(self, sp_net: SwitchablePrecisionNetwork,
-                 accuracies: Dict[BitSpec, float], method: str):
+                 accuracies: Dict[BitSpec, float], method):
         self.sp_net = sp_net
         self.accuracies = accuracies
         self.method = method
-
-    def accuracy_at(self, bits: BitSpec) -> float:
-        return self.accuracies[bits]
 
     def __repr__(self) -> str:
         accs = ", ".join(f"{b}: {a:.3f}" for b, a in self.accuracies.items())
         return f"TrainedSPNet({self.method}; {accs})"
 
 
-def _train_switchable(
-    model_builder: ModelBuilder,
-    bit_widths: Sequence[BitSpec],
-    strategy,
-    train_set: Dataset,
-    test_set: Dataset,
-    config: Optional[TrainConfig],
-    quantizer: str,
-    method: str,
-) -> TrainedSPNet:
-    factory = SwitchableFactory(bit_widths, quantizer=quantizer)
-    model = model_builder(factory)
-    sp_net = SwitchablePrecisionNetwork(model, bit_widths)
-    SwitchableTrainer(sp_net, strategy, config).fit(train_set)
-    return TrainedSPNet(sp_net, evaluate_all_bits(sp_net, test_set), method)
-
-
-def train_cdt(
+def train_method(
+    method: Union[str, Method],
     model_builder: ModelBuilder,
     bit_widths: Sequence[BitSpec],
     train_set: Dataset,
     test_set: Dataset,
     config: Optional[TrainConfig] = None,
-    quantizer: str = "sbm",
+    *,
+    quantizer: Optional[str] = None,
     beta: float = 1.0,
 ) -> TrainedSPNet:
-    """Train with the paper's cascade distillation (the proposed method)."""
-    return _train_switchable(
-        model_builder, bit_widths, CascadeDistillation(beta=beta),
-        train_set, test_set, config, quantizer, "cdt",
-    )
+    """Train ``method`` (a :data:`METHODS` name or a :class:`Method`) and
+    evaluate it at every bit-width.
 
-
-def train_sp(
-    model_builder: ModelBuilder,
-    bit_widths: Sequence[BitSpec],
-    train_set: Dataset,
-    test_set: Dataset,
-    config: Optional[TrainConfig] = None,
-    quantizer: str = "dorefa",
-    beta: float = 1.0,
-    ce_on_students: bool = True,
-) -> TrainedSPNet:
-    """SP baseline [Guerra et al. 2020]: distil only from the highest bit.
-
-    The paper pairs published SP-Nets with the DoReFa quantiser, hence the
-    default.  ``ce_on_students=False`` gives the pure distillation-only
-    variant of Fig. 2's "vanilla distillation".
+    ``quantizer`` overrides the method's paired quantiser; ``beta`` weighs
+    the distillation terms of the losses that have them.
     """
-    return _train_switchable(
-        model_builder, bit_widths,
-        VanillaDistillation(beta=beta, ce_on_students=ce_on_students),
-        train_set, test_set, config, quantizer, "sp",
-    )
-
-
-def train_adabits(
-    model_builder: ModelBuilder,
-    bit_widths: Sequence[BitSpec],
-    train_set: Dataset,
-    test_set: Dataset,
-    config: Optional[TrainConfig] = None,
-    quantizer: str = "dorefa",
-) -> TrainedSPNet:
-    """AdaBits baseline [Jin et al. 2019]: joint CE, no distillation."""
-    return _train_switchable(
-        model_builder, bit_widths, JointCrossEntropy(),
-        train_set, test_set, config, quantizer, "adabits",
-    )
-
-
-def train_sbm_independent(
-    model_builder: ModelBuilder,
-    bit_widths: Sequence[BitSpec],
-    train_set: Dataset,
-    test_set: Dataset,
-    config: Optional[TrainConfig] = None,
-    quantizer: str = "sbm",
-) -> TrainedSPNet:
-    """SBM baseline [Banner et al. 2018]: one network trained per bit-width.
-
-    N separate trainings (no weight sharing), each evaluated at its own
-    precision — the strongest per-bit reference the proposed CDT is asked
-    to match (Tables I-III report CDT >= SBM at low bits).
-    """
+    entry = METHODS[method] if isinstance(method, str) else method
+    quantizer = quantizer or entry.quantizer
+    groups = ([[bits] for bits in bit_widths] if entry.independent
+              else [list(bit_widths)])
     accuracies: Dict[BitSpec, float] = {}
-    last_net = None
-    for bits in bit_widths:
-        factory = SwitchableFactory([bits], quantizer=quantizer)
-        model = model_builder(factory)
-        sp_net = SwitchablePrecisionNetwork(model, [bits])
-        train_fixed_precision(sp_net, train_set, config)
-        accuracies[bits] = evaluate_all_bits(sp_net, test_set)[bits]
-        last_net = sp_net
-    return TrainedSPNet(last_net, accuracies, "sbm")
+    for bits in groups:
+        factory = SwitchableFactory(bits, quantizer=quantizer)
+        sp_net = SwitchablePrecisionNetwork(model_builder(factory), bits)
+        SwitchableTrainer(sp_net, entry.loss(beta), config).fit(train_set)
+        accuracies.update(evaluate_all_bits(sp_net, test_set))
+    return TrainedSPNet(sp_net, accuracies, method)

@@ -1,4 +1,4 @@
-"""InstantNet's contributions: CDT, SP-NAS, AutoMapper (S7, S9, S12)."""
+"""InstantNet's contributions: CDT, SP-NAS, AutoMapper."""
 
 from .cdt import (
     CascadeDistillation,
@@ -12,7 +12,6 @@ from .trainer import (
     TrainHistory,
     evaluate_all_bits,
     evaluate_bitwidth,
-    train_fixed_precision,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "TrainHistory",
     "evaluate_all_bits",
     "evaluate_bitwidth",
-    "train_fixed_precision",
 ]

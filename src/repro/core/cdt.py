@@ -13,25 +13,27 @@ small, so a chain of nearby teachers transports the full-precision
 behaviour down to 4 bits where a single 32->4 distillation step fails
 (Fig. 2; reproduced in :mod:`repro.experiments.fig2`).
 
-The module also provides the two ablation strategies the paper compares
-against in Table I / Fig. 2:
+The module also provides the two losses the paper compares against in
+Table I / Fig. 2:
 
 * :class:`VanillaDistillation` — distil every width only from the highest
   one (the SP baseline's scheme),
 * :class:`JointCrossEntropy` — no distillation at all, average CE across
   widths (the AdaBits-style objective).
+
+Which quantiser each method pairs its loss with is declared in
+:data:`repro.baselines.spnets.METHODS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..quant.layers import BitSpec
 from ..quant.network import SwitchablePrecisionNetwork
-from ..tensor import Tensor, cross_entropy, kl_div_loss, mse_loss
+from ..tensor import Tensor, cross_entropy, mse_loss
 
 __all__ = [
     "SwitchableTrainingStrategy",
@@ -65,41 +67,21 @@ class SwitchableTrainingStrategy:
 
 
 class CascadeDistillation(SwitchableTrainingStrategy):
-    """The paper's CDT objective (Eq. 1).
+    """The paper's CDT objective (Eq. 1): every bit-width distils, by MSE
+    between raw logits, from every higher one.
 
     Parameters
     ----------
     beta:
         Distillation weight (``beta`` in Eq. 1).
-    distill_on:
-        ``"logits"`` — MSE between raw logits (default; matches the SP
-        convention the paper builds on), or ``"probs"`` — MSE between
-        softmax outputs.
-    use_kl:
-        Replace MSE with temperature-2 KL (ablation only; the paper uses
-        MSE).
     """
 
     name = "cdt"
 
-    def __init__(self, beta: float = 1.0, distill_on: str = "logits",
-                 use_kl: bool = False):
+    def __init__(self, beta: float = 1.0):
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
-        if distill_on not in ("logits", "probs"):
-            raise ValueError(f"distill_on must be logits|probs, got {distill_on}")
         self.beta = beta
-        self.distill_on = distill_on
-        self.use_kl = use_kl
-
-    def _distance(self, student: Tensor, teacher: Tensor) -> Tensor:
-        if self.use_kl:
-            return kl_div_loss(student, teacher, temperature=2.0)
-        if self.distill_on == "probs":
-            from ..tensor import softmax
-
-            return mse_loss(softmax(student), softmax(teacher).detach())
-        return mse_loss(student, teacher.detach())
 
     def compute_loss(self, sp_net, x, labels):
         outputs = self._forward_all(sp_net, x)
@@ -112,9 +94,9 @@ class CascadeDistillation(SwitchableTrainingStrategy):
             cascade = ce
             for j in range(i + 1, n):
                 _, out_j = outputs[j]
-                # SG is realised by .detach() inside _distance: teachers
-                # receive no gradient from students' distillation terms.
-                cascade = cascade + self._distance(out_i, out_j) * self.beta
+                # SG is realised by .detach(): teachers receive no
+                # gradient from students' distillation terms.
+                cascade = cascade + mse_loss(out_i, out_j.detach()) * self.beta
             total = cascade if total is None else total + cascade
         return total * (1.0 / n), per_bit_ce
 
@@ -174,8 +156,8 @@ class JointCrossEntropy(SwitchableTrainingStrategy):
 
     AdaBits [Jin et al. 2019] trains adaptive-bit networks without
     distillation; we reproduce its switchable-training essence (joint CE,
-    shared weights, per-bit BN) — its progressive freezing schedule is
-    orthogonal and omitted (documented in DESIGN.md).
+    shared weights, per-bit BN); its progressive freezing schedule is
+    orthogonal and omitted.
     """
 
     name = "adabits"

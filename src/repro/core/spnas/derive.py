@@ -81,8 +81,9 @@ class DerivedNetwork(Module):
 def build_derived(search_result, num_classes: int):
     """Return a ``model_builder(factory)`` closure for a search result.
 
-    The closure plugs directly into the training recipes of
-    :mod:`repro.baselines.spnets` (e.g. ``train_cdt(builder, ...)``).
+    The closure plugs directly into
+    :func:`repro.baselines.spnets.train_method` (e.g.
+    ``train_method("cdt", builder, ...)``).
     """
 
     def builder(factory: LayerFactory) -> DerivedNetwork:

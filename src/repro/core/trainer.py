@@ -1,13 +1,10 @@
 """Training loops for switchable-precision networks.
 
-One :class:`SwitchableTrainer` covers all four training recipes of the
-paper's tables — the strategy object decides the loss:
-
-* CDT (proposed)            -> :class:`~repro.core.cdt.CascadeDistillation`
-* SP  [Guerra et al. 2020]  -> :class:`~repro.core.cdt.VanillaDistillation`
-* AdaBits [Jin et al. 2019] -> :class:`~repro.core.cdt.JointCrossEntropy`
-* SBM independent training  -> a single-candidate SP-Net with plain CE
-  (:func:`train_fixed_precision`).
+One :class:`SwitchableTrainer` covers all four training methods of the
+paper's tables: the strategy object decides the loss, and
+:data:`repro.baselines.spnets.METHODS` pairs each loss with its
+quantiser (SBM's independent training is a single-candidate SP-Net
+under :class:`~repro.core.cdt.JointCrossEntropy`).
 
 Hyper-parameter defaults mirror the paper's CIFAR recipe (SGD, momentum
 0.9, cosine LR from 0.025, batch 128) scaled to the synthetic datasets.
@@ -35,7 +32,6 @@ __all__ = [
     "SwitchableTrainer",
     "evaluate_bitwidth",
     "evaluate_all_bits",
-    "train_fixed_precision",
 ]
 
 
@@ -159,25 +155,3 @@ def evaluate_all_bits(
         bits: evaluate_bitwidth(sp_net, dataset, bits, batch_size)
         for bits in sp_net.bit_widths
     }
-
-
-def train_fixed_precision(
-    sp_net: SwitchablePrecisionNetwork,
-    train_set: Dataset,
-    config: Optional[TrainConfig] = None,
-) -> TrainHistory:
-    """Quantisation-aware training at a single fixed bit-width.
-
-    The SBM baseline of Tables I-III: the network is built with exactly
-    one candidate bit-width and optimised for it alone (the paper's
-    "independently trained" rows).
-    """
-    from .cdt import JointCrossEntropy
-
-    if len(sp_net.bit_widths) != 1:
-        raise ValueError(
-            "fixed-precision training expects a single-candidate SP-Net, "
-            f"got candidates {sp_net.bit_widths}"
-        )
-    trainer = SwitchableTrainer(sp_net, JointCrossEntropy(), config)
-    return trainer.fit(train_set)

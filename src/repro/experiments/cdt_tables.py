@@ -13,25 +13,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import rng as rng_mod
-from ..baselines.spnets import (
-    train_adabits,
-    train_cdt,
-    train_sbm_independent,
-    train_sp,
-)
+from ..baselines.spnets import train_method
 from ..core.trainer import TrainConfig
 from ..data.dataset import Dataset
 from ..obs.wallclock import wall_clock_s
 from .common import ExperimentResult, Scale
 
-__all__ = ["run_cdt_comparison", "METHOD_RUNNERS"]
-
-METHOD_RUNNERS: Dict[str, Callable] = {
-    "sbm": train_sbm_independent,
-    "sp": train_sp,
-    "adabits": train_adabits,
-    "cdt": train_cdt,
-}
+__all__ = ["run_cdt_comparison"]
 
 
 def run_cdt_comparison(
@@ -46,6 +34,9 @@ def run_cdt_comparison(
     paper_reference: Optional[dict] = None,
 ) -> ExperimentResult:
     """Train every method on every bit set; emit one row per (set, bits).
+
+    ``methods`` name entries of :data:`repro.baselines.spnets.METHODS`,
+    each trained with its paired quantiser.
 
     Each row carries ``acc_<method>`` columns, mirroring the paper's
     table layout (bit-width rows x method columns).
@@ -67,8 +58,8 @@ def run_cdt_comparison(
         accuracies: Dict[str, Dict] = {}
         for method in methods:
             rng_mod.set_seed(seed)  # identical init / data order per method
-            runner = METHOD_RUNNERS[method]
-            trained = runner(builder, bit_set, train_set, test_set, config)
+            trained = train_method(method, builder, bit_set, train_set,
+                                   test_set, config)
             accuracies[method] = trained.accuracies
         for bits in sorted(
             accuracies[methods[0]], key=lambda b: (sum(b) if isinstance(b, tuple) else b)

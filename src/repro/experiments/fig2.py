@@ -15,11 +15,13 @@ agreement, and 4-bit accuracy under each training scheme).
 
 from __future__ import annotations
 
+from functools import partial
 
 import numpy as np
 
 from .. import rng as rng_mod
-from ..baselines.spnets import train_cdt, train_sp
+from ..baselines.spnets import METHODS, Method, train_method
+from ..core.cdt import VanillaDistillation
 from ..core.trainer import TrainConfig
 from ..data.loader import DataLoader
 from ..data.synthetic import cifar100_like
@@ -95,12 +97,14 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
 
     # Vanilla distillation = lower widths learn ONLY from the 32-bit
     # teacher's outputs ("only consider the distillation with 32-bit",
-    # Fig. 2's text) with the paper's SBM quantiser — isolating the
+    # Fig. 2's text) with CDT's own quantiser — isolating the
     # distillation scheme as the only difference from CDT.
-    vanilla = train_sp(builder, bit_set, train_set, test_set, config,
-                       quantizer="sbm", ce_on_students=False)
+    vanilla_method = Method(partial(VanillaDistillation, ce_on_students=False),
+                            METHODS["cdt"].quantizer)
+    vanilla = train_method(vanilla_method, builder, bit_set, train_set,
+                           test_set, config)
     rng_mod.set_seed(seed)
-    cdt = train_cdt(builder, bit_set, train_set, test_set, config)
+    cdt = train_method("cdt", builder, bit_set, train_set, test_set, config)
 
     low, high = bit_set[0], bit_set[-1]
     for name, trained in (("vanilla", vanilla), ("cdt", cdt)):

@@ -11,7 +11,7 @@ scratch with CDT, the paper's protocol.  The claims to reproduce:
 * the advantage is largest on the wide-dynamic-range bit set, where
   SP-NAS simultaneously cuts FLOPs (paper: -24.9% at iso-accuracy).
 
-Bit sets shrink with scale (DESIGN.md): the full scale uses the paper's
+Bit sets shrink with scale: the full scale uses the paper's
 [4, 8, 12, 16, 32] / [4, 5, 6, 8]; default uses [4, 8, 32] to keep CPU
 supernet training tractable.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .. import rng as rng_mod
-from ..baselines.spnets import train_cdt
+from ..baselines.spnets import train_method
 from ..core.spnas import (
     SPNASConfig,
     build_derived,
@@ -104,8 +104,9 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
                 )
                 builder = build_derived(search, scale.num_classes)
                 rng_mod.set_seed(seed)
-                trained = train_cdt(
-                    builder, bit_set, train_set, test_set, retrain_config
+                trained = train_method(
+                    "cdt", builder, bit_set, train_set, test_set,
+                    retrain_config,
                 )
                 row = {
                     "bit_set": str(bit_set),

@@ -3,7 +3,7 @@
 The end-to-end experiment: accuracy *and* Energy-Delay-Product of full
 systems (network + training scheme + dataflow) on CIFAR-10/100 under two
 bit sets.  Systems compared (the paper's baselines are unnamed "SOTA IoT
-systems"; DESIGN.md records this concrete instantiation):
+systems"; this is one concrete instantiation):
 
 * **InstantNet** — SP-NAS-searched network, CDT-trained, AutoMapper
   dataflow per bit-width (the full proposed pipeline);
@@ -24,7 +24,7 @@ from typing import Dict, List
 
 from .. import rng as rng_mod
 from ..baselines.dataflows import eyeriss_row_stationary, magnet_mapper
-from ..baselines.spnets import train_adabits, train_cdt, train_sp
+from ..baselines.spnets import train_method
 from ..core.automapper import AutoMapper, AutoMapperConfig
 from ..core.spnas import SPNASConfig, build_derived, search_spnas, tiny_search_space
 from ..core.trainer import TrainConfig
@@ -116,16 +116,17 @@ def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
                             lambda_eff=1.0),
             )
             rng_mod.set_seed(seed)
-            instantnet = train_cdt(
-                build_derived(search, num_classes), bit_set, train_set,
-                test_set, config,
+            instantnet = train_method(
+                "cdt", build_derived(search, num_classes), bit_set,
+                train_set, test_set, config,
             )
             # --- Baseline systems ---------------------------------------
             rng_mod.set_seed(seed)
-            sys1 = train_sp(mbv2_builder, bit_set, train_set, test_set, config)
+            sys1 = train_method("sp", mbv2_builder, bit_set, train_set,
+                                test_set, config)
             rng_mod.set_seed(seed)
-            sys2 = train_adabits(mbv2_builder, bit_set, train_set, test_set,
-                                 config)
+            sys2 = train_method("adabits", mbv2_builder, bit_set, train_set,
+                                test_set, config)
 
             mapper = AutoMapper(
                 device,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .. import rng as rng_mod
 from ..baselines.dataflows import dnnbuilder_mapper
-from ..baselines.spnets import train_adabits, train_cdt
+from ..baselines.spnets import train_method
 from ..core.automapper import AutoMapper, AutoMapperConfig
 from ..core.spnas import SPNASConfig, build_derived, search_spnas, tiny_search_space
 from ..core.trainer import TrainConfig
@@ -69,9 +69,9 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
                     flops_target=0.4 * space.max_flops, lambda_eff=1.0),
     )
     rng_mod.set_seed(seed)
-    instantnet = train_cdt(
-        build_derived(search, scale.num_classes), bit_set, train_set,
-        test_set, config,
+    instantnet = train_method(
+        "cdt", build_derived(search, scale.num_classes), bit_set,
+        train_set, test_set, config,
     )
 
     # --- Baseline Sys.3: expert network + DNNBuilder pipeline ----------
@@ -82,8 +82,8 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         )
 
     rng_mod.set_seed(seed)
-    baseline = train_adabits(mbv2_builder, bit_set, train_set, test_set,
-                             config)
+    baseline = train_method("adabits", mbv2_builder, bit_set, train_set,
+                            test_set, config)
 
     mapper = AutoMapper(
         device,

@@ -1,9 +1,8 @@
-"""Quantisation substrate (system S4 in DESIGN.md)."""
+"""Quantisation substrate: quantisers, switchable layers and SP-Nets."""
 
 from .quantizers import (
     FULL_PRECISION_BITS,
     DoReFaQuantizer,
-    MinMaxQuantizer,
     Quantizer,
     SBMQuantizer,
     make_quantizer,
@@ -27,7 +26,6 @@ from .network import (
 __all__ = [
     "FULL_PRECISION_BITS",
     "DoReFaQuantizer",
-    "MinMaxQuantizer",
     "Quantizer",
     "SBMQuantizer",
     "make_quantizer",

@@ -30,7 +30,7 @@ class SwitchableFactory(LayerFactory):
         ``(weight_bits, activation_bits)`` pairs.
     quantizer:
         A :class:`~repro.quant.quantizers.Quantizer` instance or registry
-        name (``"sbm"``, ``"dorefa"``, ``"minmax"``).
+        name (``"sbm"``, ``"dorefa"``).
     switchable_bn:
         Keep independent BN statistics per bit-width (the SP convention the
         paper adopts).  Disable only for the shared-BN ablation.

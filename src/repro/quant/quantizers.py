@@ -1,6 +1,6 @@
 """Weight / activation quantisers used by the paper's experiments.
 
-Two published schemes are implemented plus a simple affine reference:
+Two published schemes are implemented:
 
 * :class:`DoReFaQuantizer` [Zhou et al. 2016] — the quantiser the paper
   pairs with the AdaBits and SP baselines.  Weights are squashed with
@@ -11,8 +11,6 @@ Two published schemes are implemented plus a simple affine reference:
   per-bit baseline.  Weights use per-output-channel symmetric max-abs
   scaling; activations use dynamic per-tensor scaling (unsigned when the
   tensor is non-negative, symmetric otherwise).
-* :class:`MinMaxQuantizer` — per-tensor affine (zero-point) quantisation,
-  a reference point for tests and ablations.
 
 All quantisers are straight-through: the forward pass emits quantised
 values, the backward pass treats the quantiser as identity
@@ -32,7 +30,6 @@ __all__ = [
     "Quantizer",
     "DoReFaQuantizer",
     "SBMQuantizer",
-    "MinMaxQuantizer",
     "make_quantizer",
     "FULL_PRECISION_BITS",
 ]
@@ -175,39 +172,8 @@ class SBMQuantizer(Quantizer):
         return straight_through(x, quantized)
 
 
-class MinMaxQuantizer(Quantizer):
-    """Per-tensor affine (asymmetric) quantisation with zero point.
-
-    The plainest possible scheme; kept as a reference for unit tests and
-    for the quantiser-choice ablation bench.
-    """
-
-    name = "minmax"
-
-    def _affine_values(self, data: np.ndarray, bits: int):
-        if bits >= FULL_PRECISION_BITS:
-            return None
-        if bits < 1:
-            raise ValueError(f"bits must be >= 1, got {bits}")
-        levels = (1 << bits) - 1
-        lo, hi = float(data.min()), float(data.max())
-        if hi == lo:
-            return None
-        scale = (hi - lo) / levels
-        return np.round((data - lo) / scale) * scale + lo
-
-    def weight_values(self, weight: np.ndarray, bits: int):
-        return self._affine_values(weight, bits)
-
-    def quantize_activation(self, x: Tensor, bits: int) -> Tensor:
-        values = self._affine_values(x.data, bits)
-        if values is None:
-            return x
-        return straight_through(x, values)
-
-
 def make_quantizer(name: str, **kwargs) -> Quantizer:
-    """Instantiate a quantiser by registry name (``dorefa|sbm|minmax|...``).
+    """Instantiate a quantiser by registry name (``dorefa|sbm|...``).
 
     Lookup routes through :data:`repro.api.registry.QUANTIZERS`, so
     quantisers registered by downstream code are constructible by name.

@@ -1,4 +1,4 @@
-"""NumPy reverse-mode autograd engine (substrate S1 in DESIGN.md).
+"""NumPy reverse-mode autograd engine: the substrate every model runs on.
 
 Public surface::
 
@@ -34,7 +34,7 @@ from .conv import (
     max_pool2d,
 )
 from .norm import batch_norm2d
-from .losses import accuracy, cross_entropy, kl_div_loss, mse_loss
+from .losses import accuracy, cross_entropy, mse_loss
 from .ste import round_ste, straight_through, straight_through_t
 from .gradcheck import check_gradients, numerical_gradient
 
@@ -66,7 +66,6 @@ __all__ = [
     "batch_norm2d",
     "accuracy",
     "cross_entropy",
-    "kl_div_loss",
     "mse_loss",
     "round_ste",
     "straight_through",

@@ -7,9 +7,6 @@ The total CDT objective combines:
 * :func:`mse_loss` — the distillation term ``L_mse(Q_i(w), SG(Q_j(w)))``
   pulling each bit-width's output toward every *higher* bit-width's
   (detached) output.
-
-:func:`kl_div_loss` is provided as the conventional distillation
-alternative for the ablation benches.
 """
 
 from __future__ import annotations
@@ -17,12 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, ensure_tensor, make_op
-from .ops import log_softmax, mean, softmax, sub
+from .ops import mean, sub
 
 __all__ = [
     "cross_entropy",
     "mse_loss",
-    "kl_div_loss",
     "accuracy",
 ]
 
@@ -60,24 +56,6 @@ def mse_loss(prediction, target) -> Tensor:
     prediction, target = ensure_tensor(prediction), ensure_tensor(target)
     diff = sub(prediction, target)
     return mean(diff * diff)
-
-
-def kl_div_loss(student_logits, teacher_logits, temperature: float = 1.0) -> Tensor:
-    """KL(teacher || student) on softened distributions, scaled by T^2.
-
-    Conventional Hinton-style distillation loss; used by the ablation
-    comparing the paper's MSE distillation term against KL.
-    """
-    student_logits = ensure_tensor(student_logits)
-    teacher_logits = ensure_tensor(teacher_logits)
-    inv_t = 1.0 / temperature
-    log_p_student = log_softmax(student_logits * inv_t, axis=-1)
-    p_teacher = softmax(teacher_logits * inv_t, axis=-1)
-    # KL(t||s) = sum t*log t - sum t*log s; the first term is constant
-    # w.r.t. the student, but keeping it makes the reported value a true KL.
-    log_p_teacher = log_softmax(teacher_logits * inv_t, axis=-1)
-    per_sample = (p_teacher * (log_p_teacher - log_p_student)).sum(axis=-1)
-    return mean(per_sample) * (temperature * temperature)
 
 
 def accuracy(logits, labels) -> float:

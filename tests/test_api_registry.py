@@ -198,11 +198,12 @@ class TestManifestConsistency:
 
     def test_strategy_entries_are_strategies(self):
         from repro.api.registry import STRATEGIES
+        from repro.baselines.spnets import METHODS
         from repro.core.cdt import SwitchableTrainingStrategy
 
         for name in choices("strategies"):
-            assert issubclass(STRATEGIES.get(name), SwitchableTrainingStrategy)
-            assert isinstance(STRATEGIES.get(name)(),
+            assert STRATEGIES.get(name) is METHODS[name]
+            assert isinstance(STRATEGIES.get(name).loss(1.0),
                               SwitchableTrainingStrategy)
 
 

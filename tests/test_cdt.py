@@ -30,9 +30,10 @@ def batch(n=8, size=12, classes=5):
 
 class TestStrategyFactory:
     def test_names(self):
-        assert STRATEGIES.get("cdt") is CascadeDistillation
-        assert STRATEGIES.get("sp") is VanillaDistillation
-        assert STRATEGIES.get("adabits") is JointCrossEntropy
+        assert STRATEGIES.get("cdt").loss is CascadeDistillation
+        assert STRATEGIES.get("sp").loss is VanillaDistillation
+        assert isinstance(STRATEGIES.get("adabits").loss(1.0),
+                          JointCrossEntropy)
 
     def test_unknown(self):
         with pytest.raises(RegistryError):
@@ -41,8 +42,6 @@ class TestStrategyFactory:
     def test_validation(self):
         with pytest.raises(ValueError):
             CascadeDistillation(beta=-1)
-        with pytest.raises(ValueError):
-            CascadeDistillation(distill_on="bogus")
         with pytest.raises(ValueError):
             VanillaDistillation(beta=-0.5)
 
@@ -87,14 +86,6 @@ class TestLossComputation:
         a, _ = CascadeDistillation(beta=1.0).compute_loss(sp, x, labels)
         b, _ = VanillaDistillation(beta=1.0).compute_loss(sp, x, labels)
         assert a.item() != pytest.approx(b.item(), rel=1e-6)
-
-    def test_probs_and_kl_variants_run(self):
-        sp = make_net()
-        x, labels = batch()
-        for strat in (CascadeDistillation(distill_on="probs"),
-                      CascadeDistillation(use_kl=True)):
-            loss, _ = strat.compute_loss(sp, x, labels)
-            assert np.isfinite(loss.item())
 
 
 class TestStopGradient:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.baselines import train_cdt
+from repro.baselines import train_method
 from repro.baselines.dataflows import eyeriss_row_stationary
 from repro.core import TrainConfig, evaluate_all_bits
 from repro.core.automapper import AutoMapper, AutoMapperConfig
@@ -41,8 +41,8 @@ def pipeline_artifacts():
         space, BITS, NUM_CLASSES, train,
         SPNASConfig(epochs=1, batch_size=32, flops_target=2e5, lambda_eff=1.0),
     )
-    trained = train_cdt(
-        build_derived(search, NUM_CLASSES), BITS, train, test,
+    trained = train_method(
+        "cdt", build_derived(search, NUM_CLASSES), BITS, train, test,
         TrainConfig(epochs=2, batch_size=32),
     )
     return search, trained, test

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.quant import (
     DoReFaQuantizer,
-    MinMaxQuantizer,
     SBMQuantizer,
     make_quantizer,
 )
@@ -23,7 +22,6 @@ class TestRegistry:
     def test_make_by_name(self):
         assert isinstance(make_quantizer("sbm"), SBMQuantizer)
         assert isinstance(make_quantizer("DoReFa"), DoReFaQuantizer)
-        assert isinstance(make_quantizer("minmax"), MinMaxQuantizer)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown quantizer"):
@@ -31,8 +29,7 @@ class TestRegistry:
 
 
 class TestFullPrecisionPassthrough:
-    @pytest.mark.parametrize("q", [SBMQuantizer(), DoReFaQuantizer(),
-                                   MinMaxQuantizer()])
+    @pytest.mark.parametrize("q", [SBMQuantizer(), DoReFaQuantizer()])
     def test_32bit_returns_input_unchanged(self, q):
         w = weights()
         assert q.quantize_weight(w, 32) is w
@@ -111,33 +108,6 @@ class TestDoReFa:
         assert len(np.unique(np.round(q.data, 5))) <= 2
 
 
-class TestMinMax:
-    def test_preserves_extremes(self):
-        x = Tensor(np.array([-3.0, 0.0, 5.0], dtype=np.float32))
-        q = MinMaxQuantizer().quantize_weight(x, 4)
-        assert q.data.min() == pytest.approx(-3.0, abs=1e-5)
-        assert q.data.max() == pytest.approx(5.0, abs=1e-5)
-
-    def test_constant_input_passthrough(self):
-        x = Tensor(np.full(5, 2.0, dtype=np.float32))
-        assert MinMaxQuantizer().quantize_weight(x, 4) is x
-
-
-    def test_activation_levels_and_ste_gradient(self):
-        x = Tensor(np.array([-1.0, -0.2, 0.4, 2.0], dtype=np.float32),
-                   requires_grad=True)
-        q = MinMaxQuantizer().quantize_activation(x, 2)
-        assert len(np.unique(q.data)) <= 4
-        assert q.data.min() == pytest.approx(-1.0, abs=1e-6)
-        assert q.data.max() == pytest.approx(2.0, abs=1e-6)
-        q.sum().backward()
-        assert np.allclose(x.grad, 1.0)
-
-    def test_constant_activation_passthrough(self):
-        x = Tensor(np.full(4, 0.5, dtype=np.float32))
-        assert MinMaxQuantizer().quantize_activation(x, 4) is x
-
-
 class TestBitWidthGuards:
     def test_dorefa_zero_weights_pass_through(self):
         w = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
@@ -150,12 +120,7 @@ class TestBitWidthGuards:
          "activation bits must be >= 1"),
         (lambda: SBMQuantizer().quantize_activation(weights(), 1),
          "SBM activation bits must be >= 2"),
-        (lambda: MinMaxQuantizer().quantize_weight(weights(), 0),
-         "bits must be >= 1"),
-        (lambda: MinMaxQuantizer().quantize_activation(weights(), 0),
-         "bits must be >= 1"),
-    ], ids=["dorefa-weight", "dorefa-activation", "sbm-activation",
-            "minmax-weight", "minmax-activation"])
+    ], ids=["dorefa-weight", "dorefa-activation", "sbm-activation"])
     def test_bits_below_minimum_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

@@ -8,7 +8,6 @@ from repro.tensor import (
     accuracy,
     check_gradients,
     cross_entropy,
-    kl_div_loss,
     mse_loss,
     round_ste,
     softmax,
@@ -70,22 +69,6 @@ class TestMSE:
         mse_loss(student, teacher.detach()).backward()
         assert teacher.grad is None
         assert student.grad is not None
-
-
-class TestKL:
-    def test_zero_for_identical(self, rng):
-        logits = Tensor(rng.normal(size=(3, 5)))
-        assert kl_div_loss(logits, logits).item() == pytest.approx(0.0, abs=1e-8)
-
-    def test_positive(self, rng):
-        a = Tensor(rng.normal(size=(3, 5)))
-        b = Tensor(rng.normal(size=(3, 5)))
-        assert kl_div_loss(a, b).item() > 0
-
-    def test_gradcheck(self, rng):
-        s = t(rng.normal(size=(3, 4)))
-        te = Tensor(rng.normal(size=(3, 4)))
-        check_gradients(lambda s: kl_div_loss(s, te, temperature=3.0), [s])
 
 
 class TestAccuracy:

@@ -1,22 +1,16 @@
-"""Switchable trainers and the method recipes of the tables."""
+"""Switchable trainers and the training methods of the tables."""
 
 import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.baselines import (
-    train_adabits,
-    train_cdt,
-    train_sbm_independent,
-    train_sp,
-)
+from repro.baselines import train_method
 from repro.core import (
     CascadeDistillation,
     SwitchableTrainer,
     TrainConfig,
     evaluate_all_bits,
     evaluate_bitwidth,
-    train_fixed_precision,
 )
 from repro.data import cifar10_like
 from repro.nn import models
@@ -79,30 +73,25 @@ class TestTrainer:
         accs = evaluate_all_bits(sp, test)
         assert accs[32] > 0.15  # chance is 0.10 for 10 classes
 
-    def test_fixed_precision_guard(self, data):
-        train, _ = data
-        sp = SwitchablePrecisionNetwork(
-            tiny_builder(SwitchableFactory(BITS)), BITS)
-        with pytest.raises(ValueError, match="single-candidate"):
-            train_fixed_precision(sp, train)
-
 
 class TestRecipes:
-    @pytest.mark.parametrize("recipe", [train_cdt, train_sp, train_adabits])
-    def test_switchable_recipes(self, recipe, data):
+    @pytest.mark.parametrize("method", ["cdt", "sp", "adabits"],
+                             ids=lambda method: f"train_{method}")
+    def test_switchable_recipes(self, method, data):
         train, test = data
         rng_mod.set_seed(0)
         cfg = TrainConfig(epochs=1, batch_size=32)
-        result = recipe(tiny_builder, BITS, train, test, cfg)
+        result = train_method(method, tiny_builder, BITS, train, test, cfg)
         assert set(result.accuracies) == set(BITS)
-        assert result.method in ("cdt", "sp", "adabits")
+        assert list(result.sp_net.bit_widths) == BITS
+        assert result.method == method
         assert "TrainedSPNet" in repr(result)
 
     def test_sbm_trains_one_network_per_bit(self, data):
         train, test = data
         rng_mod.set_seed(0)
         cfg = TrainConfig(epochs=1, batch_size=32)
-        result = train_sbm_independent(tiny_builder, BITS, train, test, cfg)
+        result = train_method("sbm", tiny_builder, BITS, train, test, cfg)
         assert set(result.accuracies) == set(BITS)
         assert result.method == "sbm"
-        assert result.accuracy_at(32) >= 0.0
+        assert result.accuracies[32] >= 0.0
