@@ -17,6 +17,7 @@ Run:
 
 from repro.serve import (
     ModelRegistry,
+    ServeScale,
     SPNetConfig,
     build_fleet_report,
     build_sp_net,
@@ -25,7 +26,6 @@ from repro.serve import (
     prepare_simulation,
     simulate_fleet,
 )
-from repro.serve.simulator import ServeScale
 
 
 def main():
@@ -40,14 +40,14 @@ def main():
     registry.register("checkpoint", build_sp_net(config), config,
                       persist=True)
 
-    # Price the model once (AutoMapper latency table) and generate the
-    # bursty trace the fleet replays.
+    # The scale serves that same config: price the model once
+    # (AutoMapper latency table) and generate the bursty trace the fleet
+    # replays.
     scale = ServeScale(
-        name="fleet-example", num_requests=240, image_size=12,
-        num_classes=5, width_mult=0.25, bit_widths=(4, 8, 16),
+        name="fleet-example", num_requests=240, model=config,
         max_batch=8, mapper_generations=3,
     )
-    fixture = prepare_simulation("bursty", scale, config=config)
+    fixture = prepare_simulation("bursty", scale)
 
     # A 4-replica fleet behind the join-shortest-queue router.
     # Every replica materializes its own model instance from the one

@@ -32,17 +32,20 @@ from repro.obs import (
     write_obs_artifacts,
 )
 from repro.serve import (
+    ServeScale,
+    SPNetConfig,
     build_fleet_report,
     make_fleet,
     prepare_simulation,
     simulate_fleet,
 )
-from repro.serve.simulator import ServeScale
 
 SCALE = ServeScale(
-    name="obs-demo", num_requests=96, image_size=10, num_classes=4,
-    width_mult=0.25, bit_widths=(4, 8, 16), max_batch=8,
-    mapper_generations=2,
+    name="obs-demo", num_requests=96,
+    model=SPNetConfig(
+        bit_widths=(4, 8, 16), num_classes=4, width_mult=0.25, image_size=10,
+    ),
+    max_batch=8, mapper_generations=2,
 )
 
 

@@ -29,10 +29,11 @@ def main():
     config = PipelineConfig(
         name="quickstart",
         seed=0,
-        # The network every stage shares: SP-NAS will derive the topology;
-        # one weight set serves bit-widths 4 and 8 with per-bit batch-norm.
+        # The network every stage shares (the same class the checkpoint
+        # embeds): SP-NAS will derive the topology; one weight set serves
+        # bit-widths 4 and 8 with per-bit batch-norm.
         model=ModelConfig(
-            name="derived", bit_widths=[4, 8], num_classes=10,
+            model="derived", bit_widths=[4, 8], num_classes=10,
             image_size=16, quantizer="sbm",
         ),
         # generate: bi-level SP-NAS over the tiny search space.

@@ -52,11 +52,13 @@ from repro.__main__ import main
 sys.exit(main(sys.argv[1:]))
 " pipeline run --config examples/pipeline_smoke.json \
     --run-dir "$PIPELINE_RUN_DIR"
-for artifact in architecture.json checkpoint.npz deploy_report.json \
-        serve_report.json pipeline_report.json; do
+for artifact in architecture.json checkpoint.npz checkpoint.json \
+        deploy_report.json serve_report.json pipeline_report.json; do
     test -f "$PIPELINE_RUN_DIR/$artifact" \
         || { echo "missing pipeline artifact: $artifact"; exit 1; }
 done
+# The run dir's config.json must load back as a valid pipeline config.
+python -m repro pipeline validate --config "$PIPELINE_RUN_DIR/config.json"
 
 echo "==> traced pipeline smoke (--obs writes the trace; repro obs renders it)"
 PIPELINE_OBS_DIR="$(mktemp -d)"

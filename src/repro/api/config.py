@@ -5,6 +5,11 @@ One frozen dataclass per pipeline stage — :class:`ModelConfig`,
 :class:`ServeConfig` — composed into :class:`PipelineConfig`, the single
 JSON-serialisable object behind ``repro pipeline run --config cfg.json``.
 
+:class:`ModelConfig` is the one description of a switchable-precision
+network: the pipeline's ``model`` section, the config embedded in every
+checkpoint (``repro.serve.SPNetConfig`` is the same class) and the
+model a serve scale simulates.
+
 Every class round-trips losslessly: ``C.from_dict(c.to_dict()) == c``
 and likewise through JSON text/files.  ``from_dict`` rejects unknown
 keys (typo protection) and wrong-typed values with a
@@ -103,10 +108,15 @@ class _StageConfig:
 
     Subclasses declare ``_CHOICES`` (field name -> registry family) for
     name-valued fields and may override ``_validate`` for cross-field
-    checks; both run in ``__post_init__``.
+    checks; both run in ``__post_init__``.  ``_SECTIONS`` maps a field
+    to the config class of its nested JSON section, and a section's
+    ``_SECTION_KEYS`` renames its fields there (``None`` leaves one
+    out).
     """
 
     _CHOICES: Dict[str, str] = {}
+    _SECTIONS: Dict[str, type] = {}
+    _SECTION_KEYS: Dict[str, Optional[str]] = {}
 
     def __post_init__(self):
         cls = type(self).__name__
@@ -137,26 +147,34 @@ class _StageConfig:
                 )
 
     # -- serialisation -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
+    @classmethod
+    def _keys(cls, section: bool) -> Dict[str, Any]:
+        """JSON key -> field, standalone or as a section of a parent."""
+        renames = cls._SECTION_KEYS if section else {}
+        keys = {renames.get(f.name, f.name): f for f in fields(cls)}
+        keys.pop(None, None)        # fields left out of the section
+        return keys
+
+    def to_dict(self, section: bool = False) -> Dict[str, Any]:
         """JSON-safe dict: tuples become lists, nested configs recurse."""
         payload: Dict[str, Any] = {}
-        for f in fields(self):
+        for key, f in self._keys(section).items():
             value = getattr(self, f.name)
             if isinstance(value, _StageConfig):
-                value = value.to_dict()
+                value = value.to_dict(section=True)
             elif f.name == "bit_widths":
                 value = [list(b) if isinstance(b, tuple) else b for b in value]
-            payload[f.name] = value
+            payload[key] = value
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Any) -> "_StageConfig":
+    def from_dict(cls, payload: Any, section: bool = False) -> "_StageConfig":
         if not isinstance(payload, dict):
             raise ConfigError(
                 f"{cls.__name__} payload must be an object/dict, "
                 f"got {payload!r}"
             )
-        known = {f.name: f for f in fields(cls)}
+        known = cls._keys(section)
         unknown = sorted(set(payload) - set(known))
         if unknown:
             raise ConfigError(
@@ -164,8 +182,9 @@ class _StageConfig:
                 f"valid keys: {sorted(known)}"
             )
         kwargs: Dict[str, Any] = {}
-        for name, value in payload.items():
-            f = known[name]
+        for key, value in payload.items():
+            f = known[key]
+            name = f.name
             default = (
                 f.default if f.default is not dataclasses.MISSING
                 else f.default_factory()
@@ -177,15 +196,17 @@ class _StageConfig:
                 # (optional sections like PipelineConfig.search/run_dir).
                 if default is not None:
                     raise ConfigError(
-                        f"{cls.__name__}.{name} must not be null"
+                        f"{cls.__name__}.{key} must not be null"
                     )
                 kwargs[name] = None
             elif name == "bit_widths":
                 kwargs[name] = value
-            elif isinstance(default, _StageConfig) or name in _NESTED:
-                kwargs[name] = _NESTED.get(name, type(default)).from_dict(value)
+            elif name in cls._SECTIONS:
+                kwargs[name] = cls._SECTIONS[name].from_dict(
+                    value, section=True
+                )
             else:
-                kwargs[name] = _coerce(name, value, default, cls.__name__)
+                kwargs[name] = _coerce(key, value, default, cls.__name__)
         return cls(**kwargs)
 
     def to_json(self) -> str:
@@ -216,14 +237,18 @@ class _StageConfig:
 
 @dataclass(frozen=True)
 class ModelConfig(_StageConfig):
-    """The network every stage shares: topology, precision set, data shape.
+    """One switchable-precision network: topology, precision set, data shape.
 
-    ``name`` is a model-zoo registry entry, or ``"derived"`` to train
-    the architecture the ``generate`` stage searched (requires a
-    :class:`SearchConfig` on the pipeline).
+    ``model`` is a model-zoo registry entry, or ``"derived"`` for an
+    SP-NAS-searched architecture whose ``arch`` payload (``{"space",
+    "input_size", "specs"}``) the ``generate`` stage fills in.
+    ``bit_widths`` entries are ints or ``(weight_bits, activation_bits)``
+    pairs.  ``to_dict()`` is the checkpoint's JSON form (``arch`` only
+    when set); the pipeline's ``model`` section spells ``model`` as
+    ``name`` and has no ``arch``.
     """
 
-    name: str = "mobilenet_v2"
+    model: str = "mobilenet_v2"
     bit_widths: BitWidths = (4, 8, 16)
     num_classes: int = 10
     width_mult: float = 1.0
@@ -232,21 +257,36 @@ class ModelConfig(_StageConfig):
     quantizer: str = "sbm"
     switchable_bn: bool = True
     activation: str = "relu6"
+    arch: Optional[Dict[str, Any]] = None   # "derived" models only
 
     _CHOICES = {"quantizer": "quantizers"}
+    _SECTION_KEYS = {"model": "name", "arch": None}
 
     def _validate(self) -> None:
         self._require_positive("num_classes", "width_mult", "image_size")
-        if self.name != "derived" and self.name not in choices("models"):
+        if self.model != "derived" and self.model not in choices("models"):
             raise ConfigError(
-                f"ModelConfig.name: unknown model {self.name!r}; available: "
-                f"{list(choices('models')) + ['derived']}"
+                f"ModelConfig: unknown model {self.model!r}; "
+                f"available: {list(choices('models')) + ['derived']}"
             )
         if self.activation not in ("relu", "relu6"):
             raise ConfigError(
                 f"ModelConfig.activation must be 'relu' or 'relu6', "
                 f"got {self.activation!r}"
             )
+        if self.arch is not None and (
+            self.model != "derived" or not isinstance(self.arch, dict)
+        ):
+            raise ConfigError(
+                f"ModelConfig.arch is only valid with model 'derived', as "
+                f"an object; got {self.arch!r} for model {self.model!r}"
+            )
+
+    def to_dict(self, section: bool = False) -> Dict[str, Any]:
+        payload = super().to_dict(section)
+        if self.arch is None:
+            payload.pop("arch", None)
+        return payload
 
 
 @dataclass(frozen=True)
@@ -361,9 +401,6 @@ class ServeConfig(_StageConfig):
             )
 
 
-_NESTED: Dict[str, type] = {}
-
-
 @dataclass(frozen=True)
 class PipelineConfig(_StageConfig):
     """The whole flow, generate -> train -> deploy -> serve, in one object.
@@ -382,6 +419,14 @@ class PipelineConfig(_StageConfig):
     deploy: DeployConfig = DeployConfig()
     serve: ServeConfig = ServeConfig()
 
+    _SECTIONS = {
+        "model": ModelConfig,
+        "search": SearchConfig,
+        "train": TrainConfig,
+        "deploy": DeployConfig,
+        "serve": ServeConfig,
+    }
+
     def _validate(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ConfigError(
@@ -393,22 +438,18 @@ class PipelineConfig(_StageConfig):
                 f"PipelineConfig.run_dir must be a string path or null, "
                 f"got {self.run_dir!r}"
             )
-        if self.model.name == "derived" and self.search is None:
+        if self.model.model == "derived" and self.search is None:
             raise ConfigError(
                 "PipelineConfig: model.name 'derived' requires a 'search' "
                 "section (the generate stage produces the architecture)"
             )
-        if self.search is not None and self.model.name != "derived":
+        if self.search is not None and self.model.model != "derived":
             raise ConfigError(
                 f"PipelineConfig: a 'search' section requires "
-                f"model.name 'derived', got {self.model.name!r}"
+                f"model.name 'derived', got {self.model.model!r}"
             )
-
-
-_NESTED.update(
-    model=ModelConfig,
-    search=SearchConfig,
-    train=TrainConfig,
-    deploy=DeployConfig,
-    serve=ServeConfig,
-)
+        if self.model.arch is not None:
+            raise ConfigError(
+                "PipelineConfig: model.arch is not configurable; the "
+                "generate stage produces the architecture"
+            )

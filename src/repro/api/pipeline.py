@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.tracer import NULL_TRACER
@@ -139,21 +139,18 @@ class Pipeline:
 
         rng.set_seed(self.config.seed)
 
-    def _datasets(self):
-        """The synthetic train/test split every stage shares."""
+    def _synthetic(self, samples: int, split: str):
+        """One split of the synthetic data every stage shares."""
         from ..data.synthetic import SyntheticSpec, make_synthetic
 
-        model, train = self.config.model, self.config.train
+        cfg = self.config
         spec = SyntheticSpec(
-            name=f"pipeline-{self.config.name}",
-            num_classes=model.num_classes,
-            image_size=model.image_size,
-            difficulty=train.difficulty,
+            name=f"pipeline-{cfg.name}",
+            num_classes=cfg.model.num_classes,
+            image_size=cfg.model.image_size,
+            difficulty=cfg.train.difficulty,
         )
-        return (
-            make_synthetic(spec, train.train_samples, "train"),
-            make_synthetic(spec, train.test_samples, "test"),
-        )
+        return make_synthetic(spec, samples, split)
 
     # ------------------------------------------------------------------
     # Stage: generate
@@ -166,7 +163,7 @@ class Pipeline:
         if cfg.search is None:
             artifact = {
                 "source": "zoo",
-                "model": cfg.model.name,
+                "model": cfg.model.model,
                 "bit_widths": [_bits_to_json(b) for b in cfg.model.bit_widths],
                 "seconds": 0.0,
             }
@@ -174,16 +171,9 @@ class Pipeline:
             return artifact
 
         from ..core.spnas import SPNASConfig, SPNASSearcher
-        from ..data.synthetic import SyntheticSpec, make_synthetic
 
         space = SEARCH_SPACES.get(cfg.search.space)(cfg.model.image_size)
-        spec = SyntheticSpec(
-            name=f"pipeline-{cfg.name}",
-            num_classes=cfg.model.num_classes,
-            image_size=cfg.model.image_size,
-            difficulty=cfg.train.difficulty,
-        )
-        search_set = make_synthetic(spec, cfg.search.samples, "search")
+        search_set = self._synthetic(cfg.search.samples, "search")
         searcher = SPNASSearcher(
             space,
             cfg.model.bit_widths,
@@ -223,35 +213,21 @@ class Pipeline:
     # Stage: train
     # ------------------------------------------------------------------
     def _spnet_config(self):
-        """The checkpoint-embeddable model config for this pipeline."""
-        from ..serve.checkpoint import SPNetConfig
-
+        """The pipeline's model, with the searched ``arch`` for derived."""
         cfg = self.config
-        arch = None
-        if cfg.model.name == "derived":
-            artifact = self._read_json(ARTIFACTS["generate"], "train")
-            if artifact.get("source") != "spnas":
-                raise PipelineError(
-                    "model 'derived' needs an spnas architecture artifact; "
-                    f"found source {artifact.get('source')!r}"
-                )
-            arch = {
-                "space": artifact["space"],
-                "input_size": artifact["input_size"],
-                "specs": artifact["specs"],
-            }
-        return SPNetConfig(
-            model=cfg.model.name,
-            bit_widths=cfg.model.bit_widths,
-            num_classes=cfg.model.num_classes,
-            width_mult=cfg.model.width_mult,
-            image_size=cfg.model.image_size,
-            setting=cfg.model.setting,
-            quantizer=cfg.model.quantizer,
-            switchable_bn=cfg.model.switchable_bn,
-            activation=cfg.model.activation,
-            arch=arch,
-        )
+        if cfg.model.model != "derived":
+            return cfg.model
+        artifact = self._read_json(ARTIFACTS["generate"], "train")
+        if artifact.get("source") != "spnas":
+            raise PipelineError(
+                "model 'derived' needs an spnas architecture artifact; "
+                f"found source {artifact.get('source')!r}"
+            )
+        return replace(cfg.model, arch={
+            "space": artifact["space"],
+            "input_size": artifact["input_size"],
+            "specs": artifact["specs"],
+        })
 
     def train(self) -> Dict[str, Any]:
         """Build + train the SP-Net, evaluate every bit-width, checkpoint."""
@@ -264,7 +240,8 @@ class Pipeline:
         self._seed()
         spnet_config = self._spnet_config()
         sp_net = build_sp_net(spnet_config)
-        train_set, test_set = self._datasets()
+        train_set = self._synthetic(cfg.train.train_samples, "train")
+        test_set = self._synthetic(cfg.train.test_samples, "test")
         # The method contributes its loss only: the checkpoint records
         # model.quantizer, which the net above was built with.
         trainer = SwitchableTrainer(
@@ -316,8 +293,6 @@ class Pipeline:
     # ------------------------------------------------------------------
     def deploy(self) -> Dict[str, Any]:
         """AutoMapper the trained net onto the target, per bit-width."""
-        from dataclasses import replace as dc_replace
-
         from ..core.automapper import AutoMapper, AutoMapperConfig
         from ..hardware import extract_workloads
         from ..quant.layers import normalize_bits
@@ -344,7 +319,7 @@ class Pipeline:
         for bits in sp_net.bit_widths:
             w_bits, a_bits = normalize_bits(bits)
             effective = max(w_bits, a_bits)
-            priced = [dc_replace(w, bits=effective) for w in workloads]
+            priced = [replace(w, bits=effective) for w in workloads]
             result = mapper.search_network(priced, pipeline=cfg.deploy.pipeline)
             mappings.append({
                 "bits": _bits_to_json(bits),
@@ -427,10 +402,7 @@ class Pipeline:
         serve_scale = ServeScale(
             name=f"pipeline-{cfg.name}",
             num_requests=cfg.serve.num_requests,
-            image_size=cfg.model.image_size,
-            num_classes=cfg.model.num_classes,
-            width_mult=cfg.model.width_mult,
-            bit_widths=cfg.model.bit_widths,
+            model=spnet_config,
             max_batch=cfg.serve.max_batch,
             mapper_generations=cfg.serve.mapper_generations,
             slo_batches=cfg.serve.slo_batches,

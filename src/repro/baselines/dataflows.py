@@ -1,4 +1,4 @@
-"""Expert / tool-generated dataflow baselines (system S13 in DESIGN.md).
+"""Expert / tool-generated dataflow baselines.
 
 Fig. 5 compares AutoMapper against four published mappers.  Each is
 reproduced as a *mapper* — a function from (workloads, device) to

@@ -1,4 +1,4 @@
-"""Switchable-precision NAS (systems S9 + S10 in DESIGN.md)."""
+"""Switchable-precision NAS (Section III-C) and its Fig. 4 baselines."""
 
 from .space import (
     BlockSpec,

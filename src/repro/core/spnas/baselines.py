@@ -1,4 +1,4 @@
-"""NAS baselines of Fig. 4: FP-NAS and LP-NAS (system S10 in DESIGN.md).
+"""NAS baselines of Fig. 4: FP-NAS and LP-NAS.
 
 Both reuse the SP-NAS machinery with the heterogeneous update scheme
 switched off:

@@ -139,7 +139,7 @@ def cifar_search_space(input_size: int = 32) -> SearchSpace:
 
 
 def tiny_search_space(input_size: int = 16) -> SearchSpace:
-    """CPU-scale space for the synthetic experiments (DESIGN.md scaling)."""
+    """CPU-scale space for the synthetic experiments."""
     return SearchSpace(
         stem_channels=8,
         stages=(

@@ -1,4 +1,4 @@
-"""Synthetic datasets and loaders (system S5 in DESIGN.md)."""
+"""Synthetic datasets and loaders."""
 
 from .dataset import ArrayDataset, Dataset, Subset, split_dataset
 from .loader import DataLoader, augment_batch

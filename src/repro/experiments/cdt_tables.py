@@ -10,12 +10,11 @@ numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .. import rng as rng_mod
 from ..baselines.spnets import train_method
 from ..core.trainer import TrainConfig
-from ..data.dataset import Dataset
 from ..obs.wallclock import wall_clock_s
 from .common import ExperimentResult, Scale
 

@@ -2,7 +2,8 @@
 
 Every experiment module exposes ``run(scale=..., seed=...) -> ExperimentResult``
 and seeds the library RNG itself, so a run is a function of its arguments.
-Three scales trade fidelity for wall-clock (the substitution in DESIGN.md):
+Three scales trade fidelity for wall-clock (CPU-sized networks on
+synthetic data stand in for the paper's GPU runs):
 
 * ``smoke``   — seconds; exercises every code path (used by tests),
 * ``default`` — minutes; enough training for the paper's *orderings* to
@@ -11,8 +12,7 @@ Three scales trade fidelity for wall-clock (the substitution in DESIGN.md):
   match to the paper's settings.
 
 ``ExperimentResult`` carries measured rows plus the paper's reference
-values so the printed tables show paper-vs-measured side by side (the
-data recorded in EXPERIMENTS.md).
+values so the printed tables show paper-vs-measured side by side.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ supernet training tractable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .. import rng as rng_mod
 from ..baselines.spnets import train_method

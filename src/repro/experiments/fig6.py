@@ -20,7 +20,7 @@ EDP with +0.91%..+5.25% accuracy at the bottleneck width).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .. import rng as rng_mod
 from ..baselines.dataflows import eyeriss_row_stationary, magnet_mapper

@@ -1,4 +1,4 @@
-"""Neural-network substrate (systems S2 + S3 in DESIGN.md)."""
+"""Neural-network substrate: modules, layers and the model zoo."""
 
 from .module import Module, ModuleList, Parameter, Sequential
 from .layers import (

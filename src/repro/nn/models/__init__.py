@@ -1,4 +1,4 @@
-"""Model zoo (system S3 in DESIGN.md)."""
+"""Model zoo: MobileNetV2 and the ResNet family."""
 
 from .mobilenetv2 import MobileNetV2, mobilenet_v2
 from .resnet import (

@@ -9,8 +9,8 @@ it.  Three block settings are provided:
 * ``"cifar"``    — the common 32x32 adaptation (stride-1 stem, first two
   stages keep resolution), as used by the paper's CIFAR experiments,
 * ``"tiny"``     — a shallow/narrow configuration for CPU-sized synthetic
-  runs; same block structure, smaller widths/depths (see DESIGN.md's
-  scaling substitution).
+  runs; same block structure, smaller widths/depths standing in for
+  the paper's full-size network.
 """
 
 from __future__ import annotations

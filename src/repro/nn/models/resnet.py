@@ -7,9 +7,9 @@
   evaluated on TinyImageNet in Table IV (stem adapted to 64x64 inputs:
   3x3 stride-1 convolution, no initial max-pool).
 
-All constructors accept ``width_mult`` for the CPU-scale substitution
-described in DESIGN.md, and a :class:`LayerFactory` to build quantised
-variants.
+All constructors accept ``width_mult``, so CPU-scale runs can use
+narrower networks than the paper's, and a :class:`LayerFactory` to
+build quantised variants.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Optimisers, schedules, gumbel softmax (system S6 in DESIGN.md)."""
+"""Optimisers, schedules, gumbel softmax."""
 
 from .optimizers import Adam, Optimizer, SGD
 from .schedules import ConstantSchedule, CosineDecay, ExponentialDecay, StepDecay

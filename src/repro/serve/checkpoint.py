@@ -4,12 +4,17 @@ A checkpoint is two sibling files sharing one base path:
 
 * ``<base>.npz``  — every parameter and buffer of the wrapped model,
   saved under its dotted ``state_dict`` name;
-* ``<base>.json`` — metadata: a ``schema_version``, the candidate
-  bit-width set, and the model factory configuration needed to rebuild
-  an identical topology (:class:`SPNetConfig`).
+* ``<base>.json`` — metadata: a ``schema_version``, array and
+  parameter counts, and under ``config`` the model description needed
+  to rebuild an identical topology: a
+  :class:`~repro.api.config.ModelConfig` (exported here as
+  ``SPNetConfig``, the same class) in its ``to_dict()`` form.
 
-``load_checkpoint`` rebuilds the model from the JSON config, loads the
-arrays, and returns a :class:`~repro.quant.SwitchablePrecisionNetwork`
+``load_checkpoint`` parses the JSON config with
+``ModelConfig.from_dict``, so an unknown key, a wrong-typed value or a
+bad name fails there with a :class:`~repro.api.config.ConfigError`
+naming the key.  It then rebuilds the model, loads the arrays, and
+returns a :class:`~repro.quant.SwitchablePrecisionNetwork`
 whose outputs match the saved network bit-for-bit at every candidate
 bit-width — the property the serving layer depends on to swap models in
 and out of memory without re-validation.
@@ -23,7 +28,9 @@ unversioned pre-release checkpoints still load — the latter with a
 Model names resolve through :data:`repro.api.registry.MODELS`, plus the
 special name ``"derived"``: an SP-NAS-searched architecture embedded in
 the config's ``arch`` payload (search-space name, input size, per-layer
-block specs), which makes pipeline checkpoints self-contained.
+block specs), which makes pipeline checkpoints self-contained;
+:func:`build_sp_net` rejects a derived config whose payload is absent
+or malformed.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..api.config import ConfigError, ModelConfig
 from ..api.registry import MODELS, SEARCH_SPACES
 from ..quant import SwitchableFactory, SwitchablePrecisionNetwork
-from ..quant.layers import BitSpec
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -62,90 +68,26 @@ class CheckpointVersionError(ValueError):
     """The checkpoint's schema_version is newer than this build supports."""
 
 
-@dataclass(frozen=True)
-class SPNetConfig:
-    """Everything needed to rebuild an SP-Net topology from scratch.
-
-    ``bit_widths`` entries are ints or ``(weight_bits, activation_bits)``
-    pairs, exactly as the quantisation layer accepts them.  ``model``
-    names a registry entry, or ``"derived"`` with the searched
-    architecture in ``arch`` (``{"space", "input_size", "specs"}``).
-    """
-
-    model: str = "mobilenet_v2"
-    bit_widths: Tuple[BitSpec, ...] = (4, 8, 16)
-    num_classes: int = 10
-    width_mult: float = 1.0
-    image_size: int = 16
-    setting: str = "cifar"          # mobilenet_v2 only
-    quantizer: str = "sbm"
-    switchable_bn: bool = True
-    activation: str = "relu6"
-    arch: Optional[Dict] = None     # "derived" models only
-
-    def __post_init__(self):
-        if self.model == "derived":
-            if not isinstance(self.arch, dict):
-                raise ValueError(
-                    "model 'derived' requires an arch payload "
-                    "{'space', 'input_size', 'specs'}"
-                )
-            missing = {"space", "input_size", "specs"} - set(self.arch)
-            if missing:
-                raise ValueError(
-                    f"derived arch payload missing keys {sorted(missing)}"
-                )
-            if self.arch["space"] not in SEARCH_SPACES:
-                raise ValueError(
-                    f"unknown search space {self.arch['space']!r}; "
-                    f"available: {list(SEARCH_SPACES.names())}"
-                )
-        elif self.model not in MODELS:
-            raise ValueError(
-                f"unknown model {self.model!r}; available: "
-                f"{list(MODELS.names()) + ['derived']}"
-            )
-        elif self.arch is not None:
-            raise ValueError(
-                f"arch payload is only valid with model 'derived', "
-                f"got model {self.model!r}"
-            )
-        # Normalise list-of-lists (JSON round-trip) to the tuple forms
-        # the quant layers key their candidate sets on.
-        object.__setattr__(
-            self, "bit_widths", _normalize_bit_widths(self.bit_widths)
-        )
-
-    def to_json_dict(self) -> Dict:
-        payload = asdict(self)
-        payload["bit_widths"] = [
-            list(b) if isinstance(b, tuple) else b for b in self.bit_widths
-        ]
-        if payload["arch"] is None:
-            del payload["arch"]
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Dict) -> "SPNetConfig":
-        return cls(**payload)
+SPNetConfig = ModelConfig
 
 
-def _normalize_bit_widths(bit_widths) -> Tuple[BitSpec, ...]:
-    normalized = []
-    for bits in bit_widths:
-        if isinstance(bits, (list, tuple)):
-            normalized.append((int(bits[0]), int(bits[1])))
-        else:
-            normalized.append(int(bits))
-    return tuple(normalized)
-
-
-def _build_derived_model(config: "SPNetConfig", factory):
+def _build_derived_model(config: SPNetConfig, factory):
     """Rebuild an SP-NAS architecture from its embedded arch payload."""
     from ..core.spnas.derive import DerivedNetwork
     from ..core.spnas.space import BlockSpec
 
-    arch = config.arch
+    arch = config.arch or {}
+    missing = {"space", "input_size", "specs"} - set(arch)
+    if missing:
+        raise ConfigError(
+            f"model 'derived' requires an arch payload {{'space', "
+            f"'input_size', 'specs'}}; missing keys {sorted(missing)}"
+        )
+    if arch["space"] not in SEARCH_SPACES:
+        raise ConfigError(
+            f"unknown search space {arch['space']!r}; "
+            f"available: {list(SEARCH_SPACES.names())}"
+        )
     space = SEARCH_SPACES.get(arch["space"])(int(arch["input_size"]))
     specs = [
         BlockSpec(
@@ -202,7 +144,7 @@ def save_checkpoint(
     np.savez(npz_path, **state)
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": config.to_json_dict(),
+        "config": config.to_dict(),
         "num_arrays": len(state),
         "num_parameters": sp_net.num_parameters(),
     }
@@ -246,7 +188,7 @@ def load_checkpoint(
     with open(json_path) as handle:
         meta = json.load(handle)
     _check_schema_version(meta, json_path)
-    config = SPNetConfig.from_json_dict(meta["config"])
+    config = SPNetConfig.from_dict(meta["config"])
     sp_net = build_sp_net(config)
     sp_net.load_state_dict(load_state_arrays(npz_path))
     return sp_net, config

@@ -254,7 +254,7 @@ def make_fleet(
                 max_batch=fixture.scale.max_batch,
                 slo_s=fixture.slo_s,
             )
-        sp_net = build_sp_net(fixture.config)
+        sp_net = build_sp_net(fixture.scale.model)
         sp_net.load_state_dict(fixture.sp_net.state_dict())
         return make_engine(dc_replace(fixture, sp_net=sp_net), policy)
 

@@ -37,7 +37,7 @@ carries cost-model energy estimates — energy per request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -70,14 +70,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServeScale:
-    """Model size and traffic volume for one simulation scale."""
+    """The served model and the traffic volume for one simulation scale."""
 
     name: str
     num_requests: int
-    image_size: int
-    num_classes: int
-    width_mult: float
-    bit_widths: tuple
+    model: SPNetConfig
     max_batch: int
     mapper_generations: int
     slo_batches: float = 2.5   # SLO as a multiple of one full-batch service
@@ -86,14 +83,14 @@ class ServeScale:
 
 SERVE_SCALES: Dict[str, ServeScale] = {
     "smoke": ServeScale(
-        name="smoke", num_requests=240, image_size=12, num_classes=5,
-        width_mult=0.25, bit_widths=(4, 8, 16), max_batch=8,
-        mapper_generations=3,
+        name="smoke", num_requests=240, max_batch=8, mapper_generations=3,
+        model=SPNetConfig(bit_widths=(4, 8, 16), num_classes=5,
+                          width_mult=0.25, image_size=12),
     ),
     "default": ServeScale(
-        name="default", num_requests=1536, image_size=16, num_classes=10,
-        width_mult=0.5, bit_widths=(4, 8, 12, 16), max_batch=16,
-        mapper_generations=6,
+        name="default", num_requests=1536, max_batch=16, mapper_generations=6,
+        model=SPNetConfig(bit_widths=(4, 8, 12, 16), num_classes=10,
+                          width_mult=0.5, image_size=16),
     ),
 }
 
@@ -189,8 +186,8 @@ def generate_requests(
     arrivals = np.cumsum(gaps)
     spec = SyntheticSpec(
         name="serve",
-        num_classes=scale.num_classes,
-        image_size=scale.image_size,
+        num_classes=scale.model.num_classes,
+        image_size=scale.model.image_size,
         difficulty=scale.difficulty,
     )
     dataset = make_synthetic(spec, scale.num_requests, f"traffic-{scenario}")
@@ -312,8 +309,7 @@ class SimFixture:
     """Everything a simulation run shares across policies."""
 
     sp_net: object
-    config: SPNetConfig
-    scale: ServeScale
+    scale: ServeScale          # its ``model`` is the served model's config
     latency_model: BitLatencyModel
     slo_s: float
     requests: tuple
@@ -329,48 +325,32 @@ def prepare_simulation(
     """Build (or adopt) the model, price it, and generate the traffic.
 
     The single setup path shared by :func:`run_serve_sim` and the
-    pipeline ``serve`` stage.  A ``config`` alone customises the freshly
-    built model; an existing ``sp_net`` requires its :class:`SPNetConfig`
-    alongside.  Either way the config overrides the scale's model fields
-    (image size, class count, bit-widths) so the traffic and the latency
-    oracle match the served model.  Pass ``latency_model`` to price the
-    engine from an existing source (e.g. a pipeline deploy artifact)
-    instead of running the cost-model search here.
+    pipeline ``serve`` stage.  The scale's ``model`` is built unless a
+    ``config`` replaces it; an existing ``sp_net`` requires its
+    ``config`` alongside.  Either way the fixture's scale holds the
+    served model's config, so the traffic and the latency oracle match
+    it.  Pass ``latency_model`` to price the engine from an existing
+    source (e.g. a pipeline deploy artifact) instead of running the
+    cost-model search here.
     """
-    import dataclasses
-
     cfg = get_serve_scale(scale)
     if scenario not in SCENARIOS:
         raise ValueError(
             f"unknown scenario {scenario!r}; available: "
             f"{list(SCENARIOS.names())}"
         )
-    if config is None:
-        if sp_net is not None:
-            raise ValueError(
-                "pass the model's SPNetConfig along with sp_net so the "
-                "traffic matches its input shape and class count"
-            )
-        config = SPNetConfig(
-            model="mobilenet_v2",
-            bit_widths=cfg.bit_widths,
-            num_classes=cfg.num_classes,
-            width_mult=cfg.width_mult,
-            image_size=cfg.image_size,
+    if config is not None:
+        cfg = replace(cfg, model=config)
+    elif sp_net is not None:
+        raise ValueError(
+            "pass the model's SPNetConfig along with sp_net so the "
+            "traffic matches its input shape and class count"
         )
     if sp_net is None:
-        sp_net = build_sp_net(config)
-    # Traffic and the latency oracle always follow the served model's
-    # config (a no-op when the config was derived from the scale above).
-    cfg = dataclasses.replace(
-        cfg,
-        bit_widths=config.bit_widths,
-        num_classes=config.num_classes,
-        image_size=config.image_size,
-    )
+        sp_net = build_sp_net(cfg.model)
     if latency_model is None:
         latency_model = BitLatencyModel.from_cost_model(
-            sp_net, cfg.image_size, generations=cfg.mapper_generations
+            sp_net, cfg.model.image_size, generations=cfg.mapper_generations
         )
     slo_s = cfg.slo_batches * latency_model.batch_latency_s(
         sp_net.highest, cfg.max_batch
@@ -379,7 +359,7 @@ def prepare_simulation(
         generate_requests(scenario, cfg, latency_model, sp_net.highest)
     )
     return SimFixture(
-        sp_net=sp_net, config=config, scale=cfg,
+        sp_net=sp_net, scale=cfg,
         latency_model=latency_model, slo_s=slo_s, requests=requests,
     )
 

@@ -2,10 +2,10 @@
 
 This module is the computational substrate for the whole reproduction: the
 paper trains switchable-precision networks with PyTorch, and this engine
-stands in for it (see DESIGN.md, substitution table).  It implements a
-define-by-run tape: every differentiable operation creates a new
-:class:`Tensor` holding a backward closure, and :meth:`Tensor.backward`
-replays the closures in reverse topological order.
+stands in for it.  It implements a define-by-run tape: every
+differentiable operation creates a new :class:`Tensor` holding a
+backward closure, and :meth:`Tensor.backward` replays the closures in
+reverse topological order.
 
 Only the features the reproduction needs are implemented, but those are
 implemented fully and are gradient-checked in ``tests/test_tensor_*``:

@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the paper's design choices.
 
 1. Stop-gradient in CDT (Eq. 1's SG operator),
 2. Switchable vs shared batch-norm statistics,

@@ -21,7 +21,7 @@ ALL_CONFIG_CLASSES = (
 
 NON_DEFAULT = {
     ModelConfig: dict(
-        name="resnet8", bit_widths=((2, 32), 8), num_classes=3,
+        model="resnet8", bit_widths=((2, 32), 8), num_classes=3,
         width_mult=0.5, image_size=8, quantizer="dorefa",
         switchable_bn=False, activation="relu",
     ),
@@ -45,7 +45,7 @@ NON_DEFAULT = {
     ),
     PipelineConfig: dict(
         name="trip", seed=7, run_dir="runs/elsewhere",
-        model=ModelConfig(name="resnet8", num_classes=3),
+        model=ModelConfig(model="resnet8", num_classes=3),
         train=TrainConfig(epochs=1),
     ),
 }
@@ -80,7 +80,7 @@ class TestRoundTrips:
 
     def test_nested_search_section_round_trips(self):
         config = PipelineConfig(
-            model=ModelConfig(name="derived"),
+            model=ModelConfig(model="derived"),
             search=SearchConfig(space="tiny", epochs=2),
         )
         again = PipelineConfig.from_dict(config.to_dict())
@@ -110,7 +110,7 @@ class TestLoadErrors:
 
     @pytest.mark.parametrize("cls,field,value", [
         (ModelConfig, "quantizer", "fp4ever"),
-        (ModelConfig, "name", "transformer9000"),
+        (ModelConfig, "model", "transformer9000"),
         (SearchConfig, "space", "galaxy"),
         (TrainConfig, "method", "alchemy"),
         (DeployConfig, "device", "tpu"),
@@ -183,12 +183,12 @@ class TestLoadErrors:
 class TestPipelineCrossValidation:
     def test_derived_model_requires_search_section(self):
         with pytest.raises(ConfigError, match="requires a 'search'"):
-            PipelineConfig(model=ModelConfig(name="derived"))
+            PipelineConfig(model=ModelConfig(model="derived"))
 
     def test_search_section_requires_derived_model(self):
         with pytest.raises(ConfigError, match="model.name 'derived'"):
             PipelineConfig(
-                model=ModelConfig(name="resnet8", num_classes=3),
+                model=ModelConfig(model="resnet8", num_classes=3),
                 search=SearchConfig(),
             )
 
@@ -205,6 +205,45 @@ class TestPipelineCrossValidation:
             / "examples" / "pipeline_smoke.json"
         )
         config = PipelineConfig.load(str(example))
-        assert config.model.name == "derived"
+        assert config.model.model == "derived"
         assert config.search is not None
         assert PipelineConfig.from_dict(config.to_dict()) == config
+
+
+class TestOneModelDescription:
+    """The pipeline's model section, the checkpoint config and the serve
+    scale's model are one class with two JSON forms."""
+
+    def test_checkpoint_config_is_the_pipeline_model_config(self):
+        from repro import api, serve
+
+        assert api.ModelConfig is serve.SPNetConfig
+
+    def test_pipeline_section_spells_model_as_name(self):
+        payload = PipelineConfig(
+            model=ModelConfig(model="resnet8", num_classes=3)
+        ).to_dict()
+        assert payload["model"]["name"] == "resnet8"
+        assert "model" not in payload["model"]
+        assert "arch" not in payload["model"]
+        assert ModelConfig(model="resnet8").to_dict()["model"] == "resnet8"
+
+    @pytest.mark.parametrize("key,value", [
+        ("arch", {"space": "tiny", "input_size": 8, "specs": []}),
+        ("model", "resnet8"),
+    ])
+    def test_pipeline_section_rejects_checkpoint_only_keys(self, key, value):
+        match = rf"unknown key\(s\) \['{key}'\]"
+        with pytest.raises(ConfigError, match=match):
+            PipelineConfig.from_dict({"model": {key: value}})
+
+    def test_pipeline_rejects_a_preset_arch(self):
+        arch = {"space": "tiny", "input_size": 8, "specs": []}
+        with pytest.raises(ConfigError, match="model.arch"):
+            PipelineConfig(
+                model=ModelConfig(model="derived", arch=arch),
+                search=SearchConfig(),
+            )
+
+    def test_derived_without_arch_is_a_valid_config(self):
+        assert ModelConfig(model="derived").arch is None

@@ -92,7 +92,7 @@ def test_pipeline_beta_reaches_the_loss(method, tmp_path, monkeypatch):
     monkeypatch.setattr(core, "SwitchableTrainer", RecordingTrainer)
     config = PipelineConfig(
         name="beta",
-        model=ModelConfig(name="resnet8", bit_widths=(4, 8, 32),
+        model=ModelConfig(model="resnet8", bit_widths=(4, 8, 32),
                           num_classes=3, width_mult=0.25, image_size=8),
         train=TrainConfig(method=method, beta=0.0, epochs=1, batch_size=16,
                           train_samples=32, test_samples=16),

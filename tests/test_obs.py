@@ -521,8 +521,7 @@ def sim_fixture():
     from repro.serve.simulator import SERVE_SCALES
 
     scale = dataclasses.replace(
-        SERVE_SCALES["smoke"], num_requests=48, image_size=8,
-        num_classes=3, bit_widths=(4, 8, 16),
+        SERVE_SCALES["smoke"], num_requests=48, model=config,
     )
     return prepare_simulation(
         "bursty", scale, sp_net=sp_net, config=config,

@@ -30,7 +30,7 @@ def zoo_config(**overrides):
         name="unit",
         seed=0,
         model=ModelConfig(
-            name="resnet8", bit_widths=(4, 8), num_classes=3,
+            model="resnet8", bit_widths=(4, 8), num_classes=3,
             width_mult=0.25, image_size=8,
         ),
         train=TrainConfig(
@@ -51,7 +51,7 @@ def derived_config():
     return PipelineConfig(
         name="unit-derived",
         model=ModelConfig(
-            name="derived", bit_widths=(4, 8), num_classes=3, image_size=8,
+            model="derived", bit_widths=(4, 8), num_classes=3, image_size=8,
         ),
         search=SearchConfig(space="tiny", epochs=1, batch_size=16, samples=48),
         train=TrainConfig(

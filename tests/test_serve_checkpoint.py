@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import ConfigError
 from repro.serve import (
     ModelRegistry,
     SPNetConfig,
@@ -35,9 +36,11 @@ def outputs_at_every_bit(sp_net, x):
 
 
 class TestSPNetConfig:
+    """The checkpoint's config is validated where it is read and built."""
+
     def test_json_round_trip_preserves_bit_pairs(self):
         cfg = small_config(bit_widths=(4, (2, 32), 8))
-        again = SPNetConfig.from_json_dict(cfg.to_json_dict())
+        again = SPNetConfig.from_dict(cfg.to_dict())
         assert again == cfg
         assert again.bit_widths == (4, (2, 32), 8)
 
@@ -51,23 +54,48 @@ class TestSPNetConfig:
         )
         assert cfg.bit_widths == ((2, 32), 8)
 
+    # A derived config without its arch is valid (the pipeline fills
+    # arch in after generate); building one is not.
     def test_derived_requires_arch_payload(self):
-        with pytest.raises(ValueError, match="requires an arch"):
-            small_config(model="derived")
+        with pytest.raises(ConfigError, match="requires an arch"):
+            build_sp_net(small_config(model="derived"))
 
     def test_derived_arch_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="missing keys"):
-            small_config(model="derived", arch={"space": "tiny"})
+        config = small_config(model="derived", arch={"space": "tiny"})
+        with pytest.raises(ConfigError, match="missing keys"):
+            build_sp_net(config)
 
     def test_derived_unknown_search_space_rejected(self):
         arch = {"space": "nowhere", "input_size": 8, "specs": []}
-        with pytest.raises(ValueError, match="unknown search space"):
-            small_config(model="derived", arch=arch)
+        config = small_config(model="derived", arch=arch)
+        with pytest.raises(ConfigError, match="unknown search space"):
+            build_sp_net(config)
 
     def test_arch_only_valid_for_derived(self):
         arch = {"space": "tiny", "input_size": 8, "specs": []}
         with pytest.raises(ValueError, match="only valid with model"):
             small_config(arch=arch)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("widht_mult", 0.5, r"unknown key\(s\) \['widht_mult'\]"),
+        ("num_classes", "3", r"ModelConfig\.num_classes must be an int"),
+        ("switchable_bn", 1, r"ModelConfig\.switchable_bn must be a bool"),
+        ("activation", "gelu", r"ModelConfig\.activation must be"),
+        ("quantizer", "fp4ever", r"ModelConfig\.quantizer: unknown value"),
+        ("arch", [], r"ModelConfig\.arch is only valid"),
+    ])
+    def test_bad_config_fails_at_load_naming_the_key(
+        self, tmp_path, key, value, match
+    ):
+        import json as json_mod
+
+        _, json_path = _saved_checkpoint(tmp_path)
+        with open(json_path) as handle:
+            meta = json_mod.load(handle)
+        meta["config"][key] = value
+        _edit_meta(json_path, config=meta["config"])
+        with pytest.raises(ConfigError, match=match):
+            load_checkpoint(str(tmp_path / "m"))
 
 
 class TestCheckpointRoundTrip:
@@ -133,7 +161,7 @@ class TestStateArrays:
         _, json_path = save_checkpoint(sp_net, cfg, str(tmp_path / "m"))
         with open(json_path) as handle:
             meta = json_mod.load(handle)
-        assert meta["config"] == cfg.to_json_dict()
+        assert meta["config"] == cfg.to_dict()
         assert meta["num_arrays"] == len(sp_net.state_dict())
         assert meta["num_parameters"] == sp_net.num_parameters()
 

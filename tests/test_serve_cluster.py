@@ -44,8 +44,11 @@ CFG = SPNetConfig(
 # Ends mid-burst (96 = 2 full bursty cycles), so a backlog remains when
 # arrivals stop and extra replicas demonstrably shorten the drain.
 FLEET_TINY = ServeScale(
-    name="fleet-tiny", num_requests=96, image_size=8, num_classes=3,
-    width_mult=0.25, bit_widths=BITS, max_batch=8, mapper_generations=2,
+    name="fleet-tiny", num_requests=96,
+    model=SPNetConfig(
+        bit_widths=BITS, num_classes=3, width_mult=0.25, image_size=8,
+    ),
+    max_batch=8, mapper_generations=2,
 )
 
 

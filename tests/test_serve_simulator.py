@@ -10,6 +10,7 @@ from repro.serve import (
     SERVE_SCALES,
     BitLatencyModel,
     ServeScale,
+    SPNetConfig,
     format_reports,
     generate_requests,
     run_serve_sim,
@@ -18,9 +19,11 @@ from repro.serve.simulator import get_serve_scale
 
 
 TINY = ServeScale(
-    name="tiny", num_requests=72, image_size=8, num_classes=3,
-    width_mult=0.25, bit_widths=(4, 8, 16), max_batch=8,
-    mapper_generations=2,
+    name="tiny", num_requests=72,
+    model=SPNetConfig(
+        bit_widths=(4, 8, 16), num_classes=3, width_mult=0.25, image_size=8,
+    ),
+    max_batch=8, mapper_generations=2,
 )
 
 
@@ -57,7 +60,7 @@ class TestTraffic:
         requests = generate_requests("diurnal", TINY, model, 16)
         arrivals = [r.arrival_s for r in requests]
         assert arrivals == sorted(arrivals)
-        assert all(0 <= r.label < TINY.num_classes for r in requests)
+        assert all(0 <= r.label < TINY.model.num_classes for r in requests)
 
     def test_bursty_has_tighter_gaps_than_constant(self):
         model = fixed_latency_model()
@@ -74,7 +77,7 @@ class TestTraffic:
         arrivals = [r.arrival_s for r in requests]
         assert arrivals == sorted(arrivals) and arrivals[0] >= 0.0
         assert all(r.image.shape == (3, 8, 8) for r in requests)
-        assert all(0 <= r.label < TINY.num_classes for r in requests)
+        assert all(0 <= r.label < TINY.model.num_classes for r in requests)
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -144,7 +147,7 @@ class TestEndToEnd:
         assert format_reports([]) == "(no reports)"
 
     def test_existing_model_gets_matching_traffic(self):
-        """A passed model's config overrides the scale's model fields."""
+        """A passed model's config replaces the scale's model."""
         from repro.serve import SPNetConfig, build_sp_net
         from repro.serve.simulator import prepare_simulation
 
