@@ -155,3 +155,27 @@ class TestSearchAndDerive:
             SPNASConfig(arch_bits="median")
         with pytest.raises(ValueError):
             SPNASConfig(weight_mode="mixed")
+
+
+class TestSearchGolden:
+    """One tiny search, pinned bit for bit: labels, every history float
+    and the derived FLOPs.  Any change to the search's numerics (the
+    order of a gradient sum, a skipped or extra RNG draw) shows here."""
+
+    def test_tiny_search_is_pinned(self):
+        rng_mod.set_seed(0)
+        train, _ = cifar100_like(num_train=96, num_test=32, image_size=12,
+                                 num_classes=5, difficulty=2.0)
+        cfg = SPNASConfig(epochs=2, batch_size=32, flops_target=2e6,
+                          lambda_eff=1.0, arch_lr=0.05)
+        result = search_spnas(tiny_search_space(12), [4, 32], 5, train, cfg)
+        assert result.labels == [
+            "e3k3", "e6k3", "e6k5", "e6k3", "e1k3", "e1k3"]
+        assert {k: [repr(v) for v in vs]
+                for k, vs in result.history.items()} == {
+            "weight_loss": ["1.8879809379577637", "1.80669367313385"],
+            "arch_loss": ["1.710630476474762", "1.7293858528137207"],
+            "expected_flops": ["694744.1875", "698277.375"],
+            "temperature": ["3.0", "2.82"],
+        }
+        assert repr(result.flops) == "826632.0"
