@@ -72,6 +72,30 @@ python -m repro obs "$PIPELINE_OBS_DIR" > /dev/null \
 python -m repro obs "$PIPELINE_OBS_DIR" --profile > /dev/null \
     || { echo "repro obs --profile failed on the traced pipeline run dir"; exit 1; }
 
+echo "==> plain and traced pipeline runs agree (tracing must not change a result)"
+for artifact in checkpoint.npz checkpoint.json; do
+    cmp "$PIPELINE_RUN_DIR/$artifact" "$PIPELINE_OBS_DIR/$artifact" \
+        || { echo "traced pipeline $artifact differs from the plain run"; exit 1; }
+done
+# Stage reports record their wall time under "seconds"; all else must match.
+python - "$PIPELINE_RUN_DIR" "$PIPELINE_OBS_DIR" <<'EOF'
+import json, sys
+
+def timeless(value):
+    if isinstance(value, dict):
+        return {k: timeless(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return [timeless(v) for v in value]
+    return value
+
+plain, traced = sys.argv[1:]
+for name in ("architecture.json", "train_report.json", "deploy_report.json",
+             "serve_report.json"):
+    reports = [timeless(json.load(open(f"{d}/{name}"))) for d in (plain, traced)]
+    if reports[0] != reports[1]:
+        sys.exit(f"traced pipeline {name} differs from the plain run")
+EOF
+
 echo "==> serve-sim smoke (bursty scenario, all policies; tracing must not change the report)"
 SERVE_SIM_DIR="$(mktemp -d)"
 TEMP_DIRS+=("$SERVE_SIM_DIR")

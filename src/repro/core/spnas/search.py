@@ -10,6 +10,10 @@ The heterogeneous update scheme is the paper's key NAS idea:
   the other half, with Adam at a fixed LR — forcing the search to pick
   architectures that inherently tolerate the bottleneck precision.
 
+Each half-step freezes the variable it does not update, so its backward
+never computes that variable's gradient, and each optimiser clears its
+gradients right after its step.
+
 Setting ``arch_bits="highest"`` / ``weight_mode="highest"`` or
 ``"lowest"`` degrades this scheme into the FP-NAS / LP-NAS baselines of
 Fig. 4 (see :mod:`repro.core.spnas.baselines`).
@@ -17,10 +21,9 @@ Fig. 4 (see :mod:`repro.core.spnas.baselines`).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ... import rng as rng_mod
 from ...data.dataset import Dataset, split_dataset
@@ -36,6 +39,24 @@ from .space import SearchSpace
 from .supernet import Supernet
 
 __all__ = ["SPNASConfig", "SearchResult", "SPNASSearcher"]
+
+
+@contextlib.contextmanager
+def _frozen(params):
+    """Mark ``params`` as needing no gradient for the ``with`` body.
+
+    Ops recorded inside skip those parameters' gradients entirely (see
+    :func:`repro.tensor.autograd.make_op`), so one half-step of Eq. 2
+    never computes the other variable's gradient.
+    """
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
 
 
 @dataclass
@@ -146,28 +167,32 @@ class SPNASSearcher:
             arch_iter = iter(arch_loader)
             for images, labels in weight_loader:
                 # ---- (1) weight step on the weight half ----------------
+                # alpha is frozen from the resample on, so the gumbel
+                # coefficients are constants and backward differentiates
+                # the weights only.
                 weight_opt.lr = lr_schedule(step)
-                self.supernet.resample(temperature, rng=rng)
-                weight_opt.zero_grad()
-                self._zero_arch_grads()
-                w_loss = self._weight_loss(strategy, Tensor(images), labels)
-                w_loss.backward()
+                with _frozen(arch_opt.params):
+                    self.supernet.resample(temperature, rng=rng)
+                    w_loss = self._weight_loss(strategy, Tensor(images), labels)
+                    w_loss.backward()
                 weight_opt.step()
+                weight_opt.zero_grad()
 
                 # ---- (2) architecture step on the arch half ------------
+                # The weights are frozen: the first MixedOp's candidates
+                # see only constants and record no graph, and later layers
+                # backpropagate to their inputs but not their weights.
                 try:
                     a_images, a_labels = next(arch_iter)
                 except StopIteration:
                     arch_iter = iter(arch_loader)
                     a_images, a_labels = next(arch_iter)
-                self.supernet.resample(temperature, rng=rng)
-                self._zero_arch_grads()
-                weight_opt.zero_grad()
-                a_loss = self._arch_loss(Tensor(a_images), a_labels)
-                a_loss.backward()
+                with _frozen(weight_opt.params):
+                    self.supernet.resample(temperature, rng=rng)
+                    a_loss = self._arch_loss(Tensor(a_images), a_labels)
+                    a_loss.backward()
                 arch_opt.step()
-                # Discard weight gradients produced by the arch step.
-                weight_opt.zero_grad()
+                arch_opt.zero_grad()
 
                 epoch_w += w_loss.item()
                 epoch_a += a_loss.item()
@@ -220,10 +245,6 @@ class SPNASSearcher:
         flops = self.supernet.expected_flops()
         overshoot = relu(flops * (1.0 / cfg.flops_target) - 1.0)
         return ce + overshoot * cfg.lambda_eff
-
-    def _zero_arch_grads(self):
-        for p in self.supernet.arch_parameters():
-            p.zero_grad()
 
     def _derived_flops(self, specs) -> float:
         from .space import candidate_flops

@@ -15,8 +15,8 @@ budgets on the same quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 __all__ = ["BlockSpec", "StageSpec", "SearchSpace", "candidate_flops",
            "cifar_search_space", "tiny_search_space"]

@@ -14,7 +14,7 @@ mixture at every precision.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ... import rng as rng_mod
 from ...nn.blocks import ConvBNAct, InvertedResidual
 from ...nn.factory import LayerFactory
 from ...nn.layers import Flatten, GlobalAvgPool2d, Identity
-from ...nn.module import Module, ModuleList, Parameter, Sequential
+from ...nn.module import Module, ModuleList, Parameter
 from ...optim.gumbel import sample_gumbel
 from ...tensor import Tensor, softmax
 from .space import BlockSpec, SearchSpace, candidate_flops

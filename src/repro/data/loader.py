@@ -7,7 +7,7 @@ per-batch in vectorised NumPy.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 

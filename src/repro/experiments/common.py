@@ -18,7 +18,7 @@ values so the printed tables show paper-vs-measured side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 __all__ = ["Scale", "SCALES", "get_scale", "ExperimentResult", "format_table"]
 

@@ -105,7 +105,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
             )
     result.notes = (
         "batch 1, 16-bit; all mappers priced on the shared analytical "
-        "cost model (DESIGN.md substitution for HLS/ASIC measurement)"
+        "cost model (substituted for HLS/ASIC measurement)"
     )
     result.seconds = wall_clock_s() - start
     return result

@@ -163,7 +163,7 @@ def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
     result.notes = (
         "Sys.1 = SP-trained MobileNetV2 + Eyeriss RS; Sys.2 = AdaBits "
         "MobileNetV2 + MAGNet (concrete instantiation of the paper's "
-        "unnamed baselines, see DESIGN.md)"
+        "unnamed baselines)"
     )
     result.seconds = wall_clock_s() - start
     return result

@@ -122,7 +122,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         )
     result.notes = (
         "baseline = AdaBits-trained MobileNetV2 on a DNNBuilder pipelined "
-        "FPGA accelerator; ImageNet stand-in per DESIGN.md"
+        "FPGA accelerator; synthetic ImageNet-like stand-in data"
     )
     result.seconds = wall_clock_s() - start
     return result

@@ -72,7 +72,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
     )
     result.notes = (
         "substituted synthetic CIFAR-100-like data and width-scaled "
-        "MobileNetV2 (DESIGN.md); compare orderings, not absolute accuracy"
+        "MobileNetV2; compare orderings, not absolute accuracy"
     )
     return result
 

@@ -8,7 +8,6 @@ with the largest gains at 4-bit (+0.30%..+0.97%).
 from __future__ import annotations
 
 from ..data.synthetic import cifar10_like, cifar100_like
-from ..nn.models import resnet38, resnet8
 from .cdt_tables import run_cdt_comparison
 from .common import ExperimentResult, get_scale
 
@@ -94,7 +93,7 @@ def run(scale="default", seed: int = 0, blocks_per_stage: int = None
         merged.seconds += part.seconds
     merged.notes = (
         f"depth-scaled ResNet (n={blocks_per_stage} blocks/stage) on "
-        "synthetic data; see DESIGN.md substitutions"
+        "substituted synthetic CIFAR-like data"
     )
     return merged
 

@@ -15,8 +15,8 @@ makes low-precision execution pay off in EDP (Figs. 6-7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 __all__ = ["MemoryLevel", "MemoryHierarchy", "Device", "eyeriss_like_asic",
            "zc706_like_fpga", "edge_asic", "BASE_WORD_BITS"]

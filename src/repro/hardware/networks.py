@@ -13,7 +13,7 @@ searched networks to AutoMapper.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..nn.profile import profile_model
 from .workload import ConvWorkload

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["DIMS", "DIM_INDEX", "TENSOR_DIMS", "ConvWorkload"]
 

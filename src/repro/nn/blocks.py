@@ -10,10 +10,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..tensor import Tensor
-from .factory import FloatFactory, LayerFactory
+from .factory import LayerFactory
 from .layers import Identity
 from .module import Module, Sequential
 

@@ -15,7 +15,7 @@ it.  Three block settings are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ...tensor import Tensor
 from ..blocks import ConvBNAct, InvertedResidual

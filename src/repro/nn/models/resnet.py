@@ -14,7 +14,7 @@ build quantised variants.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ...tensor import Tensor
 from ..blocks import BasicBlock, ConvBNAct

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

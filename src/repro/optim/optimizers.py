@@ -8,7 +8,7 @@ of their PyTorch namesakes so the published hyper-parameters transfer.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 

@@ -27,7 +27,7 @@ from collections import deque
 
 import numpy as np
 
-from ..obs.tracer import NULL_TRACER, bits_label
+from ..obs.tracer import NULL_TRACER
 from ..quant import SwitchablePrecisionNetwork
 from ..quant.layers import BitSpec, normalize_bits
 from ..tensor import Tensor, no_grad

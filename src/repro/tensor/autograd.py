@@ -280,7 +280,11 @@ def make_op(
     """Create the output tensor of a differentiable operation.
 
     ``backward`` receives the gradient w.r.t. the output and must return a
-    tuple of gradients aligned with ``parents`` (``None`` entries allowed).
+    tuple of gradients aligned with ``parents``.  A ``None`` entry means
+    "no gradient": an op whose backward is costly per operand (conv2d,
+    ``mul``, ``matmul``) reads each parent's ``requires_grad`` when it is
+    recorded and returns ``None`` for the ones that need none, so a frozen
+    weight or an input image costs no backward work.
     Graph edges are only recorded while gradients are enabled and at least
     one parent requires them; otherwise the result is a detached tensor,
     which keeps inference loops allocation-light.

@@ -33,8 +33,11 @@ Four execution strategies share one differentiable ``conv2d`` surface:
   einsum adds each output's taps in (i, j) order whether folded or not,
   so float32 results are bitwise those of a tap-by-tap accumulation.
   The backward rebuilds the padded copy (holding it from the forward
-  raises peak memory) and reduces the weight gradient per tap with one
-  fused ``einsum``.  The input gradient is the transposed convolution:
+  raises peak memory) and reduces the weight gradient over all taps of
+  the same view in one ``einsum``; each (c, i, j) still sums its
+  (n, h, w) products in the order a per-tap reduction would, so with
+  C > 1 the float32 result is bitwise the per-tap one.  The input
+  gradient is the transposed convolution:
   the same tap-view correlation over the zero-dilated output gradient
   with the kernel flipped; it is stride 1 for every layer, so it always
   takes the folded axis.  Output and input gradient are
@@ -46,6 +49,12 @@ Four execution strategies share one differentiable ``conv2d`` surface:
 
 :func:`fast_conv` toggles the fast paths off, forcing everything through
 the grouped reference path — used by the equivalence tests.
+
+Every path computes only the gradients someone reads: an input that
+does not require a gradient (the images a stem conv sees, or the
+activations of a frozen layer) gets no ``gx``, a frozen weight no
+``gw`` and a frozen bias no bias gradient.  The choice is made when the
+op is recorded, and a skipped slot is returned as ``None``.
 """
 
 from __future__ import annotations
@@ -276,6 +285,9 @@ def conv2d(
     ow = conv_output_size(w, kw, stride, padding)
     l = oh * ow
 
+    # Fixed when the op is recorded; a skipped gradient is ``None``.
+    need_gx, need_gw = x.requires_grad, weight.requires_grad
+
     pointwise = (
         _FAST_CONV and groups == 1 and kh == 1 and kw == 1
         and stride == 1 and padding == 0
@@ -289,11 +301,12 @@ def conv2d(
 
         def backward_pointwise(grad):
             grad2 = grad.reshape(n, c_out, l)
-            gw = np.matmul(grad2, x2.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(c_out, c_in_g, kh, kw)
-            gx = np.matmul(w2.T, grad2).reshape(n, c_in, h, w)
-            if bias is not None:
-                return gx, gw, grad.sum(axis=(0, 2, 3))
+            gx = gw = None
+            if need_gw:
+                gw = np.matmul(grad2, x2.transpose(0, 2, 1)).sum(axis=0)
+                gw = gw.reshape(c_out, c_in_g, kh, kw)
+            if need_gx:
+                gx = np.matmul(w2.T, grad2).reshape(n, c_in, h, w)
             return gx, gw
 
         backward = backward_pointwise
@@ -312,27 +325,31 @@ def conv2d(
 
         def backward_depthwise(grad):
             g = np.ascontiguousarray(grad.transpose(0, 2, 3, 1))
-            xp = _pad_nhwc(x.data, padding)
-            view = _tap_view(xp, (kh, kw), (oh, ow), stride)
-            gw = np.empty_like(weight.data)
-            for i in range(kh):
-                for j in range(kw):
-                    gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g, view[:, i, j])
-            del xp, view
-            # Transposed conv: correlate the zero-dilated gradient with the
-            # flipped kernel.  The dilated gradient sits at offset
-            # (KH-1, KW-1) so every padding works; the input's (H, W)
-            # window then starts at (padding, padding).
-            hp, wp = h + 2 * padding, w + 2 * padding
-            gd = np.zeros((n, hp + kh - 1, wp + kw - 1, c_in), dtype=g.dtype)
-            gd[:, kh - 1:kh - 1 + stride * oh:stride,
-               kw - 1:kw - 1 + stride * ow:stride] = g
-            gx = _correlate_nhwc(
-                gd[:, padding:, padding:], w_khwc[::-1, ::-1], (h, w), 1
-            )
-            gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
-            if bias is not None:
-                return gx, gw, grad.sum(axis=(0, 2, 3))
+            gx = gw = None
+            if need_gw:
+                # One pass over every tap; each (c, i, j) still sums its
+                # (n, h, w) products in the per-tap order.
+                view = _tap_view(
+                    _pad_nhwc(x.data, padding), (kh, kw), (oh, ow), stride
+                )
+                gw = np.einsum("nijhwc,nhwc->cij", view, g)
+                gw = gw.reshape(c_out, 1, kh, kw)
+                del view
+            if need_gx:
+                # Transposed conv: correlate the zero-dilated gradient with
+                # the flipped kernel.  The dilated gradient sits at offset
+                # (KH-1, KW-1) so every padding works; the input's (H, W)
+                # window then starts at (padding, padding).
+                hp, wp = h + 2 * padding, w + 2 * padding
+                gd = np.zeros(
+                    (n, hp + kh - 1, wp + kw - 1, c_in), dtype=g.dtype
+                )
+                gd[:, kh - 1:kh - 1 + stride * oh:stride,
+                   kw - 1:kw - 1 + stride * ow:stride] = g
+                gx = _correlate_nhwc(
+                    gd[:, padding:, padding:], w_khwc[::-1, ::-1], (h, w), 1
+                )
+                gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
             return gx, gw
 
         backward = backward_depthwise
@@ -345,12 +362,13 @@ def conv2d(
 
         def backward_dense(grad):
             grad2 = grad.reshape(n, c_out, l)
-            gw = np.matmul(grad2, cols.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(c_out, c_in_g, kh, kw)
-            gcols = np.matmul(w2.T, grad2)
-            gx = col2im(gcols, (n, c_in, h, w), (kh, kw), stride, padding)
-            if bias is not None:
-                return gx, gw, grad.sum(axis=(0, 2, 3))
+            gx = gw = None
+            if need_gw:
+                gw = np.matmul(grad2, cols.transpose(0, 2, 1)).sum(axis=0)
+                gw = gw.reshape(c_out, c_in_g, kh, kw)
+            if need_gx:
+                gcols = np.matmul(w2.T, grad2)
+                gx = col2im(gcols, (n, c_in, h, w), (kh, kw), stride, padding)
             return gx, gw
 
         backward = backward_dense
@@ -367,25 +385,29 @@ def conv2d(
 
         def backward_grouped(grad):
             grad_g = grad.reshape(n, groups, c_out_g, l)
-            gw = np.einsum("ngol,ngkl->gok", grad_g, cols_g, optimize=True)
-            gw = gw.reshape(c_out, c_in_g, kh, kw)
-            gcols = np.einsum("gok,ngol->ngkl", w_g, grad_g, optimize=True)
-            gcols = gcols.reshape(n, c_in * kh * kw, l)
-            gx = col2im(gcols, (n, c_in, h, w), (kh, kw), stride, padding)
-            if bias is not None:
-                return gx, gw, grad.sum(axis=(0, 2, 3))
+            gx = gw = None
+            if need_gw:
+                gw = np.einsum("ngol,ngkl->gok", grad_g, cols_g, optimize=True)
+                gw = gw.reshape(c_out, c_in_g, kh, kw)
+            if need_gx:
+                gcols = np.einsum("gok,ngol->ngkl", w_g, grad_g, optimize=True)
+                gcols = gcols.reshape(n, c_in * kh * kw, l)
+                gx = col2im(gcols, (n, c_in, h, w), (kh, kw), stride, padding)
             return gx, gw
 
         backward = backward_grouped
 
-    if bias is not None:
-        bias = ensure_tensor(bias)
-        out = out + bias.data.reshape(1, c_out, 1, 1)
-        parents = (x, weight, bias)
-    else:
-        parents = (x, weight)
+    if bias is None:
+        return make_op(out, (x, weight), backward)
+    bias = ensure_tensor(bias)
+    out = out + bias.data.reshape(1, c_out, 1, 1)
+    need_gb, backward_xw = bias.requires_grad, backward
 
-    return make_op(out, parents, backward)
+    def backward(grad):
+        gb = grad.sum(axis=(0, 2, 3)) if need_gb else None
+        return (*backward_xw(grad), gb)
+
+    return make_op(out, (x, weight, bias), backward)
 
 
 def avg_pool2d(x, kernel: int, stride: Optional[int] = None) -> Tensor:

@@ -25,8 +25,6 @@ the underlying normalise-and-affine primitive.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from .autograd import Tensor, ensure_tensor, make_op

@@ -12,7 +12,7 @@ tensors fully operable.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,11 +73,12 @@ def mul(a, b) -> Tensor:
     """Elementwise ``a * b`` with broadcasting."""
     a, b = _pair(a, b)
     out = a.data * b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(grad):
         return (
-            unbroadcast(grad * b.data, a.shape),
-            unbroadcast(grad * a.data, b.shape),
+            unbroadcast(grad * b.data, a.shape) if need_a else None,
+            unbroadcast(grad * a.data, b.shape) if need_b else None,
         )
 
     return make_op(out, (a, b), backward)
@@ -230,11 +231,15 @@ def matmul(a, b) -> Tensor:
     """Matrix product supporting (..., M, K) @ (..., K, N) and 2-D weights."""
     a, b = ensure_tensor(a), ensure_tensor(b)
     out = a.data @ b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward(grad):
-        ga = grad @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ grad
-        return unbroadcast(ga, a.shape), unbroadcast(gb, b.shape)
+        ga = gb = None
+        if need_a:
+            ga = unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
+        if need_b:
+            gb = unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
+        return ga, gb
 
     return make_op(out, (a, b), backward)
 

@@ -16,7 +16,13 @@ under check is parsed, never imported):
   compares against is declared in ``obs.tracer.EVENT_KINDS``, and every
   declared kind is both emitted and rendered.
 
-Two import guards sit beside them:
+A fourth keeps each module's imports honest:
+
+* **imports** — every name a module imports at its top level is read in
+  that module or listed in its ``__all__``.  A package ``__init__``
+  imports to re-export, so it is exempt; so is ``from __future__``.
+
+Three guards sit beside them:
 
 * **no processes or sockets** — serving stays a discrete-event
   simulator: no module imports worker processes, an event loop or
@@ -24,7 +30,9 @@ Two import guards sit beside them:
 * **numpy and the standard library only** — the package imports nothing
   but ``repro``, ``numpy`` and :data:`sys.stdlib_module_names`, so a
   start pays for no other third-party import (scipy, say, is a test
-  oracle, never a runtime dependency).
+  oracle, never a runtime dependency);
+* **cited files exist** — every ``*.md`` file a string in the package
+  names (a result's notes, a docstring) is a file of the repository.
 
 Each invariant holds on the live tree, fires on its fixture package
 under ``tests/fixtures/analysis/`` (each a package named ``repro``), and
@@ -33,6 +41,7 @@ or baseline mutes a violation.
 """
 
 import ast
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -343,6 +352,36 @@ def span_violations(modules):
 
 
 # ----------------------------------------------------------------------
+# imports
+# ----------------------------------------------------------------------
+def _exported(tree):
+    return {el.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for el in node.value.elts if _is_str(el)}
+
+
+def unused_import_violations(modules):
+    """Top-level imports whose bound name the module never reads."""
+    found = []
+    for module in modules.values():
+        if module.path.endswith("/__init__.py"):
+            continue
+        read = {node.id for node in ast.walk(module.tree)
+                if isinstance(node, ast.Name)} | _exported(module.tree)
+        for node in module.tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [(module.path, node.lineno, f"unused import {name!r}")
+                      for name in names if name not in read]
+    return sorted(found)
+
+
+# ----------------------------------------------------------------------
 # processes and sockets; numpy and the standard library only
 # ----------------------------------------------------------------------
 BANNED_IMPORTS = ("multiprocessing", "asyncio", "socket",
@@ -372,10 +411,28 @@ def foreign_imports(modules):
         modules, lambda name: name.split(".")[0] not in ALLOWED_TOP_LEVEL)
 
 
+# ----------------------------------------------------------------------
+# Markdown files the package names exist
+# ----------------------------------------------------------------------
+REPO = SRC.parent.parent
+MD_NAME = re.compile(r"[\w./-]+\.md\b")
+
+
+def missing_markdown(modules, repo=REPO):
+    """``path:line: name`` for every ``*.md`` file a string constant
+    (docstrings included) names that is not in ``repo``."""
+    return [f"{module.path}:{node.lineno}: {name}"
+            for module in modules.values()
+            for node in ast.walk(module.tree) if _is_str(node)
+            for name in MD_NAME.findall(node.value)
+            if not (repo / name).is_file()]
+
+
 CHECKS = {
     "determinism": determinism_violations,
     "layering": layering_violations,
     "spans": span_violations,
+    "imports": unused_import_violations,
 }
 
 
@@ -403,6 +460,10 @@ def test_live_tree_imports_no_processes_or_sockets(live):
 
 def test_live_tree_imports_only_numpy_and_the_stdlib(live):
     assert foreign_imports(live) == []
+
+
+def test_live_tree_names_only_markdown_files_that_exist(live):
+    assert missing_markdown(live) == []
 
 
 # ----------------------------------------------------------------------
@@ -434,6 +495,9 @@ FIXTURE_VIOLATIONS = [
                  id="obs/tracer.py:6-unrendered"),
     pytest.param("spans", "obs/tracer.py", 6, "never emitted",
                  id="obs/tracer.py:6-unemitted"),
+    pytest.param("imports", "tool.py", 5, "'json'", id="tool.py:5"),
+    pytest.param("imports", "tool.py", 7, "'Dict'", id="tool.py:7"),
+    pytest.param("imports", "tool.py", 11, "'_Base'", id="tool.py:11"),
 ]
 
 
@@ -446,7 +510,8 @@ def test_fixture_violation_is_caught(rule, path, line, words):
 @pytest.mark.parametrize("rule", CHECKS)
 def test_fixture_flags_nothing_else(rule):
     # The seeded RNGs, the console seam, the downward import, the
-    # function-level cycle and the dynamic re-emit all pass.
+    # function-level cycle, the dynamic re-emit, the re-exports and the
+    # read, exported and function-level imports all pass.
     expected = {(f"repro/{p.values[1]}", p.values[2])
                 for p in FIXTURE_VIOLATIONS if p.values[0] == rule}
     found = CHECKS[rule](load(FIXTURES / rule / "repro"))
@@ -549,6 +614,11 @@ INJECTED = [
                  '    return event.kind in ("warp_speed",)\n', 1,
                  "undeclared kind 'warp_speed'",
                  id="undeclared-consumer-kind-attribute"),
+    pytest.param("imports", "serve/stats.py", "import json\n", 0,
+                 "unused import 'json'", id="unused-import"),
+    pytest.param("imports", "tensor/ops.py",
+                 "from typing import Any as _Any\n", 0,
+                 "unused import '_Any'", id="unused-aliased-from-import"),
 ]
 
 
@@ -593,6 +663,13 @@ def test_injected_process_or_socket_import_is_caught(tree_copy, code,
     hits = process_or_socket_imports(load(tree_copy))
     assert f"repro/serve/engine.py: {banned}" in hits
     assert all(h.startswith("repro/serve/engine.py: ") for h in hits)
+
+
+def test_injected_citation_of_a_missing_markdown_file_is_caught(tree_copy):
+    line = inject(tree_copy, "experiments/fig5.py",
+                  '_NOTE = "see DESIGN.md and README.md"\n')
+    assert missing_markdown(load(tree_copy)) == [
+        f"repro/experiments/fig5.py:{line}: DESIGN.md"]
 
 
 @pytest.mark.parametrize("code, foreign", [

@@ -1,12 +1,15 @@
 """Equivalence tests for the fast execution engine.
 
-Three families of guarantees:
+Four families of guarantees:
 
 * the conv2d fast paths (pointwise matmul, dense matmul, depthwise
   tap-view einsum, folded to one OW*C axis at stride 1) produce the same
   outputs AND gradients as the grouped einsum reference path
   (``fast_conv(False)``), including against the numerical gradient
   checker;
+* conv2d, ``mul`` and ``matmul`` compute no gradient for an operand that
+  does not require one, and the other operand's gradient is unchanged
+  bit for bit;
 * a quantised depthwise conv's straight-through gradients equal the
   reference conv's gradients at the quantised weight and input;
 * the quantised-weight cache is invalidated exactly when weights change
@@ -73,6 +76,21 @@ def _unfolded_depthwise_gx(x, w, g, stride, p):
     w_khwc = np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
     gx = np.einsum("nijhwc,ijc->nhwc", view, w_khwc[::-1, ::-1])
     return gx.transpose(0, 3, 1, 2)
+
+
+def _per_tap_depthwise_gw(x, g, k, stride, p):
+    """Depthwise weight gradient reduced tap by tap, one
+    ``einsum("nhwc,nhwc->c")`` per (i, j) over the padded NHWC input."""
+    n, c = x.shape[:2]
+    oh, ow = g.shape[2:]
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (p, p), (p, p), (0, 0)))
+    g_nhwc = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+    gw = np.empty((c, 1, k, k), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            tap = xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            gw[:, 0, i, j] = np.einsum("nhwc,nhwc->c", g_nhwc, tap)
+    return gw
 
 
 CASES = [
@@ -205,6 +223,22 @@ class TestFastPathEquivalence:
         out.backward(g)
         assert np.array_equal(xt.grad, _unfolded_depthwise_gx(x, w, g, stride, p))
 
+    @pytest.mark.parametrize("hw", [(9, 9), (7, 12)], ids=["square", "nonsquare"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("c", [8, 24, 72])
+    def test_depthwise_float32_weight_gradient_order(self, c, k, stride, hw):
+        # The weight gradient reduces every tap in one einsum, yet each
+        # (c, i, j) must keep the per-tap reduction's float32 sum.
+        p = k // 2
+        x = RNG.normal(size=(2, c, *hw)).astype(np.float32)
+        w = Tensor(RNG.normal(size=(c, 1, k, k)).astype(np.float32),
+                   requires_grad=True)
+        out = conv2d(Tensor(x), w, stride=stride, padding=p, groups=c)
+        g = RNG.normal(size=out.shape).astype(np.float32)
+        out.backward(g)
+        assert np.array_equal(w.grad, _per_tap_depthwise_gw(x, g, k, stride, p))
+
     def test_toggle_restores_state(self):
         assert fast_conv_enabled()
         with fast_conv(False):
@@ -213,6 +247,71 @@ class TestFastPathEquivalence:
                 assert fast_conv_enabled()
             assert not fast_conv_enabled()
         assert fast_conv_enabled()
+
+
+FROZEN_CONV_CASES = [
+    # (name, x_shape, w_shape, kwargs, fast paths on)
+    ("pointwise", (2, 8, 5, 5), (6, 8, 1, 1), dict(stride=1, padding=0, groups=1), True),
+    ("depthwise", (2, 8, 7, 7), (8, 1, 3, 3), dict(stride=2, padding=1, groups=8), True),
+    ("dense", (2, 4, 7, 7), (6, 4, 3, 3), dict(stride=1, padding=1, groups=1), True),
+    ("grouped_reference", (2, 8, 7, 7), (8, 1, 3, 3), dict(stride=1, padding=1, groups=8), False),
+]
+
+
+class TestFrozenOperandsSkipGradients:
+    """An operand that needs no gradient gets none computed: its slot in
+    the backward closure's result is ``None`` and its ``.grad`` stays
+    ``None``, while the other operand's gradient is bitwise the one an
+    all-grad run computes."""
+
+    @staticmethod
+    def _run(op, arrays, needs, g):
+        tensors = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+        out = op(*tensors)
+        slots = out._backward(g)
+        out.backward(g)
+        return [t.grad for t in tensors], slots
+
+    def _check(self, op, arrays):
+        probe = op(*(Tensor(a) for a in arrays))
+        g = RNG.normal(size=probe.shape).astype(np.float32)
+        full, _ = self._run(op, arrays, [True] * len(arrays), g)
+        for frozen in range(len(arrays)):
+            needs = [i != frozen for i in range(len(arrays))]
+            grads, slots = self._run(op, arrays, needs, g)
+            assert slots[frozen] is None
+            assert grads[frozen] is None
+            for i, need in enumerate(needs):
+                if need:
+                    assert np.array_equal(grads[i], full[i])
+
+    @pytest.mark.parametrize(
+        "name,x_shape,w_shape,kwargs,fast", FROZEN_CONV_CASES,
+        ids=[c[0] for c in FROZEN_CONV_CASES],
+    )
+    def test_conv2d(self, name, x_shape, w_shape, kwargs, fast):
+        x = RNG.normal(size=x_shape).astype(np.float32)
+        w = RNG.normal(size=w_shape).astype(np.float32)
+        with fast_conv(fast):
+            self._check(lambda xt, wt: conv2d(xt, wt, **kwargs), [x, w])
+
+    def test_conv2d_bias(self):
+        x = RNG.normal(size=(2, 4, 5, 5)).astype(np.float32)
+        w = RNG.normal(size=(3, 4, 1, 1)).astype(np.float32)
+        b = RNG.normal(size=3).astype(np.float32)
+        self._check(lambda xt, wt, bt: conv2d(xt, wt, bt), [x, w, b])
+
+    @pytest.mark.parametrize("b_shape", [(3, 4), (4,), ()], ids=["same", "row", "scalar"])
+    def test_mul(self, b_shape):
+        a = RNG.normal(size=(3, 4)).astype(np.float32)
+        b = RNG.normal(size=b_shape).astype(np.float32)
+        self._check(lambda at, bt: at * bt, [a, b])
+
+    @pytest.mark.parametrize("a_shape", [(3, 5), (2, 3, 5)], ids=["2d", "batched"])
+    def test_matmul(self, a_shape):
+        a = RNG.normal(size=a_shape).astype(np.float32)
+        b = RNG.normal(size=(5, 4)).astype(np.float32)
+        self._check(lambda at, bt: at @ bt, [a, b])
 
 
 class TestQuantizedConvSTE:

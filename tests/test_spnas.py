@@ -157,6 +157,47 @@ class TestSearchAndDerive:
             SPNASConfig(weight_mode="mixed")
 
 
+class TestHalfSteps:
+    """Each half-step of Eq. 2 differentiates only its own variable: at
+    the SGD step the weights hold gradients and no alpha does, and at the
+    Adam step the mirror holds."""
+
+    def test_each_half_leaves_the_other_variable_without_gradients(
+            self, monkeypatch):
+        import repro.core.spnas.search as search_mod
+
+        rng_mod.set_seed(0)
+        train, _ = cifar100_like(num_train=128, num_test=8, image_size=12,
+                                 num_classes=5, difficulty=2.0)
+        searcher = SPNASSearcher(tiny_search_space(12), [4, 32], 5,
+                                 SPNASConfig(epochs=1, batch_size=32))
+        weights = searcher.supernet.weight_parameters()
+        alphas = searcher.supernet.arch_parameters()
+        seen = []
+
+        def recording(cls, half):
+            class Recording(cls):
+                def step(self):
+                    seen.append((
+                        half,
+                        [p.grad is not None for p in weights],
+                        [p.grad is not None for p in alphas],
+                    ))
+                    super().step()
+            return Recording
+
+        monkeypatch.setattr(search_mod, "SGD", recording(search_mod.SGD, "weight"))
+        monkeypatch.setattr(search_mod, "Adam", recording(search_mod.Adam, "arch"))
+        searcher.search(train)
+        assert [half for half, _, _ in seen] == ["weight", "arch"] * 2
+        for half, weight_set, alpha_set in seen:
+            if half == "weight":
+                assert all(weight_set) and not any(alpha_set)
+            else:
+                assert all(alpha_set) and not any(weight_set)
+        assert all(p.requires_grad for p in weights + alphas)
+
+
 class TestSearchGolden:
     """One tiny search, pinned bit for bit: labels, every history float
     and the derived FLOPs.  Any change to the search's numerics (the
