@@ -17,7 +17,7 @@ for quiet mode / teeing instead of scattered ``print`` calls).
 Every ``choices=`` list below comes from the names declared in
 :mod:`repro.api.registry`, so building the parser imports no subsystem
 (no model zoo, quantiser, training or serving module) — component name
-lists match the registries by construction, not by hand-copied
+lists match the name tables by construction, not by hand-copied
 literals.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 
-from .api.registry import choices
+from .api.registry import choices, lookup
 from .obs.console import error, info
 
 
@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    # Experiment names come from the registry: listing must not pay the
+    # Experiment names come from the name table: listing must not pay the
     # cost of importing every experiment module.
     for name in choices("experiments"):
         info(name)
@@ -169,19 +169,16 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .api.registry import EXPERIMENTS
-
-    names = (
-        list(EXPERIMENTS.names()) if args.experiment == "all"
-        else [args.experiment]
-    )
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        error(f"unknown experiment(s): {unknown}; "
+    if args.experiment not in ("all",) + choices("experiments"):
+        error(f"unknown experiment {args.experiment!r}; "
               f"try `python -m repro list`")
         return 2
+    names = (
+        choices("experiments") if args.experiment == "all"
+        else (args.experiment,)
+    )
     for name in names:
-        result = EXPERIMENTS.get(name)(scale=args.scale, seed=args.seed)
+        result = lookup("experiments", name)(scale=args.scale, seed=args.seed)
         info(result.to_text())
         info()
     return 0

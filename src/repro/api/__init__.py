@@ -1,4 +1,4 @@
-"""Unified library API: typed configs, component registries, pipeline.
+"""Unified library API: typed configs, component name tables, pipeline.
 
 The stable programmatic surface of the reproduction::
 
@@ -11,16 +11,17 @@ Three layers:
 
 * :mod:`repro.api.config` — frozen dataclass configs with lossless
   dict/JSON round-trips and helpful unknown-key / bad-value errors;
-* :mod:`repro.api.registry` — component registries (models,
-  quantizers, policies, scenarios, search spaces, devices, strategies,
-  experiments, scales) whose built-ins are lazy ``module:attr``
-  pointers, listed by :func:`repro.api.registry.choices` without
-  importing any subsystem;
+* :mod:`repro.api.registry` — one fixed name table per component kind
+  (models, quantizers, policies, routers, scenarios, search spaces,
+  devices, networks, strategies, experiments, scales) of lazy
+  ``module:attr`` pointers: :func:`repro.api.registry.choices` lists a
+  kind's names without importing any subsystem, and
+  :func:`repro.api.registry.lookup` imports one entry;
 * :mod:`repro.api.pipeline` — the generate -> train -> deploy -> serve
   orchestrator chaining stages through on-disk artifacts.
 
 Attribute access is lazy (PEP 562): ``import repro.api`` costs nothing,
-and the CLI pulls only the registry until a pipeline actually runs.
+and the CLI pulls only the name tables until a pipeline actually runs.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ _CONFIG_EXPORTS = {
     "ConfigError", "ModelConfig", "SearchConfig", "TrainConfig",
     "DeployConfig", "ServeConfig", "PipelineConfig",
 }
-_REGISTRY_EXPORTS = {
-    "Registry", "RegistryError", "REGISTRIES", "MODELS", "QUANTIZERS",
-    "POLICIES", "ROUTERS", "SCENARIOS", "SEARCH_SPACES", "DEVICES",
-    "STRATEGIES", "EXPERIMENTS", "SCALES", "SERVE_SCALES", "choices",
-}
+_REGISTRY_EXPORTS = {"choices", "lookup"}
 _PIPELINE_EXPORTS = {
     "Pipeline", "PipelineError", "PipelineResult", "STAGES", "run_pipeline",
 }

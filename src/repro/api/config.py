@@ -16,7 +16,7 @@ keys (typo protection) and wrong-typed values with a
 :class:`ConfigError` naming the config class, the offending key, and
 the valid alternatives; name-valued fields (model, quantizer, policy,
 scenario, device, search space, strategy) are validated against the
-names declared in :mod:`repro.api.registry`, so a bad name fails at
+name tables of :mod:`repro.api.registry`, so a bad name fails at
 *load* time, not three stages into a run.
 
 This module stays stdlib-only so ``repro pipeline validate`` is cheap.
@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
-from .registry import choices
+from .registry import ConfigError, choices
 
 __all__ = [
     "ConfigError",
@@ -42,10 +42,6 @@ __all__ = [
 ]
 
 BitWidths = Tuple[Union[int, Tuple[int, int]], ...]
-
-
-class ConfigError(ValueError):
-    """Unknown key, wrong type, or invalid value in a config payload."""
 
 
 def _normalize_bit_widths(value: Any, owner: str) -> BitWidths:
@@ -106,7 +102,7 @@ def _coerce(name: str, value: Any, default: Any, owner: str) -> Any:
 class _StageConfig:
     """Shared to_dict/from_dict/JSON plumbing for the stage dataclasses.
 
-    Subclasses declare ``_CHOICES`` (field name -> registry family) for
+    Subclasses declare ``_CHOICES`` (field name -> component kind) for
     name-valued fields and may override ``_validate`` for cross-field
     checks; both run in ``__post_init__``.  ``_SECTIONS`` maps a field
     to the config class of its nested JSON section, and a section's
@@ -239,7 +235,7 @@ class _StageConfig:
 class ModelConfig(_StageConfig):
     """One switchable-precision network: topology, precision set, data shape.
 
-    ``model`` is a model-zoo registry entry, or ``"derived"`` for an
+    ``model`` is a model-zoo name, or ``"derived"`` for an
     SP-NAS-searched architecture whose ``arch`` payload (``{"space",
     "input_size", "specs"}``) the ``generate`` stage fills in.
     ``bit_widths`` entries are ints or ``(weight_bits, activation_bits)``
@@ -291,7 +287,7 @@ class ModelConfig(_StageConfig):
 
 @dataclass(frozen=True)
 class SearchConfig(_StageConfig):
-    """``generate`` stage: SP-NAS over a registered search space."""
+    """``generate`` stage: SP-NAS over a named search space."""
 
     space: str = "tiny"
     epochs: int = 1

@@ -19,9 +19,9 @@ back-to-back:
 
 Every stage re-seeds the repo RNG from ``config.seed``, so a pipeline
 is a pure function of its :class:`~repro.api.config.PipelineConfig`.
-All component lookups (model, quantizer, search space, device, policy,
-scenario) go through :mod:`repro.api.registry`, so anything registered
-there is reachable from a JSON config with no code changes.
+Every component a JSON config names (model, quantizer, search space,
+device, policy, scenario, ...) resolves through
+:func:`repro.api.registry.lookup`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..obs.tracer import NULL_TRACER
 from ..obs.wallclock import wall_clock_s
 from .config import PipelineConfig
-from .registry import DEVICES, POLICIES, SEARCH_SPACES, STRATEGIES
+from .registry import choices, lookup
 
 __all__ = [
     "PipelineError",
@@ -172,7 +172,7 @@ class Pipeline:
 
         from ..core.spnas import SPNASConfig, SPNASSearcher
 
-        space = SEARCH_SPACES.get(cfg.search.space)(cfg.model.image_size)
+        space = lookup("search_spaces", cfg.search.space)(cfg.model.image_size)
         search_set = self._synthetic(cfg.search.samples, "search")
         searcher = SPNASSearcher(
             space,
@@ -246,7 +246,7 @@ class Pipeline:
         # model.quantizer, which the net above was built with.
         trainer = SwitchableTrainer(
             sp_net,
-            STRATEGIES.get(cfg.train.method).loss(cfg.train.beta),
+            lookup("strategies", cfg.train.method).loss(cfg.train.beta),
             CoreTrainConfig(
                 epochs=cfg.train.epochs,
                 batch_size=cfg.train.batch_size,
@@ -301,7 +301,7 @@ class Pipeline:
         start = wall_clock_s()
         self._seed()
         sp_net, _ = self._load_checkpoint("deploy")
-        device = DEVICES.get(cfg.deploy.device)()
+        device = lookup("devices", cfg.deploy.device)()
         mapper = AutoMapper(
             device,
             AutoMapperConfig(
@@ -413,11 +413,9 @@ class Pipeline:
             sp_net=sp_net, config=spnet_config,
             latency_model=latency_model,
         )
-        # "all" expands from the live registry, so policies registered
-        # after import are simulated too.
         policies = (
-            list(POLICIES.names()) if cfg.serve.policy == "all"
-            else [cfg.serve.policy]
+            choices("policies") if cfg.serve.policy == "all"
+            else (cfg.serve.policy,)
         )
         fleet_mode = cfg.serve.replicas > 1
         reports = []

@@ -77,7 +77,6 @@ class SPNASConfig:
     arch_bits: str = "lowest"         # which precision drives alpha updates
     weight_mode: str = "cdt"          # cdt | highest | lowest
     quantizer: str = "sbm"
-    verbose: bool = False
 
     def __post_init__(self):
         if self.arch_bits not in ("lowest", "highest"):
@@ -204,12 +203,6 @@ class SPNASSearcher:
                 float(self.supernet.expected_flops().item())
             )
             history["temperature"].append(temperature)
-            if cfg.verbose:
-                print(
-                    f"[spnas] epoch {epoch}: w={history['weight_loss'][-1]:.3f} "
-                    f"a={history['arch_loss'][-1]:.3f} "
-                    f"E[flops]={history['expected_flops'][-1]:.2e} T={temperature:.2f}"
-                )
         specs = self.supernet.argmax_specs()
         flops = self._derived_flops(specs)
         return SearchResult(

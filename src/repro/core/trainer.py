@@ -45,9 +45,7 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     augment: bool = True
-    eval_batch_size: int = 256
     loader_key: str = "train-loader"
-    verbose: bool = False
 
 
 @dataclass
@@ -96,7 +94,7 @@ class SwitchableTrainer:
         history = TrainHistory()
         start = wall_clock_s()
         step = 0
-        for epoch in range(cfg.epochs):
+        for _ in range(cfg.epochs):
             self.sp_net.train()
             epoch_loss = 0.0
             batches = 0
@@ -115,11 +113,6 @@ class SwitchableTrainer:
                 step += 1
             history.epoch_losses.append(epoch_loss / max(batches, 1))
             history.per_bit_ce.append(last_ce)
-            if cfg.verbose:
-                print(
-                    f"[{self.strategy.name}] epoch {epoch}: "
-                    f"loss {history.epoch_losses[-1]:.4f}"
-                )
         history.wall_seconds = wall_clock_s() - start
         return history
 

@@ -7,14 +7,8 @@ prints a paper-style table when executed as a script::
     python -m repro.experiments.fig5
 """
 
-from ..api.registry import EXPERIMENTS
 from .common import SCALES, ExperimentResult, Scale, format_table, get_scale
 from . import fig2, fig4, fig5, fig6, fig7, table1, table2, table3, table4
-
-# Backwards-compat mapping, snapshotted at import time from the
-# EXPERIMENTS registry; the CLI resolves names against the live registry,
-# so experiments registered after this package loaded still run there.
-ALL_EXPERIMENTS = {name: EXPERIMENTS.get(name) for name in EXPERIMENTS.names()}
 
 __all__ = [
     "SCALES",
@@ -22,7 +16,6 @@ __all__ = [
     "Scale",
     "format_table",
     "get_scale",
-    "ALL_EXPERIMENTS",
     "table1",
     "table2",
     "table3",

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
+from ..api.registry import lookup
+
 __all__ = ["Scale", "SCALES", "get_scale", "ExperimentResult", "format_table"]
 
 
@@ -60,31 +62,10 @@ SCALES: Dict[str, Scale] = {
 
 
 def get_scale(scale) -> Scale:
-    """Resolve a scale by name or pass through a custom :class:`Scale`.
-
-    Names resolve through :data:`repro.api.registry.SCALES` (for which
-    the ``SCALES`` dict above provides the built-ins), so scale presets
-    registered by downstream code are addressable everywhere a scale
-    name is accepted.
-    """
+    """Resolve a :data:`SCALES` name; a :class:`Scale` passes through."""
     if isinstance(scale, Scale):
         return scale
-    if scale in SCALES:
-        return SCALES[scale]
-    from ..api.registry import SCALES as scale_registry
-
-    try:
-        resolved = scale_registry.get(scale)
-    except KeyError:
-        raise ValueError(
-            f"unknown scale {scale!r}; available: "
-            f"{list(scale_registry.names())}"
-        ) from None
-    if not isinstance(resolved, Scale):
-        raise ValueError(
-            f"registered scale {scale!r} is not a Scale: {resolved!r}"
-        )
-    return resolved
+    return lookup("scales", scale)
 
 
 @dataclass

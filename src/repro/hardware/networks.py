@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..api.registry import lookup
 from ..nn.profile import profile_model
 from .workload import ConvWorkload
 
@@ -164,19 +165,6 @@ def extract_workloads(
     return workloads
 
 
-_NETWORKS = {
-    "alexnet": alexnet_workloads,
-    "vgg16": vgg16_workloads,
-    "resnet50": resnet50_workloads,
-    "mobilenetv2": mobilenetv2_workloads,
-}
-
-
 def network_by_name(name: str, batch: int = 1, bits: int = 16):
     """Workloads for one of the Fig. 5 networks by name."""
-    try:
-        return _NETWORKS[name.lower()](batch, bits)
-    except KeyError:
-        raise ValueError(
-            f"unknown network {name!r}; available: {sorted(_NETWORKS)}"
-        ) from None
+    return lookup("networks", name.lower())(batch, bits)

@@ -29,8 +29,8 @@ class SwitchableFactory(LayerFactory):
         Candidate set, e.g. ``[4, 8, 12, 16, 32]`` — ints or
         ``(weight_bits, activation_bits)`` pairs.
     quantizer:
-        A :class:`~repro.quant.quantizers.Quantizer` instance or registry
-        name (``"sbm"``, ``"dorefa"``).
+        A :class:`~repro.quant.quantizers.Quantizer` instance or a
+        quantizer name (``"sbm"``, ``"dorefa"``).
     switchable_bn:
         Keep independent BN statistics per bit-width (the SP convention the
         paper adopts).  Disable only for the shared-BN ablation.

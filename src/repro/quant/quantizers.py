@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..api.registry import QUANTIZERS
+from ..api.registry import lookup
 from ..tensor import Tensor, straight_through
 
 __all__ = [
@@ -173,16 +173,5 @@ class SBMQuantizer(Quantizer):
 
 
 def make_quantizer(name: str, **kwargs) -> Quantizer:
-    """Instantiate a quantiser by registry name (``dorefa|sbm|...``).
-
-    Lookup routes through :data:`repro.api.registry.QUANTIZERS`, so
-    quantisers registered by downstream code are constructible by name.
-    """
-    try:
-        cls = QUANTIZERS.get(name.lower())
-    except KeyError:
-        raise ValueError(
-            f"unknown quantizer {name!r}; available: "
-            f"{list(QUANTIZERS.names())}"
-        ) from None
-    return cls(**kwargs)
+    """Instantiate a quantiser by name (``dorefa|sbm``), case-insensitively."""
+    return lookup("quantizers", name.lower())(**kwargs)

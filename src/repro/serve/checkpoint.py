@@ -25,7 +25,7 @@ unversioned pre-release checkpoints still load — the latter with a
 :class:`UserWarning` — while a version from the future raises
 :class:`CheckpointVersionError` instead of mis-parsing silently.
 
-Model names resolve through :data:`repro.api.registry.MODELS`, plus the
+Model names resolve through :func:`repro.api.registry.lookup`, plus the
 special name ``"derived"``: an SP-NAS-searched architecture embedded in
 the config's ``arch`` payload (search-space name, input size, per-layer
 block specs), which makes pipeline checkpoints self-contained;
@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..api.config import ConfigError, ModelConfig
-from ..api.registry import MODELS, SEARCH_SPACES
+from ..api.registry import lookup
 from ..quant import SwitchableFactory, SwitchablePrecisionNetwork
 
 __all__ = [
@@ -83,12 +83,7 @@ def _build_derived_model(config: SPNetConfig, factory):
             f"model 'derived' requires an arch payload {{'space', "
             f"'input_size', 'specs'}}; missing keys {sorted(missing)}"
         )
-    if arch["space"] not in SEARCH_SPACES:
-        raise ConfigError(
-            f"unknown search space {arch['space']!r}; "
-            f"available: {list(SEARCH_SPACES.names())}"
-        )
-    space = SEARCH_SPACES.get(arch["space"])(int(arch["input_size"]))
+    space = lookup("search_spaces", arch["space"])(int(arch["input_size"]))
     specs = [
         BlockSpec(
             kind=s["kind"],
@@ -111,7 +106,7 @@ def build_sp_net(config: SPNetConfig) -> SwitchablePrecisionNetwork:
     if config.model == "derived":
         model = _build_derived_model(config, factory)
     else:
-        builder = MODELS.get(config.model)
+        builder = lookup("models", config.model)
         kwargs = dict(
             num_classes=config.num_classes,
             factory=factory,

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import rng as rng_mod
-from ..api.registry import POLICIES
+from ..api.registry import choices
 from ..obs.tracer import NULL_TRACER
 from .engine import BatchRecord, BitLatencyModel, InferenceEngine, InferenceRequest
 from .routing import ReplicaSnapshot, Router, RouterInputs, make_router
@@ -392,9 +392,9 @@ def run_fleet_sim(
     :func:`simulate_fleet` over the same fixture setup (same arrivals,
     same images, same latency oracle), so fleet and single-engine
     reports are directly comparable — a one-replica fleet serves
-    exactly the single-engine schedule.  ``policy="all"`` expands from
-    the live policy registry.  A prepared ``fixture`` skips setup (same
-    contract as ``run_serve_sim``).
+    exactly the single-engine schedule.  ``policy="all"`` runs every
+    name in the ``policies`` table.  A prepared ``fixture`` skips setup
+    (same contract as ``run_serve_sim``).
     """
     from .simulator import prepare_simulation
 
@@ -404,7 +404,7 @@ def run_fleet_sim(
             scenario, scale, sp_net=sp_net, config=config,
             latency_model=latency_model,
         )
-    policies = list(POLICIES.names()) if policy == "all" else [policy]
+    policies = choices("policies") if policy == "all" else (policy,)
     reports = []
     for name in policies:
         # Each policy's events carry its identity so a shared trace

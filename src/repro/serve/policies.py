@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..api.registry import POLICIES
+from ..api.registry import lookup
 from ..quant.layers import BitSpec
 from .engine import PolicyInputs
 
@@ -232,11 +232,5 @@ class QueueDepthPolicy(PrecisionController):
 
 
 def make_policy(name: str, **kwargs) -> PrecisionController:
-    """Instantiate a policy by registry name (``static|slo|queue|...``)."""
-    try:
-        cls = POLICIES.get(name)
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; available: {list(POLICIES.names())}"
-        ) from None
-    return cls(**kwargs)
+    """Instantiate a policy by name (``static|slo|queue``)."""
+    return lookup("policies", name)(**kwargs)

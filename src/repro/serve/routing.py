@@ -1,11 +1,10 @@
 """Pluggable request routers for the replica fleet.
 
 A :class:`Router` decides, per arriving request, which replica's
-queue the request joins.  Routers are registered under
-:data:`repro.api.registry.ROUTERS` (exactly like precision policies
-under ``POLICIES``), so downstream code can plug in new balancing
-strategies that the CLI, ``ServeConfig`` and the pipeline pick up by
-name.
+queue the request joins.  Routers are named in the ``routers`` table
+of :mod:`repro.api.registry` (exactly like precision policies under
+``policies``), which is where the CLI, ``ServeConfig`` and the pipeline
+pick them up by name.
 
 Three built-in routers:
 
@@ -34,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..api.registry import ROUTERS
+from ..api.registry import lookup
 from ..quant.layers import BitSpec
 from .engine import BitLatencyModel
 
@@ -165,11 +164,5 @@ class LatencyAwareRouter(Router):
 
 
 def make_router(name: str, **kwargs) -> Router:
-    """Instantiate a router by registry name (``round_robin|...``)."""
-    try:
-        cls = ROUTERS.get(name)
-    except KeyError:
-        raise ValueError(
-            f"unknown router {name!r}; available: {list(ROUTERS.names())}"
-        ) from None
-    return cls(**kwargs)
+    """Instantiate a router by name (``round_robin|least_queue|...``)."""
+    return lookup("routers", name)(**kwargs)

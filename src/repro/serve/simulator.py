@@ -19,7 +19,7 @@ HIGHEST precision, so every scenario stresses any model the same way):
 * ``diurnal``  — sinusoidal rate sweeping from ~0.1x to ~1.1x capacity:
   a day/night load curve compressed into one simulation.
 
-Anything registered under ``SCENARIOS`` is served here by name.
+The ``scenarios`` table of :mod:`repro.api.registry` names them.
 
 This module owns traffic, setup and the single-engine report; it has no
 event loop of its own.  A single engine is a one-replica fleet:
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import rng as rng_mod
-from ..api.registry import POLICIES, SCENARIOS
+from ..api.registry import choices, lookup
 from ..obs.tracer import NULL_TRACER, bits_label
 from ..data.synthetic import SyntheticSpec, make_synthetic
 from ..quant.layers import BitSpec
@@ -98,21 +98,15 @@ SERVE_SCALES: Dict[str, ServeScale] = {
 def get_serve_scale(scale) -> ServeScale:
     if isinstance(scale, ServeScale):
         return scale
-    try:
-        return SERVE_SCALES[scale]
-    except KeyError:
-        raise ValueError(
-            f"unknown serve scale {scale!r}; available: {sorted(SERVE_SCALES)}"
-        ) from None
+    return lookup("serve_scales", scale)
 
 
 # ----------------------------------------------------------------------
 # Traffic generation
 # ----------------------------------------------------------------------
-# A scenario is any ``fn(n, capacity_rps, rng) -> gaps`` registered under
-# repro.api.registry.SCENARIOS; ``SCENARIOS.register(name, fn)`` lets
-# downstream code plug in new arrival processes that the CLI and pipeline
-# pick up by name.
+# A scenario is a ``fn(n, capacity_rps, rng) -> gaps`` named in the
+# ``scenarios`` table of repro.api.registry, where the CLI and the
+# pipeline pick it up by name.
 
 
 def constant_gaps(
@@ -152,20 +146,6 @@ def diurnal_gaps(
     return rng.exponential(1.0, size=n) / rates
 
 
-def _arrival_gaps(
-    scenario: str, n: int, capacity_rps: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-request interarrival gaps (seconds) for one scenario."""
-    try:
-        generator = SCENARIOS.get(scenario)
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; available: "
-            f"{list(SCENARIOS.names())}"
-        ) from None
-    return generator(n, capacity_rps, rng)
-
-
 def generate_requests(
     scenario: str,
     scale: ServeScale,
@@ -182,7 +162,7 @@ def generate_requests(
     batch_s = latency_model.batch_latency_s(highest_bits, scale.max_batch)
     capacity_rps = scale.max_batch / batch_s
     rng = rng_mod.spawn_rng(f"{seed_key}-{scenario}")
-    gaps = _arrival_gaps(scenario, scale.num_requests, capacity_rps, rng)
+    gaps = lookup("scenarios", scenario)(scale.num_requests, capacity_rps, rng)
     arrivals = np.cumsum(gaps)
     spec = SyntheticSpec(
         name="serve",
@@ -334,11 +314,7 @@ def prepare_simulation(
     cost-model search here.
     """
     cfg = get_serve_scale(scale)
-    if scenario not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {scenario!r}; available: "
-            f"{list(SCENARIOS.names())}"
-        )
+    lookup("scenarios", scenario)  # fail before the model is built
     if config is not None:
         cfg = replace(cfg, model=config)
     elif sp_net is not None:
@@ -404,9 +380,7 @@ def run_serve_sim(
         fixture = prepare_simulation(
             scenario, scale, sp_net=sp_net, config=config
         )
-    # "all" expands from the live registry, so policies registered after
-    # import are simulated too.
-    policies = list(POLICIES.names()) if policy == "all" else [policy]
+    policies = choices("policies") if policy == "all" else (policy,)
     reports = []
     for name in policies:
         # Stamp policy identity so a shared trace stream stays

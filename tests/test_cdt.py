@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.api.registry import STRATEGIES, RegistryError
+from repro.api.registry import ConfigError, lookup
 from repro.core import (
     CascadeDistillation,
     JointCrossEntropy,
@@ -30,14 +30,14 @@ def batch(n=8, size=12, classes=5):
 
 class TestStrategyFactory:
     def test_names(self):
-        assert STRATEGIES.get("cdt").loss is CascadeDistillation
-        assert STRATEGIES.get("sp").loss is VanillaDistillation
-        assert isinstance(STRATEGIES.get("adabits").loss(1.0),
+        assert lookup("strategies", "cdt").loss is CascadeDistillation
+        assert lookup("strategies", "sp").loss is VanillaDistillation
+        assert isinstance(lookup("strategies", "adabits").loss(1.0),
                           JointCrossEntropy)
 
     def test_unknown(self):
-        with pytest.raises(RegistryError):
-            STRATEGIES.get("nope")
+        with pytest.raises(ConfigError):
+            lookup("strategies", "nope")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Experiment harness: every paper table/figure runs once per session.
 
-The module fixture runs each ``ALL_EXPERIMENTS`` entry exactly once, at
+The module fixture runs each ``experiments`` table entry exactly once, at
 seed 0: fig5 at ``default`` scale (it is pure hardware search, cheap
 enough to cover all four networks), everything else at ``smoke``.  The
 structure checks and each figure's shape claim then read that one
@@ -11,7 +11,8 @@ result.  Claims that need several seeds to separate methods are in
 import pytest
 
 from repro import rng as rng_mod
-from repro.experiments import ALL_EXPERIMENTS, SCALES, get_scale
+from repro.api.registry import choices, lookup
+from repro.experiments import SCALES, get_scale
 from repro.experiments.common import ExperimentResult, Scale, format_table
 
 
@@ -55,14 +56,14 @@ def results():
 
     def get(name):
         if name not in cache:
-            cache[name] = ALL_EXPERIMENTS[name](
+            cache[name] = lookup("experiments", name)(
                 scale=RUN_SCALES.get(name, "smoke"))
         return cache[name]
 
     return get
 
 
-@pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(choices("experiments")))
 def test_every_experiment_runs(results, name):
     res = results(name)
     assert res.experiment == name
@@ -72,9 +73,10 @@ def test_every_experiment_runs(results, name):
 
 def test_run_is_a_function_of_its_arguments():
     rng_mod.set_seed(7)
-    first = ALL_EXPERIMENTS["fig5"](scale="smoke", seed=0).rows
+    fig5 = lookup("experiments", "fig5")
+    first = fig5(scale="smoke", seed=0).rows
     rng_mod.set_seed(2021)
-    assert ALL_EXPERIMENTS["fig5"](scale="smoke", seed=0).rows == first
+    assert fig5(scale="smoke", seed=0).rows == first
 
 
 class TestSmokeRuns:

@@ -16,11 +16,13 @@ under check is parsed, never imported):
   compares against is declared in ``obs.tracer.EVENT_KINDS``, and every
   declared kind is both emitted and rendered.
 
-A fourth keeps each module's imports honest:
+Two more keep each module honest:
 
 * **imports** — every name a module imports at its top level is read in
   that module or listed in its ``__all__``.  A package ``__init__``
-  imports to re-export, so it is exempt; so is ``from __future__``.
+  imports to re-export, so it is exempt; so is ``from __future__``;
+* **prints** — the builtin ``print`` is called only in
+  ``repro.obs.console``, the one seam CLI-facing text leaves through.
 
 Three guards sit beside them:
 
@@ -382,6 +384,30 @@ def unused_import_violations(modules):
 
 
 # ----------------------------------------------------------------------
+# prints
+# ----------------------------------------------------------------------
+PRINT_SEAM = "repro.obs.console"
+
+
+def _calls_print(module, node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "print" \
+            and func.id not in module.origins:
+        return True
+    return _origin(module, func) == "builtins.print"
+
+
+def print_violations(modules):
+    """Calls of the builtin ``print``, under any name, outside the seam."""
+    return sorted(
+        (module.path, node.lineno, f"print outside {PRINT_SEAM}")
+        for module in modules.values() if module.name != PRINT_SEAM
+        for node in ast.walk(module.tree) if _calls_print(module, node))
+
+
+# ----------------------------------------------------------------------
 # processes and sockets; numpy and the standard library only
 # ----------------------------------------------------------------------
 BANNED_IMPORTS = ("multiprocessing", "asyncio", "socket",
@@ -433,6 +459,7 @@ CHECKS = {
     "layering": layering_violations,
     "spans": span_violations,
     "imports": unused_import_violations,
+    "prints": print_violations,
 }
 
 
@@ -498,6 +525,12 @@ FIXTURE_VIOLATIONS = [
     pytest.param("imports", "tool.py", 5, "'json'", id="tool.py:5"),
     pytest.param("imports", "tool.py", 7, "'Dict'", id="tool.py:7"),
     pytest.param("imports", "tool.py", 11, "'_Base'", id="tool.py:11"),
+    pytest.param("prints", "tool.py", 10, "print outside",
+                 id="prints-tool.py:10"),
+    pytest.param("prints", "tool.py", 11, "print outside",
+                 id="prints-tool.py:11"),
+    pytest.param("prints", "tool.py", 12, "print outside",
+                 id="prints-tool.py:12"),
 ]
 
 
@@ -510,8 +543,9 @@ def test_fixture_violation_is_caught(rule, path, line, words):
 @pytest.mark.parametrize("rule", CHECKS)
 def test_fixture_flags_nothing_else(rule):
     # The seeded RNGs, the console seam, the downward import, the
-    # function-level cycle, the dynamic re-emit, the re-exports and the
-    # read, exported and function-level imports all pass.
+    # function-level cycle, the dynamic re-emit, the re-exports, the
+    # read, exported and function-level imports, and the seam's own
+    # prints, a method named print and a string all pass.
     expected = {(f"repro/{p.values[1]}", p.values[2])
                 for p in FIXTURE_VIOLATIONS if p.values[0] == rule}
     found = CHECKS[rule](load(FIXTURES / rule / "repro"))
@@ -619,6 +653,12 @@ INJECTED = [
     pytest.param("imports", "tensor/ops.py",
                  "from typing import Any as _Any\n", 0,
                  "unused import '_Any'", id="unused-aliased-from-import"),
+    pytest.param("prints", "core/trainer.py",
+                 "def _log(loss):\n    print(loss)\n", 1,
+                 "print outside", id="print-in-trainer"),
+    pytest.param("prints", "obs/views.py",
+                 "import builtins\nbuiltins.print('x')\n", 1,
+                 "print outside", id="builtins-print-beside-the-seam"),
 ]
 
 

@@ -8,7 +8,7 @@ from repro import core
 from repro import rng as rng_mod
 from repro.api.config import ModelConfig, PipelineConfig, TrainConfig
 from repro.api.pipeline import Pipeline
-from repro.api.registry import STRATEGIES
+from repro.api.registry import choices, lookup
 from repro.baselines import METHODS, train_method
 from repro.core import JointCrossEntropy, SwitchableTrainer
 from repro.data import cifar10_like
@@ -70,7 +70,8 @@ def test_sbm_trains_independent_single_width_nets(data):
 
 
 def test_pipeline_uses_the_switchable_entries():
-    assert {name: STRATEGIES.get(name) for name in STRATEGIES.names()} == {
+    assert {name: lookup("strategies", name)
+            for name in choices("strategies")} == {
         name: entry for name, entry in METHODS.items()
         if not entry.independent
     }

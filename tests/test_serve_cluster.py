@@ -171,25 +171,6 @@ class TestRouters:
         with pytest.raises(ValueError, match="unknown router"):
             make_router("dice")
 
-    def test_router_names_is_live_view(self):
-        from repro.api.registry import ROUTERS, choices
-        from repro.serve.routing import Router
-
-        name = "test-sticky"
-        assert name not in choices("routers")
-
-        @ROUTERS.register(name)
-        class Sticky(Router):
-            def route(self, inputs):
-                return 0
-
-        try:
-            assert name in choices("routers")
-            assert isinstance(make_router(name), Sticky)
-        finally:
-            ROUTERS._entries.pop(name, None)
-        assert name not in choices("routers")
-
 
 class TestFleetRouting:
     def test_least_queue_balances_across_replicas(self):
