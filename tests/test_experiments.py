@@ -79,6 +79,96 @@ def test_run_is_a_function_of_its_arguments():
     assert fig5(scale="smoke", seed=0).rows == first
 
 
+# The smoke rows of the figures that run the whole InstantNet flow
+# (SP-NAS, CDT, AutoMapper), pinned as the ``repr`` of every value: a
+# change to the numerics of any stage, or to how a bit-width is priced,
+# shows here.
+SMOKE_ROWS = {
+    "fig4": [
+        {
+            "bit_set": "'[4, 32]'",
+            "budget": "'middle'",
+            "method": "'spnas'",
+            "flops": "46872.0",
+            "architecture": "'e1k3-skip-e1k3-skip-e1k3-e1k3'",
+            "acc@4": "35.94",
+            "acc@32": "42.19",
+        },
+        {
+            "bit_set": "'[4, 32]'",
+            "budget": "'middle'",
+            "method": "'fpnas'",
+            "flops": "83160.0",
+            "architecture": "'e1k3-e1k3-e1k3-skip-e1k3-e1k3'",
+            "acc@4": "32.81",
+            "acc@32": "33.59",
+        },
+        {
+            "bit_set": "'[4, 32]'",
+            "budget": "'middle'",
+            "method": "'lpnas'",
+            "flops": "39744.0",
+            "architecture": "'e1k3-skip-e1k3-skip-e1k3-skip'",
+            "acc@4": "35.94",
+            "acc@32": "29.69",
+        },
+    ],
+    "fig6": [
+        {
+            "dataset": "'cifar10'",
+            "bit_set": "'[4, 32]'",
+            "bits": "4",
+            "acc_instantnet": "10.16",
+            "acc_sys1": "8.59",
+            "acc_sys2": "14.84",
+            "edp_instantnet": "2.286811537e-12",
+            "edp_sys1": "7.292765653999998e-12",
+            "edp_sys2": "7.266882867833332e-12",
+            "edp_reduction_vs_best_pct": "68.53",
+        },
+        {
+            "dataset": "'cifar10'",
+            "bit_set": "'[4, 32]'",
+            "bits": "32",
+            "acc_instantnet": "12.5",
+            "acc_sys1": "11.72",
+            "acc_sys2": "11.72",
+            "edp_instantnet": "1.552247587306667e-10",
+            "edp_sys1": "4.826050464106665e-10",
+            "edp_sys2": "4.81226474901333e-10",
+            "edp_reduction_vs_best_pct": "67.74",
+        },
+    ],
+    "fig7": [
+        {
+            "bits": "4",
+            "acc_instantnet": "45.31",
+            "acc_baseline": "25.78",
+            "fps_instantnet": "296442.7",
+            "fps_baseline": "181818.2",
+            "fps_gain": "1.63",
+            "pipeline_chosen": "True",
+        },
+        {
+            "bits": "8",
+            "acc_instantnet": "44.53",
+            "acc_baseline": "17.19",
+            "fps_instantnet": "148221.3",
+            "fps_baseline": "90909.1",
+            "fps_gain": "1.63",
+            "pipeline_chosen": "True",
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_ROWS))
+def test_flow_smoke_rows_are_pinned(results, name):
+    rows = [{key: repr(value) for key, value in row.items()}
+            for row in results(name).rows]
+    assert rows == SMOKE_ROWS[name]
+
+
 class TestSmokeRuns:
     """Structure checks and shape claims on the one run per experiment."""
 
