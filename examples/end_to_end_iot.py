@@ -13,10 +13,10 @@ Run:
 from repro import rng
 from repro.baselines import train_method
 from repro.core import TrainConfig
-from repro.core.automapper import AutoMapper, AutoMapperConfig
+from repro.core.automapper import AutoMapper, AutoMapperConfig, map_bit_widths
 from repro.core.spnas import SPNASConfig, build_derived, search_spnas, tiny_search_space
 from repro.data import cifar10_like
-from repro.hardware import edge_asic, extract_workloads
+from repro.hardware import edge_asic
 
 BIT_WIDTHS = [4, 8, 32]
 IMAGE_SIZE = 16
@@ -47,14 +47,9 @@ def main():
     print("\n=== Deployment: dataflow search per bit-width ===")
     device = edge_asic()
     mapper = AutoMapper(device, AutoMapperConfig(generations=30, metric="edp"))
-    menu = []
-    for bits in BIT_WIDTHS:
-        workloads = extract_workloads(
-            trained.sp_net.model, IMAGE_SIZE,
-            bits=bits if bits != 32 else 16,  # FP32 executes as 16-bit MACs
-        )
-        result = mapper.search_network(workloads, pipeline=False)
-        menu.append((bits, trained.accuracies[bits], result.edp))
+    mapped = map_bit_widths(mapper, trained.sp_net.model, IMAGE_SIZE, BIT_WIDTHS)
+    menu = [(bits, trained.accuracies[bits], result.edp)
+            for bits, result in mapped.items()]
 
     # ---- The switchable operating menu ---------------------------------
     print("\nOperating menu for the IoT device (switch instantly):")

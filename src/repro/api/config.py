@@ -103,14 +103,16 @@ class _StageConfig:
     """Shared to_dict/from_dict/JSON plumbing for the stage dataclasses.
 
     Subclasses declare ``_CHOICES`` (field name -> component kind) for
-    name-valued fields and may override ``_validate`` for cross-field
-    checks; both run in ``__post_init__``.  ``_SECTIONS`` maps a field
-    to the config class of its nested JSON section, and a section's
-    ``_SECTION_KEYS`` renames its fields there (``None`` leaves one
-    out).
+    name-valued fields, ``_EXTRA_CHOICES`` (field name -> names) for
+    values a field accepts beyond its kind's table, and may override
+    ``_validate`` for cross-field checks; all run in ``__post_init__``.
+    ``_SECTIONS`` maps a field to the config class of its nested JSON
+    section, and a section's ``_SECTION_KEYS`` renames its fields there
+    (``None`` leaves one out).
     """
 
     _CHOICES: Dict[str, str] = {}
+    _EXTRA_CHOICES: Dict[str, Tuple[str, ...]] = {}
     _SECTIONS: Dict[str, type] = {}
     _SECTION_KEYS: Dict[str, Optional[str]] = {}
 
@@ -123,7 +125,7 @@ class _StageConfig:
             )
         for name, family in self._CHOICES.items():
             value = getattr(self, name)
-            valid = choices(family)
+            valid = choices(family) + self._EXTRA_CHOICES.get(name, ())
             if value not in valid:
                 raise ConfigError(
                     f"{cls}.{name}: unknown value {value!r}; "
@@ -255,16 +257,12 @@ class ModelConfig(_StageConfig):
     activation: str = "relu6"
     arch: Optional[Dict[str, Any]] = None   # "derived" models only
 
-    _CHOICES = {"quantizer": "quantizers"}
+    _CHOICES = {"model": "models", "quantizer": "quantizers"}
+    _EXTRA_CHOICES = {"model": ("derived",)}
     _SECTION_KEYS = {"model": "name", "arch": None}
 
     def _validate(self) -> None:
         self._require_positive("num_classes", "width_mult", "image_size")
-        if self.model != "derived" and self.model not in choices("models"):
-            raise ConfigError(
-                f"ModelConfig: unknown model {self.model!r}; "
-                f"available: {list(choices('models')) + ['derived']}"
-            )
         if self.activation not in ("relu", "relu6"):
             raise ConfigError(
                 f"ModelConfig.activation must be 'relu' or 'relu6', "
@@ -382,19 +380,16 @@ class ServeConfig(_StageConfig):
     replicas: int = 1
     router: str = "least_queue"
 
-    _CHOICES = {"scenario": "scenarios", "router": "routers"}
+    _CHOICES = {
+        "scenario": "scenarios", "policy": "policies", "router": "routers",
+    }
+    _EXTRA_CHOICES = {"policy": ("all",)}
 
     def _validate(self) -> None:
         self._require_positive(
             "num_requests", "max_batch", "slo_batches", "mapper_generations",
             "replicas",
         )
-        valid = ("all",) + choices("policies")
-        if self.policy not in valid:
-            raise ConfigError(
-                f"ServeConfig.policy: unknown policy {self.policy!r}; "
-                f"available: {list(valid)}"
-            )
 
 
 @dataclass(frozen=True)

@@ -293,17 +293,14 @@ class Pipeline:
     # ------------------------------------------------------------------
     def deploy(self) -> Dict[str, Any]:
         """AutoMapper the trained net onto the target, per bit-width."""
-        from ..core.automapper import AutoMapper, AutoMapperConfig
-        from ..hardware import extract_workloads
-        from ..quant.layers import normalize_bits
+        from ..core.automapper import AutoMapper, AutoMapperConfig, map_bit_widths
 
         cfg = self.config
         start = wall_clock_s()
         self._seed()
         sp_net, _ = self._load_checkpoint("deploy")
-        device = lookup("devices", cfg.deploy.device)()
         mapper = AutoMapper(
-            device,
+            lookup("devices", cfg.deploy.device)(),
             AutoMapperConfig(
                 generations=cfg.deploy.generations,
                 metric=cfg.deploy.metric,
@@ -311,19 +308,15 @@ class Pipeline:
                 seed_key=f"pipeline-{cfg.name}-deploy",
             ),
         )
-        workloads = extract_workloads(
-            sp_net.model, cfg.model.image_size,
-            batch=cfg.deploy.batch, name=cfg.name,
+        mapped = map_bit_widths(
+            mapper, sp_net.model, cfg.model.image_size, sp_net.bit_widths,
+            pipeline=cfg.deploy.pipeline, batch=cfg.deploy.batch,
         )
         mappings = []
-        for bits in sp_net.bit_widths:
-            w_bits, a_bits = normalize_bits(bits)
-            effective = max(w_bits, a_bits)
-            priced = [replace(w, bits=effective) for w in workloads]
-            result = mapper.search_network(priced, pipeline=cfg.deploy.pipeline)
+        for bits, result in mapped.items():
             mappings.append({
                 "bits": _bits_to_json(bits),
-                "effective_bits": effective,
+                "effective_bits": result.workloads[0].bits,
                 "edp": result.edp,
                 "energy_pj": result.energy_pj,
                 "latency_s": result.latency_s,
@@ -335,7 +328,7 @@ class Pipeline:
         artifact = {
             "device": cfg.deploy.device,
             "metric": cfg.deploy.metric,
-            "num_layers": len(workloads),
+            "num_layers": len(result.workloads),
             "mappings": mappings,
             "seconds": round(wall_clock_s() - start, 3),
         }
@@ -389,12 +382,9 @@ class Pipeline:
                     f"{list(sp_net.bit_widths)} — re-run the deploy stage "
                     f"(repro pipeline run --stages deploy)"
                 )
-            # Older deploy artifacts predate per-image energy; serving
-            # then simply reports no energy column.
             per_energy = {
                 _bits_from_json(m["bits"]): float(m["per_image_energy_pj"])
                 for m in deploy_report["mappings"]
-                if m.get("per_image_energy_pj") is not None
             }
             latency_model = BitLatencyModel(
                 per_image, per_image_energy_pj=per_energy

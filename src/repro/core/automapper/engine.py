@@ -12,19 +12,21 @@ metric, the engine evolves per-layer dataflows:
 
 Every candidate passes through :func:`~repro.hardware.costmodel.make_valid`
 so evolution explores schedules, not feasibility accidents.  Identical
-layer shapes share one search (VGG16's repeated 3x3 stages, SP-Net layers
-evaluated at several bit-widths), which keeps Fig. 5/6 sweeps fast — the
-paper quotes <10 minutes of search per network and this implementation is
-well inside that.
+layer shapes at the same bit-width share one search (VGG16's repeated 3x3
+stages), which keeps Fig. 5/6 sweeps fast — the paper quotes <10 minutes
+of search per network and this implementation is well inside that.  The
+same shape at another bit-width is a new search, which ``warm_start``
+seeds with the best flow found at the other width.  :func:`map_bit_widths`
+maps a model at each of its bit-widths: the InstantNet deploy step.
 
-A :func:`random_search` twin with the same evaluation budget backs the
+A :func:`random_search_layer` twin with the same evaluation budget backs the
 evolution-vs-random ablation the paper motivates via [Real et al. 2018].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +40,16 @@ from ...hardware.costmodel import (
 )
 from ...hardware.dataflow import Dataflow, perturb_dataflow, random_dataflow
 from ...hardware.hierarchy import Device
+from ...hardware.networks import extract_workloads
 from ...hardware.workload import ConvWorkload
+from ...quant.layers import BitSpec, normalize_bits
 
 __all__ = [
     "AutoMapperConfig",
     "MappingResult",
     "AutoMapper",
+    "bit_workloads",
+    "map_bit_widths",
     "random_search_layer",
 ]
 
@@ -88,13 +94,14 @@ class AutoMapperConfig:
 
 @dataclass
 class MappingResult:
-    """Outcome of a network-level search."""
+    """Outcome of a network-level search over ``workloads``."""
 
     dataflows: List[Dataflow]
     network_cost: NetworkCost
     layer_costs: List[LayerCost]
     pipeline: bool
     evaluations: int
+    workloads: Sequence[ConvWorkload] = ()
 
     @property
     def edp(self) -> float:
@@ -349,6 +356,7 @@ class AutoMapper:
             layer_costs=costs,
             pipeline=pipeline,
             evaluations=self.evaluations - start,
+            workloads=tuple(workloads),
         )
 
     def _cache_key(self, workload: ConvWorkload, pe_fraction, buffer_fraction):
@@ -365,6 +373,34 @@ class AutoMapper:
             workload.r, workload.s, workload.stride, workload.groups,
             round(pe_fraction, 6), round(buffer_fraction, 6),
         )
+
+
+def bit_workloads(
+    model: Any, image_size: int, bit_widths: Sequence[BitSpec], batch: int = 1,
+) -> Dict[BitSpec, List[ConvWorkload]]:
+    """``model``'s layers priced at each of ``bit_widths``.
+
+    The model is profiled once.  A ``(weight_bits, activation_bits)``
+    pair executes at ``max(w, a)`` bits: the datapath is as wide as its
+    wider operand.  This is the one pricing rule for a bit-width; every
+    system a figure compares sees the same layers through it.
+    """
+    layers = extract_workloads(model, image_size, batch=batch)
+    return {
+        bits: [w.with_bits(max(normalize_bits(bits))) for w in layers]
+        for bits in bit_widths
+    }
+
+
+def map_bit_widths(
+    mapper: AutoMapper, model: Any, image_size: int,
+    bit_widths: Sequence[BitSpec], *, pipeline: Optional[bool] = False,
+    batch: int = 1,
+) -> Dict[BitSpec, MappingResult]:
+    """``mapper.search_network`` on each bit-width's :func:`bit_workloads`."""
+    priced = bit_workloads(model, image_size, bit_widths, batch)
+    return {bits: mapper.search_network(layers, pipeline=pipeline)
+            for bits, layers in priced.items()}
 
 
 def random_search_layer(

@@ -13,6 +13,8 @@ synthetic data stand in for the paper's GPU runs):
 
 ``ExperimentResult`` carries measured rows plus the paper's reference
 values so the printed tables show paper-vs-measured side by side.
+:func:`search_and_cdt` is the paper's generation protocol, shared by
+Figs. 4, 6 and 7.
 """
 
 from __future__ import annotations
@@ -20,9 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
+from .. import rng as rng_mod
 from ..api.registry import lookup
+from ..baselines.spnets import train_method
+from ..core.spnas import SPNASConfig, build_derived, search_spnas
+from ..core.trainer import TrainConfig
 
-__all__ = ["Scale", "SCALES", "get_scale", "ExperimentResult", "format_table"]
+__all__ = [
+    "Scale", "SCALES", "get_scale", "bit_sets_for", "search_and_cdt",
+    "ExperimentResult", "format_table",
+]
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,44 @@ def get_scale(scale) -> Scale:
     if isinstance(scale, Scale):
         return scale
     return lookup("scales", scale)
+
+
+def bit_sets_for(scale: Scale) -> List[list]:
+    """Candidate bit sets: the paper's two at full scale, fewer below."""
+    if scale.name == "smoke":
+        return [[4, 32]]
+    if scale.name == "default":
+        return [[4, 8, 32]]
+    return [[4, 8, 12, 16, 32], [4, 5, 6, 8]]
+
+
+def search_and_cdt(
+    space, bit_set, num_classes: int, train_set, test_set, scale: Scale,
+    flops_target: float, seed: int, searcher=search_spnas,
+):
+    """Search an architecture, then train it from scratch with CDT.
+
+    The paper's protocol: ``searcher`` (SP-NAS by default; Fig. 4 also
+    passes FP-NAS and LP-NAS) runs under the FLOPs target, and the
+    derived network is retrained with CDT.  Both steps start from
+    ``seed``.  Returns ``(search result, trained method result)``.
+    """
+    rng_mod.set_seed(seed)
+    search = searcher(
+        space, bit_set, num_classes, train_set,
+        SPNASConfig(
+            epochs=scale.nas_epochs,
+            batch_size=min(32, scale.batch_size),
+            flops_target=flops_target,
+            lambda_eff=1.0,
+        ),
+    )
+    rng_mod.set_seed(seed)
+    trained = train_method(
+        "cdt", build_derived(search, num_classes), bit_set, train_set,
+        test_set, TrainConfig(epochs=scale.epochs, batch_size=scale.batch_size),
+    )
+    return search, trained
 
 
 @dataclass

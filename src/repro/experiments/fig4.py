@@ -18,22 +18,13 @@ supernet training tractable.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from .. import rng as rng_mod
-from ..baselines.spnets import train_method
-from ..core.spnas import (
-    SPNASConfig,
-    build_derived,
-    search_fp_nas,
-    search_lp_nas,
-    search_spnas,
-    tiny_search_space,
-)
-from ..core.trainer import TrainConfig
+from ..core.spnas import search_fp_nas, search_lp_nas, search_spnas, tiny_search_space
 from ..data.synthetic import cifar100_like
 from ..obs.wallclock import wall_clock_s
-from .common import ExperimentResult, get_scale
+from .common import ExperimentResult, bit_sets_for, get_scale, search_and_cdt
 
 __all__ = ["run", "PAPER_FIG4"]
 
@@ -49,14 +40,6 @@ _SEARCHERS = {
     "fpnas": search_fp_nas,
     "lpnas": search_lp_nas,
 }
-
-
-def _bit_sets_for(scale) -> List[list]:
-    if scale.name == "smoke":
-        return [[4, 32]]
-    if scale.name == "default":
-        return [[4, 8, 32]]
-    return [[4, 8, 12, 16, 32], [4, 5, 6, 8]]
 
 
 def _budgets_for(scale, space) -> Dict[str, float]:
@@ -85,28 +68,13 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         image_size=scale.image_size, num_classes=scale.num_classes,
         difficulty=scale.difficulty,
     )
-    retrain_config = TrainConfig(
-        epochs=scale.epochs, batch_size=scale.batch_size
-    )
     budgets = _budgets_for(scale, space)
-    for bit_set in _bit_sets_for(scale):
+    for bit_set in bit_sets_for(scale):
         for budget_name, budget in budgets.items():
             for method, searcher in _SEARCHERS.items():
-                rng_mod.set_seed(seed)
-                nas_config = SPNASConfig(
-                    epochs=scale.nas_epochs,
-                    batch_size=min(32, scale.batch_size),
-                    flops_target=budget,
-                    lambda_eff=1.0,
-                )
-                search = searcher(
-                    space, bit_set, scale.num_classes, train_set, nas_config
-                )
-                builder = build_derived(search, scale.num_classes)
-                rng_mod.set_seed(seed)
-                trained = train_method(
-                    "cdt", builder, bit_set, train_set, test_set,
-                    retrain_config,
+                search, trained = search_and_cdt(
+                    space, bit_set, scale.num_classes, train_set, test_set,
+                    scale, budget, seed, searcher=searcher,
                 )
                 row = {
                     "bit_set": str(bit_set),

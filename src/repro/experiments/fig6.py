@@ -20,20 +20,17 @@ EDP with +0.91%..+5.25% accuracy at the bottleneck width).
 
 from __future__ import annotations
 
-from typing import List
-
 from .. import rng as rng_mod
 from ..baselines.dataflows import eyeriss_row_stationary, magnet_mapper
 from ..baselines.spnets import train_method
-from ..core.automapper import AutoMapper, AutoMapperConfig
-from ..core.spnas import SPNASConfig, build_derived, search_spnas, tiny_search_space
+from ..core.automapper import AutoMapper, AutoMapperConfig, bit_workloads, map_bit_widths
+from ..core.spnas import tiny_search_space
 from ..core.trainer import TrainConfig
 from ..data.synthetic import cifar10_like, cifar100_like
-from ..hardware import edge_asic, evaluate_network, extract_workloads
+from ..hardware import edge_asic, evaluate_network
 from ..nn.models import mobilenet_v2
 from ..obs.wallclock import wall_clock_s
-from ..quant.layers import normalize_bits
-from .common import ExperimentResult, get_scale
+from .common import ExperimentResult, bit_sets_for, get_scale, search_and_cdt
 
 __all__ = ["run", "PAPER_FIG6"]
 
@@ -43,26 +40,6 @@ PAPER_FIG6 = {
     "headline": "-84.67% EDP with +1.44% accuracy on CIFAR-100, bit set "
                 "[4, 8, 12, 16, 32]",
 }
-
-
-def _bit_sets_for(scale) -> List[list]:
-    if scale.name == "smoke":
-        return [[4, 32]]
-    if scale.name == "default":
-        return [[4, 8, 32]]
-    return [[4, 8, 12, 16, 32], [4, 5, 6, 8]]
-
-
-def _edp_at_bits(model, input_size, device, mapper=None, mapper_flows=None,
-                 bits=8) -> float:
-    """EDP of one network executed at one bit-width on the device."""
-    w_bits, _ = normalize_bits(bits)
-    workloads = extract_workloads(model, input_size, bits=w_bits)
-    if mapper is not None:
-        res = mapper.search_network(workloads, pipeline=False)
-        return res.network_cost.edp
-    flows = [mapper_flows(w, device) for w in workloads]
-    return evaluate_network(workloads, flows, device, pipeline=False).edp
 
 
 def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
@@ -104,21 +81,12 @@ def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
                 width_mult=scale.width_mult, setting="tiny",
             )
 
-        for bit_set in _bit_sets_for(scale):
+        for bit_set in bit_sets_for(scale):
             # --- InstantNet: search + CDT + AutoMapper -----------------
-            rng_mod.set_seed(seed)
             space = tiny_search_space(scale.image_size)
-            search = search_spnas(
-                space, bit_set, num_classes, train_set,
-                SPNASConfig(epochs=scale.nas_epochs,
-                            batch_size=min(32, scale.batch_size),
-                            flops_target=0.4 * space.max_flops,
-                            lambda_eff=1.0),
-            )
-            rng_mod.set_seed(seed)
-            instantnet = train_method(
-                "cdt", build_derived(search, num_classes), bit_set,
-                train_set, test_set, config,
+            _, instantnet = search_and_cdt(
+                space, bit_set, num_classes, train_set, test_set, scale,
+                0.4 * space.max_flops, seed,
             )
             # --- Baseline systems ---------------------------------------
             rng_mod.set_seed(seed)
@@ -134,18 +102,19 @@ def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
                                  metric="edp",
                                  seed_key=f"fig6-{ds_name}-{seed}"),
             )
+            instant_maps = map_bit_widths(
+                mapper, instantnet.sp_net.model, scale.image_size, bit_set
+            )
+            sys1_layers = bit_workloads(
+                sys1.sp_net.model, scale.image_size, bit_set
+            )
+            sys2_layers = bit_workloads(
+                sys2.sp_net.model, scale.image_size, bit_set
+            )
             for bits in bit_set:
-                edp_instant = _edp_at_bits(
-                    instantnet.sp_net.model, scale.image_size, device,
-                    mapper=mapper, bits=bits,
-                )
-                edp_sys1 = _edp_at_bits(
-                    sys1.sp_net.model, scale.image_size, device,
-                    mapper_flows=eyeriss_row_stationary, bits=bits,
-                )
-                edp_sys2 = _edp_magnet(
-                    sys2.sp_net.model, scale.image_size, device, bits
-                )
+                edp_instant = instant_maps[bits].edp
+                edp_sys1 = _edp_eyeriss(sys1_layers[bits], device)
+                edp_sys2 = _edp_magnet(sys2_layers[bits], device)
                 result.add_row(
                     dataset=ds_name,
                     bit_set=str(bit_set),
@@ -169,11 +138,12 @@ def run(scale="default", seed: int = 0, datasets=None) -> ExperimentResult:
     return result
 
 
-def _edp_magnet(model, input_size, device, bits) -> float:
-    from ..quant.layers import normalize_bits
+def _edp_eyeriss(workloads, device) -> float:
+    flows = [eyeriss_row_stationary(w, device) for w in workloads]
+    return evaluate_network(workloads, flows, device, pipeline=False).edp
 
-    w_bits, _ = normalize_bits(bits)
-    workloads = extract_workloads(model, input_size, bits=w_bits)
+
+def _edp_magnet(workloads, device) -> float:
     flows, _ = magnet_mapper(workloads, device, tuning_budget=20)
     return evaluate_network(workloads, flows, device, pipeline=False).edp
 

@@ -14,19 +14,17 @@ included) for latency.
 
 from __future__ import annotations
 
-
 from .. import rng as rng_mod
 from ..baselines.dataflows import dnnbuilder_mapper
 from ..baselines.spnets import train_method
-from ..core.automapper import AutoMapper, AutoMapperConfig
-from ..core.spnas import SPNASConfig, build_derived, search_spnas, tiny_search_space
+from ..core.automapper import AutoMapper, AutoMapperConfig, bit_workloads, map_bit_widths
+from ..core.spnas import tiny_search_space
 from ..core.trainer import TrainConfig
 from ..data.synthetic import imagenet_like
-from ..hardware import evaluate_network, extract_workloads, zc706_like_fpga
+from ..hardware import evaluate_network, zc706_like_fpga
 from ..nn.models import mobilenet_v2
 from ..obs.wallclock import wall_clock_s
-from ..quant.layers import normalize_bits
-from .common import ExperimentResult, get_scale
+from .common import ExperimentResult, get_scale, search_and_cdt
 
 __all__ = ["run", "BIT_SET", "PAPER_FIG7"]
 
@@ -62,16 +60,9 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
 
     # --- InstantNet: SP-NAS + CDT + AutoMapper(latency) ----------------
     space = tiny_search_space(image_size)
-    search = search_spnas(
-        space, bit_set, scale.num_classes, train_set,
-        SPNASConfig(epochs=scale.nas_epochs,
-                    batch_size=min(32, scale.batch_size),
-                    flops_target=0.4 * space.max_flops, lambda_eff=1.0),
-    )
-    rng_mod.set_seed(seed)
-    instantnet = train_method(
-        "cdt", build_derived(search, scale.num_classes), bit_set,
-        train_set, test_set, config,
+    _, instantnet = search_and_cdt(
+        space, bit_set, scale.num_classes, train_set, test_set, scale,
+        0.4 * space.max_flops, seed,
     )
 
     # --- Baseline Sys.3: expert network + DNNBuilder pipeline ----------
@@ -90,15 +81,13 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
         AutoMapperConfig(generations=scale.mapper_generations,
                          metric="latency", seed_key=f"fig7-{seed}"),
     )
+    instant_maps = map_bit_widths(
+        mapper, instantnet.sp_net.model, image_size, bit_set, pipeline=None
+    )
+    base_layers = bit_workloads(baseline.sp_net.model, image_size, bit_set)
     for bits in bit_set:
-        w_bits, _ = normalize_bits(bits)
-        inst_workloads = extract_workloads(
-            instantnet.sp_net.model, image_size, bits=w_bits
-        )
-        inst = mapper.search_network(inst_workloads, pipeline=None)
-        base_workloads = extract_workloads(
-            baseline.sp_net.model, image_size, bits=w_bits
-        )
+        inst = instant_maps[bits]
+        base_workloads = base_layers[bits]
         total_macs = float(sum(w.macs for w in base_workloads)) or 1.0
         base_flows = []
         for w in base_workloads:

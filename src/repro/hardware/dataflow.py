@@ -179,9 +179,8 @@ def factorizations(bound: int, num_levels: int) -> List[Tuple[int, ...]]:
 
     Factors are drawn from the ceiling-divisor set of ``bound`` so that
     every tuple covers the bound without gross over-provisioning.  This
-    enumerates the paper's loop-size axis exactly for small bounds and is
-    used by tests and the exhaustive-search ablation; the evolutionary
-    search samples from the same set.
+    enumerates the paper's loop-size axis exactly for small bounds; the
+    evolutionary search samples from the same set.
     """
     if bound < 1 or num_levels < 1:
         raise ValueError("bound and num_levels must be >= 1")

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..obs.tracer import NULL_TRACER
 from ..quant import SwitchablePrecisionNetwork
-from ..quant.layers import BitSpec, normalize_bits
+from ..quant.layers import BitSpec
 from ..tensor import Tensor, no_grad
 from .stats import optional_percentile_s
 
@@ -142,45 +142,32 @@ class BitLatencyModel:
         cls,
         sp_net: SwitchablePrecisionNetwork,
         image_size: int,
-        device=None,
-        generations: int = 4,
-        seed_key: str = "serve-latency",
-        batch_overhead_s: Optional[float] = None,
+        generations: int,
     ) -> "BitLatencyModel":
         """Price every candidate bit-width with the AutoMapper.
 
-        One dataflow search per precision (identical layer shapes share
-        searches and warm-start each other across bit-widths), using the
-        latency metric — the same machinery behind Figs. 5-7.
+        One latency-metric dataflow search per precision on the
+        Eyeriss-like ASIC, warm-started across bit-widths — the same
+        deploy step behind Figs. 6-7 and the pipeline.
         """
-        from ..core.automapper import AutoMapper, AutoMapperConfig
-        from ..hardware import eyeriss_like_asic, extract_workloads
-        from dataclasses import replace as dc_replace
+        from ..core.automapper import AutoMapper, AutoMapperConfig, map_bit_widths
+        from ..hardware import eyeriss_like_asic
 
-        device = device or eyeriss_like_asic()
-        workloads = extract_workloads(
-            sp_net.model, image_size, batch=1, name="serve"
-        )
         mapper = AutoMapper(
-            device,
+            eyeriss_like_asic(),
             AutoMapperConfig(
                 generations=generations, metric="latency",
-                seed_key=seed_key, warm_start=True,
+                seed_key="serve-latency", warm_start=True,
             ),
         )
-        per_image: Dict[BitSpec, float] = {}
-        per_energy: Dict[BitSpec, float] = {}
-        for bits in sp_net.bit_widths:
-            w_bits, a_bits = normalize_bits(bits)
-            effective = max(w_bits, a_bits)
-            priced = [dc_replace(w, bits=effective) for w in workloads]
-            result = mapper.search_network(priced, pipeline=False)
-            per_image[bits] = result.network_cost.latency_s
-            per_energy[bits] = result.network_cost.energy_pj
+        mapped = map_bit_widths(
+            mapper, sp_net.model, image_size, sp_net.bit_widths
+        )
         return cls(
-            per_image,
-            batch_overhead_s=batch_overhead_s,
-            per_image_energy_pj=per_energy,
+            {bits: result.latency_s for bits, result in mapped.items()},
+            per_image_energy_pj={
+                bits: result.energy_pj for bits, result in mapped.items()
+            },
         )
 
     def batch_latency_s(self, bits: BitSpec, batch_size: int) -> float:

@@ -7,12 +7,15 @@ from repro import rng as rng_mod
 from repro.core.automapper import (
     AutoMapper,
     AutoMapperConfig,
+    bit_workloads,
+    map_bit_widths,
     random_search_layer,
 )
 from repro.hardware import (
     ConvWorkload,
     alexnet_workloads,
     evaluate_layer,
+    extract_workloads,
     eyeriss_like_asic,
     random_dataflow,
 )
@@ -143,6 +146,41 @@ class TestNetworkSearch:
         am.search_network(wls, pipeline=False)
         # One unique shape -> one cache entry.
         assert len(am._layer_cache) == 1
+
+
+class TestBitWidthPricing:
+    """One rule prices an SP-Net bit-width: a (w, a) pair runs at
+    max(w, a) bits, on the layers the model executes."""
+
+    @staticmethod
+    def _model():
+        from repro.nn import models
+
+        return models.resnet8(num_classes=5, width_mult=0.5)
+
+    def test_pairs_price_at_the_wider_operand(self):
+        priced = bit_workloads(self._model(), 16, [4, (4, 8), (8, 4)])
+        assert list(priced) == [4, (4, 8), (8, 4)]
+        assert {bits: {w.bits for w in layers}
+                for bits, layers in priced.items()} == {
+            4: {4}, (4, 8): {8}, (8, 4): {8}}
+
+    def test_layers_are_the_profiled_model_at_each_width(self):
+        model = self._model()
+        layers = extract_workloads(model, 16, batch=2)
+        for bits, priced in bit_workloads(model, 16, [4, 8], batch=2).items():
+            assert priced == [w.with_bits(bits) for w in layers]
+
+    def test_map_bit_widths_searches_the_priced_layers(self):
+        model = self._model()
+        config = AutoMapperConfig(generations=1, seed_key="pricing")
+        mapped = map_bit_widths(AutoMapper(DEV, config), model, 16, [4, (4, 8)])
+        priced = bit_workloads(model, 16, [4, (4, 8)])
+        fresh = AutoMapper(DEV, config)
+        for bits, result in mapped.items():
+            assert list(result.workloads) == priced[bits]
+            assert result.edp == fresh.search_network(
+                priced[bits], pipeline=False).edp
 
 
 class TestCostModelMemoAndWarmStart:

@@ -12,7 +12,7 @@ from repro import rng as rng_mod
 from repro.baselines import train_method
 from repro.baselines.dataflows import eyeriss_row_stationary
 from repro.core import TrainConfig, evaluate_all_bits
-from repro.core.automapper import AutoMapper, AutoMapperConfig
+from repro.core.automapper import AutoMapper, AutoMapperConfig, map_bit_widths
 from repro.core.spnas import (
     SPNASConfig,
     build_derived,
@@ -67,11 +67,9 @@ class TestDeploymentPhase:
         mapper = AutoMapper(device, AutoMapperConfig(generations=4,
                                                      seed_key="int-test"))
         edps = {}
-        for bits in BITS:
-            workloads = extract_workloads(
-                trained.sp_net.model, 12, bits=bits if bits != 32 else 16
-            )
-            result = mapper.search_network(workloads, pipeline=False)
+        for bits, result in map_bit_widths(
+            mapper, trained.sp_net.model, 12, BITS
+        ).items():
             assert result.network_cost.valid
             edps[bits] = result.edp
         # Lower precision must be cheaper to execute.

@@ -45,7 +45,7 @@ class TestSPNetConfig:
         assert again.bit_widths == (4, (2, 32), 8)
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError, match="unknown model"):
+        with pytest.raises(ValueError, match=r"ModelConfig\.model: unknown value"):
             small_config(model="transformer9000")
 
     def test_list_bit_widths_normalised(self):
