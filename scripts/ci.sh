@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo CI gate: tier-1 tests (the repo invariants included, in
 # tests/test_invariants.py), the slow claims' collection, the pipeline,
-# serving and obs smokes, the end-to-end IoT example, and the
-# benchmark's own smoke test (perfbench/smoke.py, which tier-1 does not
-# collect).
+# serving and obs smokes, the end-to-end IoT and AutoMapper examples,
+# and the benchmark's own smoke test (perfbench/smoke.py, which tier-1
+# does not collect).
 #
 #   bash scripts/ci.sh            # full gate
 #   bash scripts/ci.sh --fast     # tier-1 and the slow claims' collection only
@@ -131,6 +131,9 @@ python examples/observability_tour.py > /dev/null
 
 echo "==> end-to-end IoT example (SP-NAS -> CDT -> AutoMapper per bit-width)"
 python examples/end_to_end_iot.py > /dev/null
+
+echo "==> AutoMapper example (AlexNet on an Eyeriss-class ASIC, per-bit-width mappings)"
+python examples/deploy_dataflow.py > /dev/null
 
 echo "==> perfbench smoke (every workload runs, checks its outputs, prints its metrics)"
 # perfbench imports src/ itself and checks it refuses to run without it,

@@ -19,6 +19,12 @@ same shape at another bit-width is a new search, which ``warm_start``
 seeds with the best flow found at the other width.  :func:`map_bit_widths`
 maps a model at each of its bit-widths: the InstantNet deploy step.
 
+Within a search every candidate is repaired and costed afresh.  A memo
+on ``(workload, dataflow)`` served under 9% of lookups and made the
+search slower, so there is none; the cost model keeps only its cheap
+per-object slots (a flow's resident-words table, a level's iteration
+products).
+
 A :func:`random_search_layer` twin with the same evaluation budget backs the
 evolution-vs-random ablation the paper motivates via [Real et al. 2018].
 """
@@ -71,13 +77,6 @@ class AutoMapperConfig:
     metric: str = "edp"
     goal: Optional[float] = None
     seed_key: str = "automapper"
-    # Memoize evaluate_layer / make_valid on (workload, dataflow):
-    # repair collapses some perturbations onto flows already priced.
-    # Mapping MobileNetV2 at 4 bit-widths (6 generations, seed 0) hits
-    # the memo on 1,336 of 15,066 lookups (8.9%), and takes a median
-    # 1.42 s of CPU with it against 1.16 s without (best of 3 operations,
-    # 3 alternating runs on one vCPU of a shared 2-vCPU container).
-    memoize: bool = True
     # Opt-in: seed the pool with the best mapping found for the same
     # layer shape at another bit-width (SP-Net sweeps price each layer
     # at N precisions; good schedules transfer).  Off by default because
@@ -138,81 +137,11 @@ class AutoMapper:
         self.config = config or AutoMapperConfig()
         self._rng = rng_mod.spawn_rng(self.config.seed_key)
         self._layer_cache: Dict[tuple, Tuple[Dataflow, LayerCost, int]] = {}
-        # Cost-model memo tables keyed (workload, dataflow, fractions).
-        self._eval_cache: Dict[tuple, LayerCost] = {}
-        self._valid_cache: Dict[tuple, Dataflow] = {}
         # Best flow per layer *shape* (bits excluded) for warm starts.
         self._shape_best: Dict[tuple, Dataflow] = {}
         self.evaluations = 0
+        # Always 0 (there is no cost-model memo); perfbench/ still reads it.
         self.cost_cache_hits = 0
-
-    # ------------------------------------------------------------------
-    # Memoized cost-model access
-    # ------------------------------------------------------------------
-    def _evaluate(
-        self,
-        workload: ConvWorkload,
-        flow: Dataflow,
-        pe_fraction: float,
-        buffer_fraction: float,
-        wkey: Optional[tuple] = None,
-    ) -> LayerCost:
-        """evaluate_layer with (workload, dataflow) memoization.
-
-        ``wkey`` passes the precomputed workload key (one per
-        ``search_layer``) so the hot loop only hashes the dataflow.
-        """
-        if not self.config.memoize:
-            return evaluate_layer(
-                workload, flow, self.device, pe_fraction, buffer_fraction
-            )
-        if wkey is None:
-            wkey = self._cache_key(workload, pe_fraction, buffer_fraction)
-        key = (wkey, flow.cache_key())
-        cost = self._eval_cache.get(key)
-        if cost is None:
-            cost = evaluate_layer(
-                workload, flow, self.device, pe_fraction, buffer_fraction
-            )
-            self._eval_cache[key] = cost
-        else:
-            self.cost_cache_hits += 1
-        return cost
-
-    def _make_valid(
-        self,
-        workload: ConvWorkload,
-        flow: Dataflow,
-        pe_fraction: float,
-        buffer_fraction: float,
-        wkey: Optional[tuple] = None,
-    ) -> Dataflow:
-        """make_valid with (workload, dataflow) memoization.
-
-        Repair is deterministic, so identical inputs always collapse to
-        the same valid flow; Dataflow is frozen, so the cached instance
-        is shared safely.  It carries its memoized cache key, and the
-        capacity check that accepted it leaves its resident-words table
-        in the flow's one-workload slot, so the paired ``_evaluate``
-        (same workload object) neither rebuilds the key nor re-sweeps
-        the levels.
-        """
-        if not self.config.memoize:
-            return make_valid(
-                workload, flow, self.device, buffer_fraction, pe_fraction
-            )
-        if wkey is None:
-            wkey = self._cache_key(workload, pe_fraction, buffer_fraction)
-        key = (wkey, flow.cache_key())
-        valid = self._valid_cache.get(key)
-        if valid is None:
-            valid = make_valid(
-                workload, flow, self.device, buffer_fraction, pe_fraction
-            )
-            self._valid_cache[key] = valid
-        else:
-            self.cost_cache_hits += 1
-        return valid
 
     # ------------------------------------------------------------------
     # Layer-level search (Alg. 1)
@@ -231,23 +160,27 @@ class AutoMapper:
 
         cfg = self.config
         rng = self._rng
+        device = self.device
         evaluations = 0
 
-        def sample_random() -> Tuple[Dataflow, float, LayerCost]:
+        def price(flow: Dataflow) -> Tuple[Dataflow, float, LayerCost]:
+            """Repair and cost one candidate: a pool entry."""
             nonlocal evaluations
-            flow = self._make_valid(
-                workload, random_dataflow(workload, self.device, rng),
-                pe_fraction, buffer_fraction, wkey=key,
+            flow = make_valid(
+                workload, flow, device,
+                pe_fraction=pe_fraction, buffer_fraction=buffer_fraction,
             )
-            cost = self._evaluate(
-                workload, flow, pe_fraction, buffer_fraction, wkey=key
+            cost = evaluate_layer(
+                workload, flow, device,
+                pe_fraction=pe_fraction, buffer_fraction=buffer_fraction,
             )
             evaluations += 1
             return flow, _metric_of(cost, cfg.metric), cost
 
         # Build a pool with n random samples from the design space.
         pool: List[Tuple[Dataflow, float, LayerCost]] = [
-            sample_random() for _ in range(cfg.pool_size)
+            price(random_dataflow(workload, device, rng))
+            for _ in range(cfg.pool_size)
         ]
 
         # Warm start: the same layer shape searched at another bit-width
@@ -258,14 +191,7 @@ class AutoMapper:
         shape_key = self._shape_key(workload, pe_fraction, buffer_fraction)
         warm = self._shape_best.get(shape_key) if cfg.warm_start else None
         if warm is not None:
-            flow = self._make_valid(
-                workload, warm, pe_fraction, buffer_fraction, wkey=key
-            )
-            cost = self._evaluate(
-                workload, flow, pe_fraction, buffer_fraction, wkey=key
-            )
-            evaluations += 1
-            entry = (flow, _metric_of(cost, cfg.metric), cost)
+            entry = price(warm)
             worst = max(range(len(pool)), key=lambda i: pool[i][1])
             if entry[1] < pool[worst][1]:
                 pool[worst] = entry
@@ -283,17 +209,10 @@ class AutoMapper:
                 for _ in range(cfg.breed_batch):
                     parent = pool[int(rng.integers(0, min(elite, len(pool))))][0]
                     child = perturb_dataflow(
-                        parent, workload, self.device,
+                        parent, workload, device,
                         k=cfg.perturb_features, rng=rng,
                     )
-                    child = self._make_valid(
-                        workload, child, pe_fraction, buffer_fraction, wkey=key
-                    )
-                    cost = self._evaluate(
-                        workload, child, pe_fraction, buffer_fraction, wkey=key
-                    )
-                    evaluations += 1
-                    pool.append((child, _metric_of(cost, cfg.metric), cost))
+                    pool.append(price(child))
             else:
                 # Rank and remove the worst m samples.
                 pool.sort(key=lambda entry: entry[1])

@@ -373,10 +373,9 @@ def make_valid(
     search compares *schedules*, never feasibility luck.
 
     Shrink candidates are read from the levels' factor tuples.  A flow
-    that is already valid comes back as the same instance (so do its
-    memoized cache key and resident-words table); the capacity check
-    that accepts a flow leaves that table in place for the
-    ``evaluate_layer`` call that follows.
+    that is already valid comes back as the same instance, with its
+    resident-words table; the capacity check that accepts a flow leaves
+    that table in place for the ``evaluate_layer`` call that follows.
     """
     flow = repair_dataflow(dataflow, workload, device)
     pe_budget = max(1, int(device.num_pes * pe_fraction))

@@ -141,24 +141,15 @@ class Dataflow:
     def cache_key(self) -> tuple:
         """Hashable canonical identity of this mapping.
 
-        Two dataflows with the same key execute identically (tile factors
-        of 1 and absent dict entries are equivalent), so cost-model
-        results may be memoized on it — see the AutoMapper's
-        evaluate/make_valid caches.  Computed once per instance (the
-        dataclass is frozen, so the key cannot go stale).
+        Two dataflows with the same key execute identically: tile factors
+        of 1 and absent dict entries are equivalent.  The factor tuples
+        are already canonical (fixed width, DIMS order, absent entries as
+        1), so the key only pairs each level's order with its factors.
         """
-        try:
-            return self._cache_key_memo
-        except AttributeError:
-            pass
-        # The factor tuples are already canonical (fixed width, DIMS
-        # order, absent entries as 1), so the key only pairs them up.
-        key = (
+        return (
             tuple([(level.order, level.factors) for level in self.levels]),
             self.spatial_factors,
         )
-        object.__setattr__(self, "_cache_key_memo", key)
-        return key
 
     def describe(self) -> str:
         """Human-readable multi-line summary (used by example scripts)."""
@@ -241,6 +232,20 @@ def _random_factor_split(
     return factors
 
 
+def _distinct_pair(rng: np.random.Generator, n: int) -> Tuple[int, int]:
+    """``tuple(rng.choice(n, size=2, replace=False))`` in three scalar draws.
+
+    Same picks, same bits consumed: this is numpy's Floyd sampling for
+    two of ``n`` followed by its two-element shuffle, without the array
+    set-up ``choice`` pays on every call.
+    """
+    a = int(rng.integers(0, n - 1))
+    b = int(rng.integers(0, n))
+    if b == a:
+        b = n - 1
+    return (b, a) if rng.integers(0, 2) == 0 else (a, b)
+
+
 def random_dataflow(
     workload: ConvWorkload,
     device: Device,
@@ -255,14 +260,13 @@ def random_dataflow(
     dims = workload.dims
 
     # Spatial unrolling: parallelise 2 dimensions across the PE array.
-    # Every draw below is in index form (``choice(n)``, ``permutation(n)``):
-    # it consumes the same bits as drawing from the list of names, for
-    # less numpy overhead.
+    # Every draw below is in index form (:func:`_distinct_pair`,
+    # ``permutation(n)``): it consumes the same bits as drawing from the
+    # list of names, for less numpy overhead.
     spatial: Dict[str, int] = {}
     budget = device.num_pes
     spatial_dims = _FPGA_SPATIAL_DIMS if fpga else DIMS
-    chosen = rng.choice(len(spatial_dims), size=2, replace=False)
-    for i in chosen.tolist():
+    for i in _distinct_pair(rng, len(spatial_dims)):
         d = spatial_dims[i]
         f = int(rng.integers(1, min(dims[d], budget) + 1))
         spatial[d] = f
@@ -308,20 +312,20 @@ def perturb_dataflow(
 
     # Scalar picks use ``integers(0, n)``: numpy documents it as the
     # equivalent of ``choice(n)``, and it draws the same bits for a
-    # fraction of the call overhead.
+    # fraction of the call overhead.  Pairs use :func:`_distinct_pair`.
     for _ in range(max(1, k)):
         move = rng.integers(0, 3)
         if move == 0 and mutable_order_levels > 0:
             # Swap two positions in one level's order.
             li = int(rng.integers(0, mutable_order_levels))
             order = list(levels[li].order)
-            i, j = rng.choice(len(order), size=2, replace=False).tolist()
+            i, j = _distinct_pair(rng, len(order))
             order[i], order[j] = order[j], order[i]
             levels[li] = LevelTiling(tuple(order), levels[li].tiles)
         elif move == 1:
             # Move tiling quantity of one dim between two levels.
             di = int(rng.integers(0, len(DIMS)))
-            src, dst = rng.choice(num_levels, size=2, replace=False).tolist()
+            src, dst = _distinct_pair(rng, num_levels)
             src_f = levels[src].factors[di]
             if src_f > 1:
                 take = int(rng.integers(2, src_f + 1))
@@ -368,8 +372,8 @@ def repair_dataflow(
     scaled down greedily.  Buffer-capacity violations are handled by the
     cost model as hard invalidity (infinite cost) rather than silent
     repair, so the search can learn the boundary.  A flow that needs no
-    edit comes back as the same instance, so its memoized cache key and
-    resident-words table carry over.
+    edit comes back as the same instance, so its resident-words table
+    carries over.
     """
     levels = dataflow.levels
     spatial = dataflow.spatial

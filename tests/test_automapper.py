@@ -184,19 +184,6 @@ class TestBitWidthPricing:
 
 
 class TestCostModelMemoAndWarmStart:
-    def test_memoized_search_matches_plain(self):
-        """Memoization must not change search results, only avoid work."""
-        for memoize in (True, False):
-            am = AutoMapper(DEV, AutoMapperConfig(generations=6,
-                                                  seed_key="memo-eq",
-                                                  memoize=memoize))
-            flow, cost = am.search_layer(WL)
-            if memoize:
-                memo_edp, memo_flow = cost.edp, flow.cache_key()
-            else:
-                assert cost.edp == memo_edp
-                assert flow.cache_key() == memo_flow
-
     def test_warm_start_seeds_across_bitwidths(self):
         am = AutoMapper(DEV, AutoMapperConfig(generations=4,
                                               seed_key="warm",
@@ -208,4 +195,3 @@ class TestCostModelMemoAndWarmStart:
 
     def test_warm_start_off_by_default(self):
         assert AutoMapperConfig().warm_start is False
-        assert AutoMapperConfig().memoize is True
