@@ -46,12 +46,21 @@ python -m repro pipeline validate --config examples/pipeline_smoke.json
 PIPELINE_RUN_DIR="$(mktemp -d)"
 TEMP_DIRS+=("$PIPELINE_RUN_DIR")
 # The runtime needs only numpy: with scipy unimportable the run must pass.
+# Backward frees each graph as it goes, so the run peaks near 185 MB; with
+# a step's graph kept alive into the next it peaked near 385 MB. The run
+# fails above PIPELINE_MAX_RSS_MB, set between the two.
+PIPELINE_MAX_RSS_MB=300
 python -c "
-import sys
+import resource, sys
 sys.modules['scipy'] = None
 from repro.__main__ import main
-sys.exit(main(sys.argv[1:]))
-" pipeline run --config examples/pipeline_smoke.json \
+code = main(sys.argv[2:])
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f'pipeline smoke peak RSS: {rss_mb:.1f} MB (ceiling {sys.argv[1]} MB)')
+if code == 0 and rss_mb > float(sys.argv[1]):
+    sys.exit(f'pipeline smoke peak RSS {rss_mb:.1f} MB is above {sys.argv[1]} MB')
+sys.exit(code)
+" "$PIPELINE_MAX_RSS_MB" pipeline run --config examples/pipeline_smoke.json \
     --run-dir "$PIPELINE_RUN_DIR"
 for artifact in architecture.json checkpoint.npz checkpoint.json \
         deploy_report.json serve_report.json pipeline_report.json; do

@@ -107,6 +107,12 @@ class SwitchableTrainer:
                 )
                 loss.backward()
                 optimizer.step()
+                # The step made every cached quantised weight stale.  Free
+                # them now, not at the next forward: left in the space this
+                # step's graph freed, they cut it into pieces too small for
+                # an evaluation's larger batches, whose forwards then grew
+                # the heap and gave it back to the OS layer by layer.
+                self.sp_net.drop_stale_weights()
                 epoch_loss += loss.item()
                 last_ce = per_bit
                 batches += 1

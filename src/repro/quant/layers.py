@@ -112,20 +112,25 @@ class _SwitchableMixin:
         """Layout transform applied to the cached quantised array."""
         return values
 
+    def drop_stale_weights(self) -> None:
+        """Free the cached arrays if a weight update has made them stale."""
+        if self._wq_cache and next(iter(self._wq_cache))[1] != self.weight.version:
+            self._wq_cache.clear()
+
     def _cached_weight_values(self, w_bits: int) -> Optional[np.ndarray]:
         """Quantised weight array for ``w_bits`` (``None`` = identity).
 
-        Served from the per-layer cache keyed ``(w_bits, version)``; a
-        version bump (optimiser step, ``load_state_dict``) drops every
-        stale entry so the cache never outlives a weight update.
+        Served from the per-layer cache keyed ``(w_bits, version)``; the
+        first lookup after a version bump (optimiser step,
+        ``load_state_dict``) drops every stale entry, so a stale array is
+        never served.
         """
         if not _WEIGHT_CACHE_ENABLED:
             values = self.quantizer.weight_values(self.weight.data, w_bits)
             return None if values is None else self._weight_transform(values)
         key = (w_bits, self.weight.version)
         if key not in self._wq_cache:
-            if self._wq_cache and next(iter(self._wq_cache))[1] != self.weight.version:
-                self._wq_cache.clear()
+            self.drop_stale_weights()
             values = self.quantizer.weight_values(self.weight.data, w_bits)
             self._wq_cache[key] = (
                 None if values is None else self._weight_transform(values)

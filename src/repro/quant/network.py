@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from ..nn.module import Module
 from ..tensor import Tensor
-from .layers import BitSpec, normalize_bits
+from .layers import BitSpec, _SwitchableMixin, normalize_bits
 
 __all__ = [
     "collect_switchable_layers",
@@ -141,6 +141,12 @@ class SwitchablePrecisionNetwork(Module):
             yield self
         finally:
             self.set_bitwidth(previous)
+
+    def drop_stale_weights(self) -> None:
+        """Free every layer's quantised weights cached before an update."""
+        for layer in self._switchable_layers():
+            if isinstance(layer, _SwitchableMixin):
+                layer.drop_stale_weights()
 
     def forward(self, x: Tensor, bits: BitSpec = None) -> Tensor:
         if bits is not None:

@@ -7,6 +7,15 @@ differentiable operation creates a new :class:`Tensor` holding a
 backward closure, and :meth:`Tensor.backward` replays the closures in
 reverse topological order.
 
+A graph can be backpropagated once, as under PyTorch's default
+``retain_graph=False``: as :meth:`Tensor.backward` runs each node's
+closure it drops the closure and the node's parent links, so every
+activation is freed once the last closure that holds it has run, even
+while the caller still holds the loss.  A second backward that reaches a
+consumed node raises :class:`RuntimeError`; run the forward pass again
+to build a new graph.  Leaves (parameters, inputs) are never consumed,
+so their gradients accumulate over any number of graphs.
+
 Only the features the reproduction needs are implemented, but those are
 implemented fully and are gradient-checked in ``tests/test_tensor_*``:
 
@@ -94,7 +103,7 @@ class Tensor:
 
     __slots__ = (
         "data", "grad", "requires_grad", "_backward", "_parents", "name",
-        "_version",
+        "_version", "__weakref__",
     )
 
     def __init__(
@@ -196,6 +205,14 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        The graph is freed as it is walked: once a node's backward
+        closure has run, the node drops the closure and its parent links.
+        So a graph can be backpropagated once.  A later ``backward`` that
+        reaches a consumed node, from this tensor again or from a new
+        root built on any of its non-leaf tensors, raises
+        :class:`RuntimeError`.  Leaf tensors keep accumulating into
+        :attr:`grad` across graphs.
+
         Parameters
         ----------
         grad:
@@ -212,8 +229,14 @@ class Tensor:
         grad = np.asarray(grad, dtype=self.data.dtype)
 
         order = _topological_order(self)
+        # Keyed by id: every key is a parent of a node already run, and
+        # parents come later in ``order``, so ``order`` still holds each
+        # keyed tensor and no id can be reused while it is a key.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in order:
+        for i, node in enumerate(order):
+            # Drop the list's reference, so a node (and what its closure
+            # holds) dies once the last closure that holds it has run.
+            order[i] = None
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
@@ -222,6 +245,8 @@ class Tensor:
                 node._accumulate(node_grad)
             if node._backward is not None:
                 node._backward_dispatch(node_grad, grads)
+                node._backward = _consumed_backward
+                node._parents = ()
 
     def _backward_dispatch(self, node_grad: np.ndarray, grads: dict) -> None:
         """Run this node's backward closure, accumulating parent grads."""
@@ -242,6 +267,15 @@ class Tensor:
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
         self.grad = None
+
+
+def _consumed_backward(grad: np.ndarray) -> None:
+    """Stand-in for a backward closure that has already run."""
+    raise RuntimeError(
+        "backward() reached a tensor whose graph was already backpropagated "
+        "and freed; a graph can be backpropagated once, so run the forward "
+        "pass again to build a new one"
+    )
 
 
 def _topological_order(root: Tensor) -> list:

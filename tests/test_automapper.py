@@ -183,7 +183,7 @@ class TestBitWidthPricing:
                 priced[bits], pipeline=False).edp
 
 
-class TestCostModelMemoAndWarmStart:
+class TestWarmStart:
     def test_warm_start_seeds_across_bitwidths(self):
         am = AutoMapper(DEV, AutoMapperConfig(generations=4,
                                               seed_key="warm",

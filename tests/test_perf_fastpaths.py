@@ -381,6 +381,20 @@ class TestQuantizedWeightCache:
         layer(x)
         assert counter["n"] == 2  # recomputed exactly once after the step
 
+    def test_drop_stale_weights_frees_only_stale_entries(self):
+        layer = self._layer()
+        x = Tensor(RNG.normal(size=(2, 4, 6, 6)).astype(np.float32))
+        counter = _quantize_calls(layer)
+        layer(x)
+        layer.drop_stale_weights()  # fresh: kept and still served
+        layer(x)
+        assert counter["n"] == 1
+        layer.weight.bump_version()
+        layer.drop_stale_weights()
+        assert layer._wq_cache == {}
+        layer(x)
+        assert counter["n"] == 2
+
     def test_cache_keys_per_bitwidth(self):
         layer = self._layer()
         x = Tensor(RNG.normal(size=(2, 4, 6, 6)).astype(np.float32))

@@ -1,5 +1,7 @@
 """Autograd graph mechanics: accumulation, detach, no_grad, errors."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,36 @@ class TestGraph:
         (x * c).backward()
         assert c.grad is None
         assert np.allclose(x.grad, [5.0])
+
+
+class TestGraphRelease:
+    """``backward`` frees the graph as it walks it (one backward per graph)."""
+
+    def test_intermediate_dies_with_its_graph(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = x * 2.0
+        alive = weakref.ref(hidden)
+        loss = ops.sum_(hidden * hidden)
+        del hidden
+        assert alive() is not None  # only the graph holds it now
+        loss.backward()
+        assert alive() is None  # freed although ``loss`` is still referenced
+        assert np.allclose(x.grad, 8.0)
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        loss = x * 2.0
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        assert np.allclose(x.grad, [2.0])
+
+    def test_new_root_on_consumed_subgraph_raises(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        shared = x * 2.0
+        (shared * 3.0).backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (shared * 5.0).backward()
 
 
 class TestDetachNoGrad:

@@ -1,5 +1,7 @@
 """Switchable trainers and the training methods of the tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.core import (
     evaluate_all_bits,
     evaluate_bitwidth,
 )
-from repro.data import cifar10_like
+from repro.data import Subset, cifar10_like
 from repro.nn import models
 from repro.quant import SwitchableFactory, SwitchablePrecisionNetwork
 
@@ -72,6 +74,42 @@ class TestTrainer:
         ).fit(train)
         accs = evaluate_all_bits(sp, test)
         assert accs[32] > 0.15  # chance is 0.10 for 10 classes
+
+    def test_fit_leaves_no_stale_quantised_weights(self, data):
+        train, _ = data
+        sp = SwitchablePrecisionNetwork(
+            tiny_builder(SwitchableFactory(BITS)), BITS)
+        SwitchableTrainer(
+            sp, CascadeDistillation(beta=1.0),
+            TrainConfig(epochs=1, batch_size=16, augment=False),
+        ).fit(Subset(train, range(16)))
+        caches = [m._wq_cache for m in sp.modules() if hasattr(m, "_wq_cache")]
+        assert caches and not any(caches)
+
+    def test_next_step_does_not_hold_the_previous_graph(self, data):
+        # The loop keeps the last loss while it builds the next graph;
+        # backward frees the graph, so a second step adds little memory.
+        # Were both graphs alive, two steps would peak near twice one.
+        train, _ = data
+        batch = Subset(train, range(16))
+
+        def fit_peak(epochs):
+            rng_mod.set_seed(0)
+            sp = SwitchablePrecisionNetwork(
+                tiny_builder(SwitchableFactory(BITS)), BITS)
+            trainer = SwitchableTrainer(
+                sp, CascadeDistillation(beta=1.0),
+                TrainConfig(epochs=epochs, batch_size=16, augment=False),
+            )
+            tracemalloc.start()
+            try:
+                trainer.fit(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_step, two_steps = fit_peak(1), fit_peak(2)
+        assert two_steps <= 1.5 * one_step, (one_step, two_steps)
 
 
 class TestRecipes:
