@@ -630,3 +630,58 @@ class TestMergeEngineStats:
             summary.p50_s, summary.p95_s, summary.p99_s,
             summary.mean_s, summary.max_s,
         ))
+
+
+class TestServedLogits:
+    """Pin the smoke serve model's eval logits, bit for bit.
+
+    The schedule pins in ``tests/test_serve_simulator.py`` depend on
+    arrivals and the latency model alone; this pins what a served
+    forward computes.  One training-mode forward per bit-width first
+    moves every batch norm's running statistics off their (0, 1)
+    defaults, so the eval normalisation runs with non-trivial values.
+    """
+
+    # bits -> sha256 of the float32 logits of BATCH in eval mode.
+    EXPECTED = {
+        4: "0aec93fb00424b865c142008fc64f0f6b134b9f9d8a0b2678de3116172d73cec",
+        8: "0e9530c383aa31a0efbaad9a9cba84e72f64f04174fd143ee6b4c5986128e411",
+        16: "caea17634807bdac1666c29a6ade8a0ae3ef23c24a20fd99536a5071baf60600",
+    }
+
+    @staticmethod
+    def _served_model_and_batch():
+        from repro import rng as rng_mod
+        from repro.serve.simulator import SERVE_SCALES
+        from repro.tensor import Tensor
+
+        rng_mod.set_seed(0)
+        cfg = SERVE_SCALES["smoke"].model
+        sp_net = build_sp_net(cfg)
+        gen = np.random.default_rng(0)
+        size = cfg.image_size
+        warm = gen.standard_normal((8, 3, size, size)).astype(np.float32)
+        batch = gen.standard_normal((5, 3, size, size)).astype(np.float32)
+        sp_net.train()
+        for bits in cfg.bit_widths:
+            sp_net(Tensor(warm), bits)
+        sp_net.eval()
+        return sp_net, batch
+
+    def test_eval_logits_are_pinned_and_match_the_grad_path(self):
+        import hashlib
+
+        from repro.tensor import Tensor, no_grad
+
+        sp_net, batch = self._served_model_and_batch()
+        digests = {}
+        for bits in self.EXPECTED:
+            with no_grad():
+                served = sp_net(Tensor(batch), bits).data
+            recorded = sp_net(Tensor(batch), bits)
+            assert recorded.requires_grad
+            assert served.dtype == np.float32
+            np.testing.assert_array_equal(served, recorded.data)
+            assert served.tobytes() == recorded.data.tobytes()
+            digests[bits] = hashlib.sha256(served.tobytes()).hexdigest()
+        assert digests == self.EXPECTED
