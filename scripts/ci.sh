@@ -106,15 +106,21 @@ for name in ("architecture.json", "train_report.json", "deploy_report.json",
         sys.exit(f"traced pipeline {name} differs from the plain run")
 EOF
 
-echo "==> serve-sim smoke (bursty scenario, all policies; tracing must not change the report)"
+echo "==> serve-sim smoke (constant, bursty and diurnal scenarios, all policies;"
+echo "    tracing must not change the report)"
+# The scenarios switch bit-width at different rates, so together they run
+# both the switching and the already-at-these-bits path of set_bitwidth.
 SERVE_SIM_DIR="$(mktemp -d)"
 TEMP_DIRS+=("$SERVE_SIM_DIR")
-python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
-    --output "$SERVE_SIM_DIR/serve_sim.json"
-python -m repro serve-sim --scenario bursty --policy all --scale smoke --seed 0 \
-    --output "$SERVE_SIM_DIR/serve_sim_traced.json" --obs-dir "$SERVE_SIM_DIR/obs"
-cmp "$SERVE_SIM_DIR/serve_sim.json" "$SERVE_SIM_DIR/serve_sim_traced.json" \
-    || { echo "traced serve-sim report differs from untraced run"; exit 1; }
+for scenario in constant bursty diurnal; do
+    python -m repro serve-sim --scenario "$scenario" --policy all --scale smoke \
+        --seed 0 --output "$SERVE_SIM_DIR/$scenario.json"
+    python -m repro serve-sim --scenario "$scenario" --policy all --scale smoke \
+        --seed 0 --output "$SERVE_SIM_DIR/${scenario}_traced.json" \
+        --obs-dir "$SERVE_SIM_DIR/obs_$scenario"
+    cmp "$SERVE_SIM_DIR/$scenario.json" "$SERVE_SIM_DIR/${scenario}_traced.json" \
+        || { echo "traced $scenario serve-sim report differs from untraced run"; exit 1; }
+done
 
 echo "==> fleet serve-sim + obs smoke (4 replicas behind least_queue; the report"
 echo "    must be deterministic and unchanged by tracing, and the trace must render)"

@@ -19,7 +19,6 @@ from .factory import SwitchableFactory
 from .network import (
     SwitchablePrecisionNetwork,
     collect_switchable_layers,
-    set_network_bitwidth,
     sort_bitwidths,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "SwitchableFactory",
     "SwitchablePrecisionNetwork",
     "collect_switchable_layers",
-    "set_network_bitwidth",
     "sort_bitwidths",
 ]

@@ -1,10 +1,13 @@
 """Network-level switchable-precision control.
 
 An SP-Net is an ordinary model whose precision-sensitive layers respond to
-``set_bitwidth``.  :func:`set_network_bitwidth` flips every such layer at
-once, and :class:`SwitchablePrecisionNetwork` packages a model + candidate
-set with the conveniences the trainers and experiment harness rely on
-(iterate bit-widths, temporarily switch, query the bottleneck bit).
+``set_bitwidth``.  :class:`SwitchablePrecisionNetwork` packages a model +
+candidate set, flips every such layer at once, and provides the
+conveniences the trainers and experiment harness rely on (iterate
+bit-widths, temporarily switch, query the bottleneck bit).  It remembers
+the bit-width it set last and skips a switch to it, so a wrapped model's
+layers are switched through the wrapper only; a layer switched behind
+its back keeps that setting until the wrapper next switches.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .layers import BitSpec, _SwitchableMixin, normalize_bits
 
 __all__ = [
     "collect_switchable_layers",
-    "set_network_bitwidth",
     "SwitchablePrecisionNetwork",
     "sort_bitwidths",
 ]
@@ -39,19 +41,6 @@ def collect_switchable_layers(model: Module) -> tuple:
         if callable(setter):
             layers.append(module)
     return tuple(layers)
-
-
-def set_network_bitwidth(model: Module, bits: BitSpec) -> int:
-    """Switch every switchable layer in ``model`` to ``bits``.
-
-    Returns the number of layers switched (0 means the model has no
-    switchable layers — usually a configuration mistake, so callers may
-    assert on it).
-    """
-    layers = collect_switchable_layers(model)
-    for layer in layers:
-        layer.set_bitwidth(bits)
-    return len(layers)
 
 
 def sort_bitwidths(bit_widths: Sequence[BitSpec]) -> list:
@@ -90,6 +79,8 @@ class SwitchablePrecisionNetwork(Module):
         # self-invalidating under model surgery (module added/replaced
         # anywhere), at the cost of one integer compare per switch.
         self._refresh_switchable()
+        # The bits set last and the structure epoch they were set at.
+        self._active = self._switched_epoch = None
         if not self._switchable:
             raise ValueError(
                 "model has no switchable layers; build it with a "
@@ -126,16 +117,22 @@ class SwitchablePrecisionNetwork(Module):
         return self.bit_widths[-1]
 
     def set_bitwidth(self, bits: BitSpec) -> None:
+        # Most serving batches and every eval batch run at the bits the
+        # network already has: with no model surgery since they were set,
+        # every layer is still at ``bits`` and there is nothing to switch.
+        epoch = Module.structure_epoch()
+        if bits == self._active and epoch == self._switched_epoch:
+            return
         if bits not in self.bit_widths:
             raise ValueError(f"{bits} not in candidate set {self.bit_widths}")
         for layer in self._switchable_layers():
             layer.set_bitwidth(bits)
-        self._active = bits
+        self._active, self._switched_epoch = bits, epoch
 
     @contextlib.contextmanager
     def at(self, bits: BitSpec):
         """Temporarily run the network at ``bits`` (restores previous)."""
-        previous = getattr(self, "_active", self.highest)
+        previous = self._active
         self.set_bitwidth(bits)
         try:
             yield self

@@ -165,9 +165,11 @@ class SBMQuantizer(Quantizer):
         # The dynamic scale maps the observed extrema exactly onto the
         # grid ends, so rounding already lands in [-qmax, qmax] (or
         # [0, qmax]) and no clip pass is needed; in-place round/rescale
-        # avoids two temporaries on this every-forward path.
+        # avoids two temporaries on this every-forward path.  ``np.rint``
+        # is the ufunc ``np.round`` dispatches to at ``decimals=0``,
+        # called without the dispatch.
         quantized = data / scale
-        np.round(quantized, out=quantized)
+        np.rint(quantized, out=quantized)
         quantized *= scale
         return straight_through(x, quantized)
 

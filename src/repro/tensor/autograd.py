@@ -320,14 +320,16 @@ def make_op(
     recorded and returns ``None`` for the ones that need none, so a frozen
     weight or an input image costs no backward work.
     Graph edges are only recorded while gradients are enabled and at least
-    one parent requires them; otherwise the result is a detached tensor,
-    which keeps inference loops allocation-light.
+    one parent requires them; otherwise the result is a detached tensor.
+    A no-grad call returns it at once: it builds no parents tuple, scans
+    no parent and stores no closure, which keeps inference loops
+    allocation-light.
     """
+    if not _GRAD_ENABLED:
+        return Tensor(out_data)
     parents = tuple(parents)
-    requires = _GRAD_ENABLED and any(
-        isinstance(p, Tensor) and p.requires_grad for p in parents
-    )
-    out = Tensor(out_data, requires_grad=requires, _parents=parents if requires else ())
-    if requires:
-        out._backward = backward
+    if not any(isinstance(p, Tensor) and p.requires_grad for p in parents):
+        return Tensor(out_data)
+    out = Tensor(out_data, requires_grad=True, _parents=parents)
+    out._backward = backward
     return out

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, ensure_tensor, make_op
+from .autograd import Tensor, ensure_tensor, is_grad_enabled, make_op
 
 __all__ = ["batch_norm2d"]
 
@@ -60,7 +60,11 @@ def batch_norm2d(
     In training mode the batch statistics are used and ``running_mean`` /
     ``running_var`` are updated *in place* with an exponential moving
     average (mirroring ``torch.nn.BatchNorm2d``).  In eval mode the running
-    statistics are used and nothing is mutated.
+    statistics are used and nothing is mutated.  A call that records no
+    graph (gradients disabled, or no operand needs one), such as every
+    eval-mode forward of a served model, runs the same tiled passes
+    (centre, scale, shift) and returns the result detached: it builds no
+    closure and keeps nothing for a backward.
 
     Parameters
     ----------
@@ -111,6 +115,11 @@ def batch_norm2d(
     scale = gamma.data * inv_std
     out = _tiled(np.multiply, xc, scale, hw)
     out += np.repeat(beta.data, hw)
+    if not (
+        is_grad_enabled()
+        and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    ):
+        return Tensor(out.reshape(n, c, h, w))
 
     def backward(grad):
         # Fused backward: the per-channel reductions of the standard BN

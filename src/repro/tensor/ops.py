@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autograd import Tensor, ensure_tensor, make_op, unbroadcast
+from .autograd import Tensor, ensure_tensor, is_grad_enabled, make_op, unbroadcast
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt",
@@ -175,9 +175,16 @@ def abs_(a) -> Tensor:
 
 
 def clip(a, low: float, high: float) -> Tensor:
-    """Clamp to ``[low, high]``; gradient is zero outside the interval."""
+    """Clamp to ``[low, high]``; gradient is zero outside the interval.
+
+    A call that records no graph (gradients disabled, or ``a`` needs
+    none) returns the clipped values alone: it builds no ``inside`` mask
+    and no closure.
+    """
     a = ensure_tensor(a)
     out = np.clip(a.data, low, high)
+    if not (is_grad_enabled() and a.requires_grad):
+        return Tensor(out)
     # A value is inside the interval exactly when clipping left it
     # untouched — one compare instead of two compares plus a cast, on
     # the hottest activation (ReLU6) path.

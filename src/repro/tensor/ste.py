@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import Tensor, ensure_tensor, make_op
+from .autograd import Tensor, ensure_tensor, is_grad_enabled, make_op
 
 __all__ = ["straight_through", "straight_through_t", "round_ste"]
 
@@ -36,6 +36,10 @@ def straight_through(
         ``[clip_low, clip_high]`` — the saturating-STE variant used for
         clipped activation quantisers, which stops gradient flow into the
         saturated region.
+
+    A call that records no graph (gradients disabled, or ``x`` needs
+    none) still casts ``quantized`` to ``x``'s dtype and checks its
+    shape, but builds no clip mask and no closure.
     """
     x = ensure_tensor(x)
     quantized = np.asarray(quantized, dtype=x.dtype)
@@ -43,6 +47,8 @@ def straight_through(
         raise ValueError(
             f"quantized shape {quantized.shape} must match input {x.shape}"
         )
+    if not (is_grad_enabled() and x.requires_grad):
+        return Tensor(quantized)
     if clip_low is None and clip_high is None:
         mask = None
     else:

@@ -1,6 +1,6 @@
 """Equivalence tests for the fast execution engine.
 
-Four families of guarantees:
+Five families of guarantees:
 
 * the conv2d fast paths (pointwise matmul, dense matmul, depthwise
   tap-view einsum, folded to one OW*C axis at stride 1) produce the same
@@ -14,7 +14,10 @@ Four families of guarantees:
   reference conv's gradients at the quantised weight and input;
 * the quantised-weight cache is invalidated exactly when weights change
   (``SGD.step``, ``load_state_dict``) and never between consecutive
-  forwards.
+  forwards;
+* an op that records no graph (``clip``, ``straight_through``, eval
+  ``batch_norm2d``) returns the recorded op's values bit for bit, in the
+  same dtype, with no parents and no closure.
 """
 
 import numpy as np
@@ -28,7 +31,18 @@ from repro.quant import (
     weight_cache,
     weight_cache_enabled,
 )
-from repro.tensor import Tensor, check_gradients, conv2d, fast_conv, fast_conv_enabled
+from repro.tensor import (
+    Tensor,
+    batch_norm2d,
+    check_gradients,
+    conv2d,
+    fast_conv,
+    fast_conv_enabled,
+    no_grad,
+    ops,
+    straight_through,
+)
+from repro.tensor.conv import _tap_view
 
 RNG = np.random.default_rng(7)
 
@@ -450,3 +464,91 @@ class TestQuantizedWeightCache:
         with weight_cache(False):
             out_plain = layer(x)
         assert np.allclose(out.data, out_plain.data)
+
+
+class TestNoGradShortcuts:
+    """An op with nothing to record returns its values alone: the same
+    bits and dtype as the recorded op, with no parents and no closure."""
+
+    @staticmethod
+    def _assert_detached_copy(out, recorded):
+        assert recorded._parents and recorded._backward is not None
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert out.dtype == recorded.dtype
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_clip(self):
+        x = Tensor(RNG.normal(scale=4.0, size=(2, 3, 5, 5)).astype(np.float32),
+                   requires_grad=True)
+        recorded = ops.relu6(x)
+        with no_grad():
+            out = ops.relu6(x)
+        self._assert_detached_copy(out, recorded)
+        # Grad enabled but nothing requires it: nothing is recorded either.
+        out = ops.clip(Tensor(x.data), 0.0, 6.0)
+        assert out._parents == () and out._backward is None
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_dorefa_straight_through_with_clip_bounds(self):
+        q = make_quantizer("dorefa")
+        x = Tensor(RNG.normal(scale=4.0, size=(2, 3, 5, 5)).astype(np.float32),
+                   requires_grad=True)
+        recorded = q.quantize_activation(x, 4)
+        with no_grad():
+            out = q.quantize_activation(x, 4)
+        self._assert_detached_copy(out, recorded)
+
+    def test_straight_through_keeps_dtype_conversion_and_shape_check(self):
+        x = Tensor(RNG.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+        quantized = np.round(x.data).astype(np.float64)
+        recorded = straight_through(x, quantized, clip_low=-1.0, clip_high=1.0)
+        with no_grad():
+            out = straight_through(x, quantized, clip_low=-1.0, clip_high=1.0)
+            self._assert_detached_copy(out, recorded)
+            assert out.dtype == np.float32
+            with pytest.raises(ValueError, match="must match input"):
+                straight_through(x, quantized[:2])
+
+    def test_eval_batch_norm(self):
+        c = 4
+        x = Tensor(RNG.normal(size=(3, c, 5, 5)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(RNG.normal(size=c).astype(np.float32), requires_grad=True)
+        beta = Tensor(RNG.normal(size=c).astype(np.float32), requires_grad=True)
+        mean = RNG.normal(size=c).astype(np.float32)
+        var = RNG.uniform(0.5, 2.0, size=c).astype(np.float32)
+        before = (mean.copy(), var.copy())
+        recorded = batch_norm2d(x, gamma, beta, mean, var, training=False)
+        with no_grad():
+            out = batch_norm2d(x, gamma, beta, mean, var, training=False)
+        self._assert_detached_copy(out, recorded)
+        # Grad enabled but no operand requires it: nothing is recorded.
+        out = batch_norm2d(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data),
+                           mean, var, training=False)
+        assert out._parents == () and out._backward is None
+        assert out.data.tobytes() == recorded.data.tobytes()
+        # A channels-last input takes the same values.
+        x_cl = Tensor(np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+                      .transpose(0, 3, 1, 2))
+        with no_grad():
+            out = batch_norm2d(x_cl, gamma, beta, mean, var, training=False)
+        assert out.data.tobytes() == recorded.data.tobytes()
+        assert np.array_equal(mean, before[0]) and np.array_equal(var, before[1])
+
+
+class TestDepthwiseTapView:
+    @pytest.mark.parametrize("stride,offset", [(1, 0), (2, 0), (1, 2)])
+    def test_view_reads_every_tap_and_rejects_writes(self, stride, offset):
+        xp = RNG.normal(size=(2, 9, 10, 3)).astype(np.float32)
+        kh, kw, oh, ow = 3, 2, 3, 4
+        view = _tap_view(xp, (kh, kw), (oh, ow), stride, offset)
+        assert view.shape == (2, kh, kw, oh, ow, 3)
+        for i in range(kh):
+            for j in range(kw):
+                expected = xp[:, offset + i:offset + i + stride * oh:stride,
+                              offset + j:offset + j + stride * ow:stride]
+                assert np.array_equal(view[:, i, j], expected)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0, 0] = 1.0

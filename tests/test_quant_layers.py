@@ -11,7 +11,6 @@ from repro.quant import (
     SwitchableFactory,
     SwitchablePrecisionNetwork,
     normalize_bits,
-    set_network_bitwidth,
     sort_bitwidths,
 )
 from repro.tensor import Tensor
@@ -123,11 +122,6 @@ class TestSwitchableNetwork:
         assert sp.bit_widths == (4, 8, 32)
         assert sp.lowest == 4 and sp.highest == 32
 
-    def test_set_network_bitwidth_counts_layers(self):
-        sp = self._network()
-        switched = set_network_bitwidth(sp.model, 4)
-        assert switched > 10  # many quant convs + switchable BNs
-
     def test_forward_all_yields_every_bits(self):
         sp = self._network()
         outs = dict(sp.forward_all(image(size=16)))
@@ -204,6 +198,43 @@ class TestSwitchableCacheInvalidation:
         assert replacement.active_bits == 4
         sp.set_bitwidth(8)
         assert replacement.active_bits == 8
+
+    def _replace_first_conv(self, sp, fac):
+        block = sp.model.stages[0]
+        old = block.conv1.conv
+        replacement = fac.conv(
+            old.in_channels, old.out_channels, old.kernel_size,
+            stride=old.stride, padding=old.padding,
+        )
+        assert replacement.active_bits == 8  # built at the highest bits
+        block.conv1.conv = replacement
+        return replacement
+
+    def test_replaced_layer_is_switched_at_the_current_bits(self):
+        sp, fac = self._small_net()
+        sp.set_bitwidth(4)
+        replacement = self._replace_first_conv(sp, fac)
+        sp.set_bitwidth(4)  # the network is already at 4
+        assert replacement.active_bits == 4
+
+    def test_rescan_without_a_switch_does_not_skip_the_next_one(self):
+        sp, fac = self._small_net()
+        sp.set_bitwidth(4)
+        replacement = self._replace_first_conv(sp, fac)
+        sp.drop_stale_weights()  # re-scans the layers, switches none
+        sp.set_bitwidth(4)
+        assert replacement.active_bits == 4
+
+    def test_at_restores_the_previous_bits_after_surgery(self):
+        sp, fac = self._small_net()
+        sp.set_bitwidth(4)
+        replacement = self._replace_first_conv(sp, fac)
+        with sp.at(8):
+            assert replacement.active_bits == 8
+        assert replacement.active_bits == 4
+        active = {m.active_bits for m in sp.model.modules()
+                  if isinstance(m, QuantConv2d)}
+        assert active == {4}
 
     def test_added_layer_is_switched(self):
         sp, fac = self._small_net()
